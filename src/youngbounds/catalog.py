@@ -33,7 +33,7 @@ from .errors import (
     OrientationError,
 )
 from .numerics import NormSpec, extremum, norm_r
-from .young import Anchors, ProblemInstance
+from .young import SCAN_POINTS, Anchors, ProblemInstance
 
 __all__ = [
     "TargetQuantity", "HypothesisCheck", "BoundResult", "SnPolynomial",
@@ -151,23 +151,6 @@ def _shifted_target(inst: ProblemInstance, anch: Anchors) -> TargetQuantity:
     return TargetQuantity("SHIFTED", offset=inst.b * anch.h_inv_b)
 
 
-def _scan_values(
-    inst: ProblemInstance, order: int, lo: float, hi: float
-) -> tuple[list[float], int]:
-    """order-th derivative at interior scan points of [lo, hi]; skips (and
-    counts) points where the jet is undefined."""
-    n = inst.options.scan_points
-    values: list[float] = []
-    skipped = 0
-    for i in range(1, n + 1):
-        x = lo + (hi - lo) * i / (n + 1)
-        try:
-            values.append(inst.deriv(x, order))
-        except DomainError:
-            skipped += 1
-    return values, skipped
-
-
 def _sign_class(values: list[float]) -> str:
     """'nonnegative' | 'nonpositive' | 'flat' | 'mixed' with a relative floor."""
     if not values:
@@ -200,9 +183,17 @@ def _check(
     lo: float,
     hi: float,
     passes: tuple[str, ...],
-) -> tuple[HypothesisCheck, str]:
-    """Scan the order-th derivative on [lo, hi] and classify its sign."""
-    values, skipped = _scan_values(inst, order, lo, hi)
+) -> tuple[HypothesisCheck, str, list[float]]:
+    """Sample the order-th derivative at interior scan points of [lo, hi] and
+    classify its sign; points where the jet is undefined are skipped (and
+    counted). Returns the check, the sign class and the sampled values."""
+    values: list[float] = []
+    skipped = 0
+    for i in range(1, SCAN_POINTS + 1):
+        try:
+            values.append(inst.deriv(lo + (hi - lo) * i / (SCAN_POINTS + 1), order))
+        except DomainError:
+            skipped += 1
     cls = _sign_class(values)
     observed = (
         f"h^({order}) in [{min(values):.6g}, {max(values):.6g}] "
@@ -211,7 +202,7 @@ def _check(
     if skipped:
         observed += f" ({skipped} skipped)"
     assumed = name in inst.options.assume
-    return HypothesisCheck(name, required, observed, cls in passes, assumed), cls
+    return HypothesisCheck(name, required, observed, cls in passes, assumed), cls, values
 
 
 def _sorted_pair(x: float, y: float) -> tuple[float, float]:
@@ -228,12 +219,9 @@ def _zero_width_result(method: str, target: TargetQuantity) -> BoundResult:
 def _extrema_of_deriv(
     inst: ProblemInstance, order: int, lo: float, hi: float
 ) -> tuple[float, float]:
-    f = lambda x: inst.deriv(x, order)
-    pts = inst.options.extremum_points
-    return (
-        extremum(f, lo, hi, "min", pts)[1],
-        extremum(f, lo, hi, "max", pts)[1],
-    )
+    """(inf, sup) of h^(order) over [lo, hi] from one scan."""
+    (_, f_min), (_, f_max) = extremum(lambda x: inst.deriv(x, order), lo, hi)
+    return f_min, f_max
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +235,7 @@ def bound_hoorfar_qi(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     of h'(a), h'(h^{-1}(b)).
     """
     target = _gap_target(inst)
-    check, _ = _check(
+    check, _, _ = _check(
         inst, "h_prime_monotone_global", "h'' of one sign on (0, c)",
         2, 0.0, inst.c, ("nonnegative", "nonpositive", "flat"),
     )
@@ -270,7 +258,7 @@ def bound_hh_cebysev(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     (h' increasing, b < h(a)) and (h' decreasing, b > h(a)).
     """
     target = _gap_target(inst)
-    check, cls = _check(
+    check, cls, _ = _check(
         inst, "h_prime_monotone_local", "h'' of one sign on [alpha, beta]",
         2, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
@@ -303,7 +291,7 @@ def bound_jensen_first(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     d^2/3 * [h'(a)/2 + h'(h^{-1}(b))]; swapped when h' is concave.
     """
     target = _gap_target(inst)
-    check, cls = _check(
+    check, cls, _ = _check(
         inst, "h_prime_convexity", "h''' of one sign on [alpha, beta]",
         3, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
@@ -387,8 +375,13 @@ def _holder_core(
     abs_d = anch.width
     tol = inst.options.quad_rel_tol
     phi = lambda x: inst.deriv(x, n + 1)
+    extrema: list[float] = []  # (inf, sup) of phi, scanned on first use
 
     def nrm(r: float) -> float:
+        if math.isinf(r):  # ||phi||_{-inf} = inf phi, ||phi||_{+inf} = sup phi
+            if not extrema:
+                extrema.extend(_extrema_of_deriv(inst, n + 1, anch.alpha, anch.beta))
+            return extrema[r > 0]
         return norm_r(phi, NormSpec(r, anch.alpha, anch.beta), tol)
 
     u, v = lower_pair
@@ -447,7 +440,7 @@ def bound_taylor_holder(
     For b > h(a) with odd n the remainder is nonpositive and the printed pair
     enters with a minus sign; the sorted-pair mechanism realizes that case.
     """
-    check, _ = _check(
+    check, _, _ = _check(
         inst, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
         n + 1, anch.alpha, anch.beta, ("nonnegative", "flat"),
     )
@@ -466,7 +459,7 @@ def bound_taylor_lagrange(inst: ProblemInstance, anch: Anchors, n: int) -> Bound
     smaller/larger of h^(n+1) at the two anchor abscissae. At n = 0 this is
     exactly the hoorfar-qi estimate."""
     target = _gap_target(inst)
-    check, _ = _check(
+    check, _, _ = _check(
         inst, "deriv_monotone_global", f"h^({n + 2}) of one sign on (0, c)",
         n + 2, 0.0, inst.c, ("nonnegative", "nonpositive", "flat"),
     )
@@ -502,7 +495,7 @@ def bound_taylor_cebysev(inst: ProblemInstance, anch: Anchors, n: int) -> BoundR
     the bounded side follows the six-way case table on (sign of h(a)-b,
     direction of h^(n+1), parity of n)."""
     target = _remainder_target(inst, anch, n)
-    check, cls = _check(
+    check, cls, values = _check(
         inst, "deriv_monotone_local", f"h^({n + 2}) of one sign on [alpha, beta]",
         n + 2, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
@@ -521,7 +514,6 @@ def bound_taylor_cebysev(inst: ProblemInstance, anch: Anchors, n: int) -> BoundR
             notes=("h^(n+1) constant: estimate is exact",),
         )
     if direction == "mixed":
-        values, _ = _scan_values(inst, n + 2, anch.alpha, anch.beta)
         direction = "increasing" if sum(v > 0 for v in values) * 2 >= len(values) \
             else "decreasing"
     side = _CEBYSEV_SIDE[(anch.h_a > inst.b, direction, n % 2)]
@@ -543,7 +535,7 @@ def bound_taylor_jensen(inst: ProblemInstance, anch: Anchors, n: int) -> BoundRe
     concavity swaps which formula supplies which side.
     """
     target = _remainder_target(inst, anch, n)
-    check, cls = _check(
+    check, cls, _ = _check(
         inst, "deriv_convexity", f"h^({n + 3}) of one sign on [alpha, beta]",
         n + 3, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
@@ -574,11 +566,11 @@ def bound_taylor_product_hh(inst: ProblemInstance, anch: Anchors, n: int) -> Bou
 
     scaled by the signed kernel d^{n+2}/(n+1)!, then sorted."""
     target = _remainder_target(inst, anch, n)
-    check_pos, _ = _check(
+    check_pos, _, _ = _check(
         inst, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
         n + 1, anch.alpha, anch.beta, ("nonnegative", "flat"),
     )
-    check_cvx, _ = _check(
+    check_cvx, _, _ = _check(
         inst, "deriv_convexity", f"h^({n + 3}) >= 0 on [alpha, beta]",
         n + 3, anch.alpha, anch.beta, ("nonnegative", "flat"),
     )

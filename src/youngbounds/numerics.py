@@ -293,22 +293,21 @@ def extremum(
     f: Func,
     lo: float,
     hi: float,
-    kind: str = "min",
     scan_points: int = 1025,
-) -> tuple[float, float]:
-    """Global extremum of f over [lo, hi]: dense scan + golden-section refinement.
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Global minimum and maximum of f over [lo, hi] as ((x_min, f_min),
+    (x_max, f_max)): one dense scan, then a golden-section refinement per side.
 
     Endpoint candidates enter via one-sided limits: when f raises
     :class:`DomainError` at an endpoint it is re-sampled at a distance of
     1e-9 times the interval width. Raises :class:`DomainError` when fewer
     than two scan points are evaluable.
     """
-    if kind not in ("min", "max"):
-        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
     if hi < lo:
         lo, hi = hi, lo
     if lo == hi:
-        return lo, f(lo)
+        v = f(lo)
+        return (lo, v), (lo, v)
 
     width = hi - lo
     pts: list[tuple[float, float]] = []
@@ -329,17 +328,19 @@ def extremum(
     if len(pts) < 2:
         raise DomainError("fewer than 2 scan points evaluable")
 
-    flip = -1.0 if kind == "max" else 1.0
-    g = lambda x: flip * f(x)
-    best_i = min(range(len(pts)), key=lambda i: flip * pts[i][1])
-    bl = pts[best_i - 1][0] if best_i > 0 else pts[best_i][0]
-    br = pts[best_i + 1][0] if best_i + 1 < len(pts) else pts[best_i][0]
+    def refine(flip: float) -> tuple[float, float]:
+        """Minimum of flip*f: the scan's best point, bracketed by its neighbours."""
+        g = lambda x: flip * f(x)
+        best_i = min(range(len(pts)), key=lambda i: flip * pts[i][1])
+        bl = pts[best_i - 1][0] if best_i > 0 else pts[best_i][0]
+        br = pts[best_i + 1][0] if best_i + 1 < len(pts) else pts[best_i][0]
+        candidates = [(x, flip * fx) for x, fx in (pts[0], pts[-1], pts[best_i])]
+        if br > bl:
+            candidates.append(_golden_min(g, bl, br))
+        xs, gs = min(candidates, key=lambda c: c[1])
+        return xs, flip * gs
 
-    candidates = [(x, flip * fx) for x, fx in (pts[0], pts[-1], pts[best_i])]
-    if br > bl:
-        candidates.append(_golden_min(g, bl, br))
-    xs, gs = min(candidates, key=lambda c: c[1])
-    return xs, flip * gs
+    return refine(1.0), refine(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ def norm_r(f: Func, spec: NormSpec, rel_tol: float = 1e-12) -> float:
     """
     r, lo, hi = spec.r, spec.lo, spec.hi
     if math.isinf(r):
-        return extremum(f, lo, hi, "max" if r > 0 else "min")[1]
+        return extremum(f, lo, hi)[r > 0][1]
     if lo == hi:
         if r < 0:
             raise ExponentDomainError("negative-exponent norm over an empty interval")

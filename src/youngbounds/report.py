@@ -91,6 +91,12 @@ def parse_method_spec(text: str) -> MethodSpec:
     args: tuple[float, ...] = ()
     if argtext:
         args = tuple(_parse_arg(x) for x in argtext.split(","))
+    arg_names = METHODS[name][1]
+    if len(args) > len(arg_names):
+        raise ParseError(f"{name} accepts at most {len(arg_names)} arguments, got {len(args)}")
+    n = dict(zip(arg_names, args)).get("n")
+    if n is not None and not (n >= 0 and float(n).is_integer()):
+        raise ParseError(f"{name}: order n must be a nonnegative integer, got {_fmt_arg(n)}")
     return MethodSpec(name, args)
 
 
@@ -104,9 +110,6 @@ _OPTION_KEYS = {
     "quad_rel_tol": float,
     "taylor_order": int,
     "t_grid": int,
-    "scan_points": int,
-    "extremum_points": int,
-    "jet_order_cap": int,
 }
 
 

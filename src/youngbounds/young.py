@@ -38,15 +38,15 @@ _INF = math.inf
 _DEFAULT_UPPER_PAIRS = ((1.0, _INF), (_INF, 1.0), (2.0, 2.0))
 _DEFAULT_LOWER_PAIRS = ((1.0, -_INF), (-_INF, 1.0), (0.5, -1.0))
 
+# Interior sample count of the sign scans in validation and the catalog's gates.
+SCAN_POINTS = 257
+
 
 @dataclass(frozen=True)
 class Options:
     quad_rel_tol: float = 1e-12
     taylor_order: int = 1
     t_grid: int = 33
-    scan_points: int = 257
-    extremum_points: int = 1025
-    jet_order_cap: int = 16
     upper_exponent_pairs: tuple[tuple[float, float], ...] = _DEFAULT_UPPER_PAIRS
     lower_exponent_pairs: tuple[tuple[float, float], ...] = _DEFAULT_LOWER_PAIRS
     assume: frozenset[str] = frozenset()
@@ -76,10 +76,10 @@ class ProblemInstance:
     def deriv(self, x: float, k: int) -> float:
         if k == 0:
             return self.h(x)
-        return jet(self.ast, x, k, cap=self.options.jet_order_cap).derivs[k]
+        return jet(self.ast, x, k).derivs[k]
 
     def jet_at(self, x: float, order: int):
-        return jet(self.ast, x, order, cap=self.options.jet_order_cap)
+        return jet(self.ast, x, order)
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def _validate(inst: ProblemInstance) -> None:
     # genuinely positive slope somewhere. Interior points (never 0 or c) keep
     # expressions like exp(-1/x) evaluable; its derivative underflows to 0 for
     # tiny x, which is why exact zeros are tolerated pointwise.
-    n = inst.options.scan_points
+    n = SCAN_POINTS
     seen_positive = False
     floor = -1e-12
     for i in range(1, n + 1):

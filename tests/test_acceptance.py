@@ -219,8 +219,10 @@ def test_criterion_06_product_hh_exp_squared_golden():
 def test_criterion_07_oracle_containment():
     # Printed interval endpoints and the double-precision oracle each carry a
     # computational width around 1e-12, so containment is asserted with a
-    # 1e-11 slack rather than as exact float ordering.
+    # 1e-11 slack rather than as exact float ordering. Criteria 4 and 5 use
+    # their closed forms, not the misprinted reference values.
     slack = 1e-11
+    _, _, jensen_lo, jensen_hi = _taylor_jensen_quartic_closed_form()
     quartic, anch_q = _quartic()
     exp_recip, _ = _exp_recip()
     exp_squared, _ = _exp_squared()
@@ -234,8 +236,8 @@ def test_criterion_07_oracle_containment():
         ("exp_recip", 0.388457763460961578, 0.455309856619062079),  # criterion 2
         ("exp_squared", 2.05281277502489567, 2.06746020503978898),  # criterion 2
         ("quartic", 9.000042866, 9.000042871),                    # criterion 3
-        ("exp_recip", 0.364469045537996606, 0.421883810040011829),  # criterion 4
-        ("quartic", 9.0000428680640760, 9.0000428983186013),      # criterion 5
+        ("exp_recip", _hh_cebysev_exp_recip_lower(), 0.421883810040011829),  # criterion 4
+        ("quartic", jensen_lo, jensen_hi),                        # criterion 5
         ("exp_squared", 2.044751320, 2.060536019),                # criterion 6
     ]
     failures = [
@@ -243,7 +245,7 @@ def test_criterion_07_oracle_containment():
         for key, lo, hi in intervals
         if not (lo - slack <= oracles[key] <= hi + slack)
     ]
-    record_acceptance(7, "oracle inside every golden interval", not failures)
+    record_acceptance(7, "oracle inside every criterion interval", not failures)
     assert not failures, failures
 
 

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from youngbounds import catalog as cat
+from youngbounds import numerics
 from youngbounds.errors import (
     ExponentDomainError,
     InvalidTError,
@@ -223,6 +224,28 @@ def test_quartic_jensen_first_reproduces_reference_print(quartic):
     r = cat.bound_jensen_first(inst, anch)
     assert r.lower + 9.0 == pytest.approx(9.000042868058, abs=1e-12)
     assert r.upper + 9.0 == pytest.approx(9.000042868066, abs=1e-12)
+
+
+@pytest.mark.parametrize("estimator", [
+    cat.bound_polya_first,
+    cat.bound_polya_second,
+    cat.bound_holder_norm,
+    lambda inst, anch: cat.bound_taylor_holder(inst, anch, n=1),
+], ids=["polya-first", "polya-second", "holder-norm", "taylor-holder(1)"])
+def test_one_extremum_scan_per_derivative_range(quartic, monkeypatch, estimator):
+    # L, U and the +-inf norms are the inf and sup of one derivative on
+    # [alpha, beta]: a single scan yields both
+    calls = []
+    for module in (cat, numerics):
+        original = module.extremum
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args[1:3])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "extremum", counted)
+    estimator(*quartic)
+    assert len(calls) == 1, calls
 
 
 # ---------------------------------------------------------------------------

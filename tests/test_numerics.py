@@ -197,14 +197,14 @@ def test_invert_apply_property():
 # ---------------------------------------------------------------------------
 
 def test_extremum_parabola_max():
-    x, v = extremum(lambda t: t * t, -1.0, 2.0, "max")
+    _, (x, v) = extremum(lambda t: t * t, -1.0, 2.0)
     assert (x, v) == (2.0, 4.0)
 
 
 def test_extremum_interior_min():
     # the abscissa of a smooth interior minimum is only determined to ~sqrt(eps)
     # by value comparisons; the extremal value itself is full precision
-    x, v = extremum(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, "min")
+    (x, v), _ = extremum(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0)
     assert x == pytest.approx(0.3, abs=1e-7)
     assert v == pytest.approx(1.0, abs=1e-15)
 
@@ -212,7 +212,7 @@ def test_extremum_interior_min():
 def test_extremum_exp_squared_derivative_max():
     ast = parse_expr("exp(x^2)-1")
     f = lambda t: jet(ast, t, 1).derivs[1]
-    x, v = extremum(f, math.sqrt(math.log(2.0)), 1.0, "max")
+    _, (x, v) = extremum(f, math.sqrt(math.log(2.0)), 1.0)
     assert x == 1.0
     assert v == pytest.approx(2.0 * math.e, rel=1e-15)
 
@@ -220,34 +220,34 @@ def test_extremum_exp_squared_derivative_max():
 def test_extremum_exp_recip_derivative_min():
     ast = parse_expr("exp(-1/x)")
     f = lambda t: jet(ast, t, 1).derivs[1]
-    x, v = extremum(f, 0.5, 1.0 / math.log(2.0), "min")
+    (x, v), _ = extremum(f, 0.5, 1.0 / math.log(2.0))
     assert x == pytest.approx(1.0 / math.log(2.0), rel=1e-15)
     assert v == pytest.approx(math.log(2.0) ** 2 / 2.0, rel=1e-14)
 
 
 def test_extremum_dominates_random_probes():
     f = lambda t: math.sin(3.0 * t) + 0.5 * t
-    _, fmax = extremum(f, 0.0, 4.0, "max")
+    (_, fmin), (_, fmax) = extremum(f, 0.0, 4.0)
     rng = random.Random(5)
     for _ in range(1000):
         t = rng.uniform(0.0, 4.0)
         assert fmax >= f(t) - 1e-12 * abs(fmax)
+        assert fmin <= f(t) + 1e-12 * abs(fmin)
 
 
 def test_extremum_guarded_endpoints():
     ast = parse_expr("exp(-1/x)")
     f = lambda t: evaluate(ast, t)  # undefined at exactly 0
-    x, v = extremum(f, 0.0, 1.0, "max")
+    (_, v_min), (_, v) = extremum(f, 0.0, 1.0)
     assert v == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert v_min == 0.0  # exp(-1/x) underflows near the guarded endpoint
 
 
 def test_extremum_needs_two_points():
     def nowhere(t):
         raise DomainError("nope")
     with pytest.raises(DomainError):
-        extremum(nowhere, 0.0, 1.0, "min")
-    with pytest.raises(ValueError):
-        extremum(lambda t: t, 0.0, 1.0, "sideways")
+        extremum(nowhere, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

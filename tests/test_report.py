@@ -66,8 +66,15 @@ def test_load_problem_rejects_bad_json(tmp_path):
         load_problem(p)
 
 
-def test_load_problem_rejects_unknown_keys(tmp_path):
-    p = _write(tmp_path / "p.json", {"function": "x", "a": 1, "b": 1, "extra": 1})
+@pytest.mark.parametrize("payload", [
+    {"extra": 1},
+    # sampling resolutions are fixed constants, not problem options
+    {"options": {"scan_points": 513}},
+    {"options": {"extremum_points": 2049}},
+    {"options": {"jet_order_cap": 8}},
+], ids=["extra", "scan_points", "extremum_points", "jet_order_cap"])
+def test_load_problem_rejects_unknown_keys(tmp_path, payload):
+    p = _write(tmp_path / "p.json", {"function": "x", "a": 1, "b": 1, **payload})
     with pytest.raises(ParseError):
         load_problem(p)
 
@@ -106,6 +113,16 @@ def test_parse_method_spec_args():
     assert spec.args[1] == float("inf")
     with pytest.raises(ParseError):
         parse_method_spec("taylor-jensen(oops)")
+
+
+# too many arguments, a negative order, a fractional order
+_BAD_ARGUMENT_SPECS = ("hoorfar-qi(1)", "taylor-jensen(-1)", "taylor-jensen(1.5)")
+
+
+@pytest.mark.parametrize("text", _BAD_ARGUMENT_SPECS)
+def test_parse_method_spec_rejects_bad_arguments(text):
+    with pytest.raises(ParseError):
+        parse_method_spec(text)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +230,15 @@ def test_verify_golden_reports_broken_fixture(tmp_path):
     assert summary.outcomes[0].status == "ERROR"
 
 
+@pytest.mark.parametrize("text", _BAD_ARGUMENT_SPECS)
+def test_verify_golden_reports_bad_method_arguments(tmp_path, golden_dir, text):
+    fixture = json.loads((golden_dir / "hq_linear.json").read_text())
+    fixture["method"] = text
+    _write(tmp_path / "bad_args.json", fixture)
+    outcome = verify_golden(tmp_path).outcomes[0]
+    assert outcome.status == "ERROR", outcome
+
+
 # ---------------------------------------------------------------------------
 # Sweep
 # ---------------------------------------------------------------------------
@@ -293,6 +319,14 @@ def test_cli_run_rejects_unknown_method_override(tmp_path):
     p = _write(tmp_path / "p.json", {"function": "x", "a": 1, "b": 1})
     proc = _cli("run", str(p), "--methods", "nope")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("text", _BAD_ARGUMENT_SPECS)
+def test_cli_run_rejects_bad_method_arguments(tmp_path, text):
+    p = _write(tmp_path / "p.json", {"function": "x^2", "a": 1, "b": 0.5})
+    proc = _cli("run", str(p), "--methods", text)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_cli_verify_json_format(tmp_path, golden_dir):

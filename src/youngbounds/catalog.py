@@ -31,6 +31,7 @@ from .errors import (
     ExponentDomainError,
     InvalidTError,
     OrientationError,
+    ParseError,
 )
 from .numerics import NormSpec, extremum, norm_r
 from .young import SCAN_POINTS, Anchors, ProblemInstance
@@ -42,7 +43,7 @@ __all__ = [
     "bound_taylor_cebysev", "bound_taylor_jensen", "bound_taylor_product_hh",
     "bound_polya_first", "bound_polya_second", "bound_polya_higher",
     "bound_lp_remainder",
-    "METHODS", "run_method",
+    "METHODS", "check_method_args", "run_method",
 ]
 
 _INF = math.inf
@@ -982,6 +983,21 @@ METHODS = {
 }
 
 
+def check_method_args(name: str, args: tuple[float, ...]) -> None:
+    """Raise ParseError unless ``name`` is a registered method, ``args`` are
+    no more than the names ``METHODS[name]`` lists, and any order n is a
+    nonnegative integer. Both the spec parser and ``run_method`` call it."""
+    if name not in METHODS:
+        raise ParseError(f"unknown method {name!r}")
+    arg_names = METHODS[name][1]
+    if len(args) > len(arg_names):
+        raise ParseError(f"{name} accepts at most {len(arg_names)} arguments, got {len(args)}")
+    n = dict(zip(arg_names, args)).get("n")
+    if n is not None and not (n >= 0 and float(n).is_integer()):
+        shown = int(n) if float(n).is_integer() else n
+        raise ParseError(f"{name}: order n must be a nonnegative integer, got {shown!r}")
+
+
 def run_method(
     inst: ProblemInstance,
     anch: Anchors,
@@ -989,11 +1005,8 @@ def run_method(
     args: tuple[float, ...] = (),
 ) -> BoundResult:
     """Dispatch a method by registry name with optional positional arguments."""
-    if name not in METHODS:
-        raise KeyError(f"unknown method {name!r}")
+    check_method_args(name, args)
     fn, arg_names = METHODS[name]
-    if len(args) > len(arg_names):
-        raise ValueError(f"{name} accepts at most {len(arg_names)} arguments")
     kwargs = dict(_defaults(inst)[name])
     supplied = dict(zip(arg_names, args))
     if name in ("holder-norm", "taylor-holder") and ("p" in supplied or "q" in supplied):

@@ -15,12 +15,17 @@ the power rule of the jet arithmetic closed-form.
 Derivatives come from jet (truncated Taylor series) arithmetic: every node
 propagates the coefficients of ``h(x0 + t)`` up to the requested order, and the
 k-th derivative is the k-th coefficient rescaled by the exact integer k!.
+
+``evaluate`` and ``jet`` run straight-line kernels, compiled once per
+expression (and per jet order) and cached on the :class:`ExprAst`. The
+recursive tree walkers they were generated from stay below as the reference
+implementation, and the tests hold the kernels to it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import DomainError, ExprSyntaxError, OrderCapError, UnsupportedFeatureError
@@ -29,10 +34,14 @@ __all__ = [
     "Const", "Var", "Neg", "BinOp", "Pow", "Call", "Node",
     "ExprAst", "TaylorJet",
     "parse_expr", "evaluate", "serialize", "jet",
-    "DEFAULT_ORDER_CAP",
+    "DEFAULT_ORDER_CAP", "MAX_DEPTH",
 ]
 
 DEFAULT_ORDER_CAP = 16
+# Deepest expression ``parse_expr`` accepts, in syntactic levels. It keeps the
+# parser and every recursive tree walk (hashing, serialization, compilation)
+# far inside Python's default recursion limit.
+MAX_DEPTH = 100
 
 _FUNCTIONS = ("exp", "ln", "sqrt")
 _NAMED_CONSTANTS = {"e": math.e, "pi": math.pi}
@@ -81,10 +90,15 @@ Node = Union[Const, Var, Neg, BinOp, Pow, Call]
 
 @dataclass(frozen=True, eq=False)
 class ExprAst:
-    """A parsed expression. Structural equality ignores the source text."""
+    """A parsed expression. Structural equality ignores the source text.
+
+    ``_kernels`` caches the compiled ``evaluate`` kernel (key None) and one
+    jet kernel per order; it takes no part in equality, hashing or repr.
+    """
 
     root: Node
     source: str
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ExprAst) and self.root == other.root
@@ -159,9 +173,18 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent. Every method below ``parse`` returns ``(node, depth)``.
+
+    Two guards share :data:`MAX_DEPTH`: ``_nesting`` counts the open
+    ``_unary`` frames (parentheses, calls, signs and exponents all recurse
+    through it), and each returned depth is the syntactic depth of its node,
+    which also grows along left-associative chains such as ``x+x+...+x``.
+    """
+
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._i = 0
+        self._nesting = 0
 
     def _peek(self) -> _Token:
         return self._tokens[self._i]
@@ -176,67 +199,94 @@ class _Parser:
         if tok.kind != "op" or tok.text != op:
             raise ExprSyntaxError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
 
+    @staticmethod
+    def _too_deep(pos: int) -> ExprSyntaxError:
+        return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+
     def parse(self) -> Node:
-        node = self._expression()
+        node, _ = self._expression()
         tok = self._peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return node
 
-    def _expression(self) -> Node:
-        node = self._term()
+    def _expression(self) -> tuple[Node, int]:
+        node, depth = self._term()
         while self._peek().kind == "op" and self._peek().text in "+-":
-            op = self._next().text
-            node = BinOp(op, node, self._term())
-        return node
+            tok = self._next()
+            right, rdepth = self._term()
+            node = BinOp(tok.text, node, right)
+            depth = (depth if depth > rdepth else rdepth) + 1
+            if depth > MAX_DEPTH:
+                raise self._too_deep(tok.pos)
+        return node, depth
 
-    def _term(self) -> Node:
-        node = self._unary()
+    def _term(self) -> tuple[Node, int]:
+        node, depth = self._unary()
         while self._peek().kind == "op" and self._peek().text in "*/":
-            op = self._next().text
-            node = BinOp(op, node, self._unary())
-        return node
+            tok = self._next()
+            right, rdepth = self._unary()
+            node = BinOp(tok.text, node, right)
+            depth = (depth if depth > rdepth else rdepth) + 1
+            if depth > MAX_DEPTH:
+                raise self._too_deep(tok.pos)
+        return node, depth
 
-    def _unary(self) -> Node:
+    def _unary(self) -> tuple[Node, int]:
         tok = self._peek()
+        self._nesting += 1
+        if self._nesting > MAX_DEPTH:
+            raise self._too_deep(tok.pos)
         if tok.kind == "op" and tok.text == "-":
             self._next()
-            return Neg(self._unary())
-        return self._power()
+            child, depth = self._unary()
+            if depth >= MAX_DEPTH:
+                raise self._too_deep(tok.pos)
+            result = Neg(child), depth + 1
+        else:
+            result = self._power()
+        self._nesting -= 1
+        return result
 
-    def _power(self) -> Node:
-        base = self._atom()
+    def _power(self) -> tuple[Node, int]:
+        base, depth = self._atom()
         tok = self._peek()
         if tok.kind == "op" and tok.text == "^":
             pos = self._next().pos
-            exponent = self._unary()  # right associative through the unary chain
+            # right associative through the unary chain
+            exponent, edepth = self._unary()
             if _contains_var(exponent):
                 raise UnsupportedFeatureError(
                     f"exponent must be a constant expression (offset {pos})"
                 )
-            return Pow(base, _fold_constant(exponent))
-        return base
+            depth = (depth if depth > edepth else edepth) + 1
+            if depth > MAX_DEPTH:
+                raise self._too_deep(pos)
+            return Pow(base, _fold_constant(exponent)), depth
+        return base, depth
 
-    def _atom(self) -> Node:
+    def _atom(self) -> tuple[Node, int]:
         tok = self._next()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 1
         if tok.kind == "ident":
             name = tok.text
             if name == "x":
-                return Var()
+                return Var(), 1
             if name in _NAMED_CONSTANTS:
-                return Const(_NAMED_CONSTANTS[name])
+                return Const(_NAMED_CONSTANTS[name]), 1
             if name in _FUNCTIONS:
                 self._expect_op("(")
-                arg = self._expression()
+                arg, depth = self._expression()
                 self._expect_op(")")
-                return Call(name, arg)
+                if depth >= MAX_DEPTH:
+                    raise self._too_deep(tok.pos)
+                return Call(name, arg), depth + 1
             raise ExprSyntaxError(f"unknown identifier {name!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
-            node = self._expression()
+            node, depth = self._expression()
             self._expect_op(")")
-            return node
+            return node, depth
         raise ExprSyntaxError(
             f"expected a value, found {tok.text or 'end of input'!r}", tok.pos
         )
@@ -278,7 +328,8 @@ def parse_expr(text: str) -> ExprAst:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Reference evaluation: a recursive tree walk. ``_fold_constant`` runs it at
+# parse time, and the tests hold the compiled kernels to it.
 # ---------------------------------------------------------------------------
 
 def _pow_real(base: float, c: float) -> float:
@@ -339,15 +390,6 @@ def _eval_node(node: Node, x: float) -> float:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate(ast: ExprAst | Node, x: float) -> float:
-    """IEEE-double evaluation of the tree at ``x``."""
-    node = ast.root if isinstance(ast, ExprAst) else ast
-    value = _eval_node(node, x)
-    if not math.isfinite(value):
-        raise DomainError(f"non-finite result {value!r} at x={x!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -397,7 +439,9 @@ def serialize(ast: ExprAst | Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Jet (truncated Taylor) arithmetic
+# Reference jet (truncated Taylor) arithmetic: a recursive tree walk over
+# coefficient lists. The compiled kernels below unroll these recurrences, and
+# the tests hold them to it.
 # ---------------------------------------------------------------------------
 
 def _jet_mul(u: list[float], v: list[float]) -> list[float]:
@@ -507,6 +551,257 @@ def _jet_node(node: Node, x0: float, order: int) -> list[float]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# ---------------------------------------------------------------------------
+# Compiled kernels
+#
+# Each ExprAst is flattened once into a tape of post-order slots, and the tape
+# becomes the source of one straight-line function per kernel: ``evaluate``,
+# and the jet of each requested order. Every value goes through the same float
+# operations, in the same order, as in the reference walkers above (``fsum``
+# over a tuple of the same terms, the same unrolled squarings), so the kernels
+# return the same bits. Constants and exponents reach the source only as names
+# bound in the kernel's namespace; operators and functions come from fixed sets.
+# ---------------------------------------------------------------------------
+
+_Slot = tuple[str, object, tuple[int, ...]]
+
+
+def _tape(root: Node) -> list[_Slot]:
+    """Post-order slots ``(kind, parameter, operand slots)``; the root is last.
+
+    Structurally equal subtrees share a slot. Parameters are keyed by their
+    repr, because 0.0 and -0.0 compare and hash equal but are different
+    constants.
+    """
+    tape: list[_Slot] = []
+    slots: dict[tuple, int] = {}
+
+    def slot(kind: str, param: object, *operands: int) -> int:
+        key = (kind, repr(param), operands)
+        i = slots.get(key)
+        if i is None:
+            i = slots[key] = len(tape)
+            tape.append((kind, param, operands))
+        return i
+
+    def visit(node: Node) -> int:
+        if isinstance(node, Const):
+            return slot("const", node.value)
+        if isinstance(node, Var):
+            return slot("x", None)
+        if isinstance(node, Neg):
+            return slot("neg", None, visit(node.child))
+        if isinstance(node, BinOp):
+            left = visit(node.left)
+            # as in the walkers, every operator other than + - * divides
+            op = node.op if node.op in ("+", "-", "*") else "/"
+            return slot(op, None, left, visit(node.right))
+        if isinstance(node, Pow):
+            return slot("pow", node.exponent, visit(node.base))
+        if isinstance(node, Call):
+            return slot(node.func if node.func in ("exp", "ln") else "sqrt", None, visit(node.arg))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    visit(root)
+    return tape
+
+
+def _fsum(terms: list[str]) -> str:
+    return f"fsum(({', '.join(terms)},))" if terms else "0.0"
+
+
+def _raise(message: str) -> str:
+    """Source raising DomainError; ``message`` is the body of an f-string."""
+    return f"raise DomainError(f{message!r})"
+
+
+class _Emitter:
+    """Lines and namespace of one kernel ``def kernel(x)``.
+
+    A value is the source text of a name or a float literal, never of a
+    compound expression, so operands need no parentheses.
+    """
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.namespace: dict[str, object] = {
+            "fsum": math.fsum, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
+            "pow": math.pow, "_pow_real": _pow_real, "DomainError": DomainError,
+        }
+
+    def bind(self, value: object) -> str:
+        name = f"k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def let(self, src: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {src}")
+        return name
+
+    def check(self, cond: str, message: str) -> None:
+        self.lines.append(f"if {cond}: {_raise(message)}")
+
+    def checked_exp(self, u0: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"try: {name} = exp({u0})")
+        self.lines.append(f"except OverflowError: {_raise(f'overflow in exp({{{u0}!r}})')} from None")
+        return name
+
+    # -- evaluate: one float per slot -------------------------------------
+
+    def scalar(self, kind: str, param, *args: str) -> str:
+        if kind == "const":
+            return self.bind(param)
+        if kind == "x":
+            return "x"
+        if kind == "neg":
+            return self.let(f"-{args[0]}")
+        if kind in ("+", "-", "*"):
+            return self.let(f"{args[0]} {kind} {args[1]}")
+        if kind == "/":
+            self.check(f"{args[1]} == 0.0", "division by zero")
+            return self.let(f"{args[0]} / {args[1]}")
+        if kind == "pow":
+            return self.let(f"_pow_real({args[0]}, {self.bind(param)})")
+        v = args[0]
+        if kind == "exp":
+            return self.checked_exp(v)
+        if kind == "ln":
+            self.check(f"{v} <= 0.0", f"ln of nonpositive value {{{v}!r}}")
+            return self.let(f"log({v})")
+        self.check(f"{v} < 0.0", f"sqrt of negative value {{{v}!r}}")
+        return self.let(f"sqrt({v})")
+
+    # -- jets: the n Taylor coefficients of each slot, as in _jet_* ---------
+
+    def jet(self, kind: str, param, n: int, *args: list[str]) -> list[str]:
+        if kind == "const":
+            return [self.bind(param)] + ["0.0"] * (n - 1)
+        if kind == "x":
+            return (["x", "1.0"] + ["0.0"] * n)[:n]
+        if kind == "neg":
+            return [self.let(f"-{c}") for c in args[0]]
+        if kind in ("+", "-"):
+            return [self.let(f"{a} {kind} {b}") for a, b in zip(*args)]
+        if kind == "*":
+            return self.mul(*args)
+        if kind == "/":
+            return self.div(*args)
+        if kind == "pow":
+            return self.pow(args[0], param)
+        if kind == "exp":
+            return self.exp(args[0])
+        if kind == "ln":
+            return self.ln(args[0])
+        return self.pow(args[0], 0.5)
+
+    def mul(self, u: list[str], v: list[str]) -> list[str]:
+        return [self.let(_fsum([f"{u[j]} * {v[k - j]}" for j in range(k + 1)]))
+                for k in range(len(u))]
+
+    def div(self, u: list[str], v: list[str]) -> list[str]:
+        self.check(f"{v[0]} == 0.0", "division by zero")
+        q: list[str] = []
+        for k in range(len(u)):
+            acc = _fsum([f"{v[j]} * {q[k - j]}" for j in range(1, k + 1)])
+            q.append(self.let(f"({u[k]} - {acc}) / {v[0]}"))
+        return q
+
+    def exp(self, u: list[str]) -> list[str]:
+        w = [self.checked_exp(u[0])]
+        for k in range(1, len(u)):
+            w.append(self.let(
+                f"{_fsum([f'{j} * {u[j]} * {w[k - j]}' for j in range(1, k + 1)])} / {k}"
+            ))
+        return w
+
+    def ln(self, u: list[str]) -> list[str]:
+        self.check(f"{u[0]} <= 0.0", f"ln of nonpositive value {{{u[0]}!r}}")
+        w = [self.let(f"log({u[0]})")]
+        for k in range(1, len(u)):
+            acc = _fsum([f"{j} * {w[j]} * {u[k - j]}" for j in range(1, k)])
+            w.append(self.let(f"({u[k]} - {acc} / {k}) / {u[0]}"))
+        return w
+
+    def int_pow(self, u: list[str], c: int) -> list[str]:
+        result = ["1.0"] + ["0.0"] * (len(u) - 1)
+        base = u
+        e = c
+        while e > 0:  # exponentiation by squaring, unrolled
+            if e & 1:
+                result = self.mul(result, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return result
+
+    def pow(self, u: list[str], c: float) -> list[str]:
+        n = len(u)
+        if float(c).is_integer():
+            ci = int(c)
+            if ci >= 0:
+                return self.int_pow(u, ci)
+            return self.div(["1.0"] + ["0.0"] * (n - 1), self.int_pow(u, -ci))
+        p = self.bind(c)
+        self.check(f"{u[0]} < 0.0",
+                   f"negative base {{{u[0]}!r}} raised to non-integer power {{{p}!r}}")
+        if n == 1 and c > 0.0:
+            return [self.let(f"0.0 if {u[0]} == 0.0 else pow({u[0]}, {p})")]
+        self.check(f"{u[0]} == 0.0",
+                   f"derivatives of {{{u[0]}!r}}^{{{p}!r}} are singular at a zero base")
+        w = [self.let(f"pow({u[0]}, {p})")]
+        for k in range(1, n):
+            terms = [f"{self.bind((c + 1.0) * j - k)} * {u[j]} * {w[k - j]}"
+                     for j in range(1, k + 1)]
+            w.append(self.let(f"{_fsum(terms)} / ({k} * {u[0]})"))
+        return w
+
+
+def _compile(root: Node, order: int | None):
+    """The kernel of ``evaluate`` (``order`` None) or of the jet of ``order``.
+
+    The jet kernel returns the derivatives, each coefficient times k!.
+    """
+    emitter = _Emitter()
+    values: list = []
+    for kind, param, operands in _tape(root):
+        args = [values[i] for i in operands]
+        if order is None:
+            values.append(emitter.scalar(kind, param, *args))
+        else:
+            values.append(emitter.jet(kind, param, order + 1, *args))
+    result = values[-1]
+    if order is not None:
+        result = "(" + "".join(f"{c} * {math.factorial(k)}, " for k, c in enumerate(result)) + ")"
+    source = "".join(f"    {line}\n" for line in emitter.lines)
+    source = f"def kernel(x):\n{source}    return {result}\n"
+    exec(compile(source, "<youngbounds kernel>", "exec"), emitter.namespace)
+    return emitter.namespace["kernel"]
+
+
+def _kernel(ast: ExprAst | Node, order: int | None):
+    """The cached kernel of ``ast``; a bare Node is compiled on every call."""
+    if not isinstance(ast, ExprAst):
+        return _compile(ast, order)
+    kernel = ast._kernels.get(order)
+    if kernel is None:
+        kernel = ast._kernels[order] = _compile(ast.root, order)
+    return kernel
+
+
+# ---------------------------------------------------------------------------
+# Public evaluation and jets
+# ---------------------------------------------------------------------------
+
+def evaluate(ast: ExprAst | Node, x: float) -> float:
+    """IEEE-double evaluation of the tree at ``x``."""
+    value = _kernel(ast, None)(x)
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite result {value!r} at x={x!r}")
+    return value
+
+
 def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP) -> TaylorJet:
     """Derivatives h^(0)..h^(order) at ``x0`` via truncated-Taylor propagation.
 
@@ -518,10 +813,13 @@ def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP
         raise ValueError(f"order must be nonnegative, got {order}")
     if order > cap:
         raise OrderCapError(f"order {order} exceeds cap {cap}")
-    node = ast.root if isinstance(ast, ExprAst) else ast
-    coeffs = _jet_node(node, x0, order)
-    derivs = tuple(c * math.factorial(k) for k, c in enumerate(coeffs))
-    for k, v in enumerate(derivs):
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite derivative of order {k} at x={x0!r}")
+    kernel = _kernel(ast, order)
+    try:
+        derivs = kernel(x0)
+    except (OverflowError, ValueError) as exc:
+        # math.pow overflowing, or fsum overflowing or meeting inf - inf
+        raise DomainError(f"{exc} at x={x0!r}") from None
+    if not all(map(math.isfinite, derivs)):
+        k = next(k for k, v in enumerate(derivs) if not math.isfinite(v))
+        raise DomainError(f"non-finite derivative of order {k} at x={x0!r}")
     return TaylorJet(center=x0, order=order, derivs=derivs)

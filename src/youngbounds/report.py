@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import METHODS, BoundResult, run_method
+from .catalog import METHODS, BoundResult, check_method_args, run_method
 from .errors import InvariantViolation, ParseError, YoungBoundsError
 from .expr import evaluate, parse_expr, serialize
 from .young import Anchors, Options, OracleResult, ProblemInstance, anchors, make_problem, oracle
@@ -91,12 +91,7 @@ def parse_method_spec(text: str) -> MethodSpec:
     args: tuple[float, ...] = ()
     if argtext:
         args = tuple(_parse_arg(x) for x in argtext.split(","))
-    arg_names = METHODS[name][1]
-    if len(args) > len(arg_names):
-        raise ParseError(f"{name} accepts at most {len(arg_names)} arguments, got {len(args)}")
-    n = dict(zip(arg_names, args)).get("n")
-    if n is not None and not (n >= 0 and float(n).is_integer()):
-        raise ParseError(f"{name}: order n must be a nonnegative integer, got {_fmt_arg(n)}")
+    check_method_args(name, args)
     return MethodSpec(name, args)
 
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, ValidationError
-from .expr import ExprAst, evaluate, jet, parse_expr
+from .expr import DEFAULT_ORDER_CAP, ExprAst, evaluate, jet, parse_expr
 from .numerics import integrate, invert
 
 __all__ = [
@@ -51,6 +51,19 @@ class Options:
     lower_exponent_pairs: tuple[tuple[float, float], ...] = _DEFAULT_LOWER_PAIRS
     assume: frozenset[str] = frozenset()
     cross_check_inversion: bool = False
+
+    def __post_init__(self) -> None:
+        if not 1e-14 <= self.quad_rel_tol < 1.0:
+            raise ValidationError(
+                "quad_rel_tol", f"must be in [1e-14, 1), got {self.quad_rel_tol!r}"
+            )
+        # taylor-jensen and taylor-product-hh gate on h^(n+3)
+        if not 0 <= self.taylor_order <= DEFAULT_ORDER_CAP - 3:
+            raise ValidationError(
+                "taylor_order",
+                f"must be in [0, {DEFAULT_ORDER_CAP - 3}] (orders up to n + 3 stay "
+                f"within the jet cap {DEFAULT_ORDER_CAP}), got {self.taylor_order!r}",
+            )
 
 
 @dataclass(frozen=True)

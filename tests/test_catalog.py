@@ -13,6 +13,7 @@ from youngbounds.errors import (
     ExponentDomainError,
     InvalidTError,
     OrientationError,
+    ParseError,
 )
 from youngbounds.expr import evaluate, parse_expr
 from youngbounds.young import anchors, make_problem, oracle
@@ -246,6 +247,18 @@ def test_one_extremum_scan_per_derivative_range(quartic, monkeypatch, estimator)
         monkeypatch.setattr(module, "extremum", counted)
     estimator(*quartic)
     assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("name,args", [
+    ("taylor-jensen", (1.5,)),
+    ("taylor-jensen", (-1.0,)),
+    ("hoorfar-qi", (1.0,)),
+    ("no-such-method", ()),
+], ids=["fractional-n", "negative-n", "too-many", "unknown"])
+def test_run_method_rejects_bad_arguments(quartic, name, args):
+    # the library entry point checks a spec as the CLI parser does
+    with pytest.raises(ParseError):
+        cat.run_method(*quartic, name, args)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from youngbounds import expr
 from youngbounds.errors import (
     DomainError,
     ExprSyntaxError,
@@ -16,9 +18,11 @@ from youngbounds.errors import (
     UnsupportedFeatureError,
 )
 from youngbounds.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
+    ExprAst,
     Neg,
     Pow,
     Var,
@@ -80,6 +84,27 @@ def test_parse_errors_carry_offset(text, offset):
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr(text)
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("(" * 200 + "x" + ")" * 200, MAX_DEPTH),
+    ("+".join(["x"] * 3000), 2 * MAX_DEPTH - 1),
+    ("-" * 200 + "x", MAX_DEPTH),
+    ("x" + "^1" * 200, 2 * MAX_DEPTH),
+    ("exp(" * 200 + "x" + ")" * 200, 4 * MAX_DEPTH),
+], ids=["parentheses", "left-chain", "signs", "exponents", "calls"])
+def test_parse_rejects_deep_nesting(text, offset):
+    # each would overflow the stack in the parser or in a later tree walk
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text)
+    assert err.value.offset == offset
+
+
+def test_parse_accepts_the_depth_limit():
+    ast = parse_expr("+".join(["x"] * MAX_DEPTH))  # a left chain MAX_DEPTH deep
+    assert parse_expr(serialize(ast)) == ast
+    assert jet(ast, 0.5, 2).derivs == (50.0, 100.0, 0.0)
+    assert evaluate(parse_expr("(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1)), 2.0) == 2.0
 
 
 def test_nonconstant_exponent_rejected():
@@ -300,3 +325,136 @@ def test_jet_all_orders_of_power():
     j = jet(parse_expr("x^5"), 2.0, 6)
     want = [32.0, 80.0, 160.0, 240.0, 240.0, 120.0, 0.0]
     assert list(j.derivs) == pytest.approx(want, rel=1e-13)
+
+
+def test_jet_overflow_is_domain_error():
+    # math.pow overflows in the power rule; fsum overflows in a product;
+    # fsum meets inf - inf in a product
+    with pytest.raises(DomainError):
+        jet(parse_expr("x^200.5"), 100.0, 1)
+    with pytest.raises(DomainError):
+        jet(parse_expr("1e308*x*x"), 1.0, 1)
+    with pytest.raises(DomainError):
+        jet(parse_expr("(1e308*x)*(1e308*(2-x))"), 1.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Compiled kernels against the reference tree walkers
+# ---------------------------------------------------------------------------
+
+def _reference_evaluate(ast, x):
+    value = expr._eval_node(ast.root, x)
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite result {value!r} at x={x!r}")
+    return value
+
+
+def _reference_jet(ast, x0, order, cap=expr.DEFAULT_ORDER_CAP):
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    if order > cap:
+        raise OrderCapError(f"order {order} exceeds cap {cap}")
+    coeffs = expr._jet_node(ast.root, x0, order)
+    derivs = tuple(c * math.factorial(k) for k, c in enumerate(coeffs))
+    for k, v in enumerate(derivs):
+        if not math.isfinite(v):
+            raise DomainError(f"non-finite derivative of order {k} at x={x0!r}")
+    return expr.TaylorJet(center=x0, order=order, derivs=derivs)
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared class and message
+        return type(exc), str(exc)
+    return "value", repr(getattr(value, "derivs", value))
+
+
+_EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, 1e300, 1e308, 710.0]
+
+
+def _any_trees():
+    """Trees over all six node kinds, with signed zeros, huge constants and
+    exponents that take every branch of the power rule."""
+    leaf = st.one_of(
+        st.just(Var()),
+        st.builds(Const, st.sampled_from(_EDGE_FLOATS)
+                  | st.floats(min_value=-100.0, max_value=100.0)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+            st.builds(Pow, children, st.sampled_from(
+                [0.0, -0.0, 1.0, 2.0, 3.0, 5.0, 13.0, -1.0, -2.0, 0.5, -0.5, 1.5, 200.5,
+                 1 / 3, -2 / 3])),
+            st.builds(Call, st.sampled_from(["exp", "ln", "sqrt"]), children),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_any_trees(),
+       xs=st.lists(st.sampled_from(_EDGE_FLOATS + [-3.3, 100.0, math.inf, math.nan])
+                   | st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=3))
+def test_kernels_match_reference_walkers(tree, xs):
+    ast = ExprAst(tree, serialize(tree))
+    for x in xs:
+        assert _outcome(evaluate, ast, x) == _outcome(_reference_evaluate, ast, x)
+        for order in range(7):
+            got = _outcome(jet, ast, x, order)
+            want = _outcome(_reference_jet, ast, x, order)
+            if want[0] in (OverflowError, ValueError):
+                # the walkers leak fsum's and math.pow's bare errors
+                assert got[0] is DomainError, (want, got)
+            else:
+                assert got == want, (serialize(tree), x, order)
+
+
+@pytest.mark.parametrize("tree", [
+    BinOp("*", Const(0.0), Neg(Const(-0.0))),
+    BinOp("+", Pow(Const(0.0), 3.0), Call("ln", Const(-0.0))),
+    BinOp("+", Pow(Var(), 0.0), Pow(Var(), -0.0)),
+], ids=["product", "message", "exponent"])
+def test_kernels_keep_signed_zeros_apart(tree):
+    # 0.0 == -0.0 and both hash alike, yet they are different constants
+    ast = ExprAst(tree, serialize(tree))
+    assert _outcome(evaluate, ast, 0.5) == _outcome(_reference_evaluate, ast, 0.5)
+    for order in range(3):
+        assert _outcome(jet, ast, 0.5, order) == _outcome(_reference_jet, ast, 0.5, order)
+
+
+def test_sweep_output_matches_reference_walkers(monkeypatch):
+    """The whole pipeline, on this machine's libm: same rendered sweep."""
+    from youngbounds.report import sweep
+
+    compiled = sweep(42, 10).render()
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "youngbounds"]:
+        if getattr(module, "jet", None) is jet:
+            monkeypatch.setattr(module, "jet", _reference_jet)
+        if getattr(module, "evaluate", None) is evaluate:
+            monkeypatch.setattr(module, "evaluate", _reference_evaluate)
+    assert sweep(42, 10).render() == compiled
+
+
+def test_kernel_compiles_once_per_ast_and_order(monkeypatch):
+    compiled = []
+    original = expr._compile
+
+    def counted(root, order):
+        compiled.append(order)
+        return original(root, order)
+
+    monkeypatch.setattr(expr, "_compile", counted)
+    ast = parse_expr("exp(-1/x)")
+    for _ in range(3):
+        evaluate(ast, 0.7)
+        for order in (1, 2, 4):
+            jet(ast, 0.7, order)
+    assert sorted(compiled, key=str) == [1, 2, 4, None]
+    twin = parse_expr("exp(-1/x)")  # equal, but its own cache
+    jet(twin, 0.7, 1)
+    assert compiled[-1] == 1 and len(compiled) == 5
+    assert twin == ast and hash(twin) == hash(ast) and "_kernels" not in repr(ast)

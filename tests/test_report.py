@@ -11,6 +11,7 @@ import pytest
 
 from youngbounds.errors import ParseError, ValidationError
 from youngbounds.report import (
+    MethodSpec,
     load_problem,
     parse_method_spec,
     render_table,
@@ -125,9 +126,28 @@ def test_parse_method_spec_rejects_bad_arguments(text):
         parse_method_spec(text)
 
 
+@pytest.mark.parametrize("options,field", [
+    ({"quad_rel_tol": 1e-15}, "quad_rel_tol"),
+    ({"taylor_order": 14}, "taylor_order"),
+], ids=["quad_rel_tol", "taylor_order"])
+def test_load_problem_rejects_out_of_range_options(tmp_path, options, field):
+    p = _write(tmp_path / "p.json", {"function": "x^3", "a": 1, "b": 1, "options": options})
+    with pytest.raises(ValidationError) as err:
+        load_problem(p)
+    assert err.value.field == field
+
+
 # ---------------------------------------------------------------------------
 # run_report
 # ---------------------------------------------------------------------------
+
+def test_run_report_turns_bad_hand_built_spec_into_row_error(tmp_path):
+    pf = load_problem(_write(tmp_path / "p.json", {"function": "x^2", "a": 1, "b": 0.5}))
+    rep = run_report(pf.instance, (MethodSpec("taylor-jensen", (1.5,)), MethodSpec("hoorfar-qi")))
+    by_name = {r.method: r for r in rep.rows}
+    assert by_name["taylor-jensen(1.5)"].error.startswith("ParseError: taylor-jensen: order n")
+    assert by_name["hoorfar-qi"].error is None
+
 
 def test_report_quartic_three_methods(tmp_path):
     p = _write(tmp_path / "p.json", {
@@ -325,6 +345,18 @@ def test_cli_run_rejects_unknown_method_override(tmp_path):
 def test_cli_run_rejects_bad_method_arguments(tmp_path, text):
     p = _write(tmp_path / "p.json", {"function": "x^2", "a": 1, "b": 0.5})
     proc = _cli("run", str(p), "--methods", text)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("payload", [
+    {"function": "x^3", "a": 1, "b": 1, "options": {"quad_rel_tol": 1e-15}},
+    # h' overflows inside fsum during validation
+    {"function": "1e308*x*x", "a": 0.95, "b": 1e307, "c": 0.99},
+], ids=["quad_rel_tol", "jet-overflow"])
+def test_cli_run_reports_invalid_input_without_traceback(tmp_path, payload):
+    p = _write(tmp_path / "p.json", payload)
+    proc = _cli("run", str(p))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 

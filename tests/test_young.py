@@ -33,6 +33,26 @@ def test_b_above_range_rejected():
     assert err.value.field == "b"
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"quad_rel_tol": 1e-15},
+    {"quad_rel_tol": 0.0},
+    {"quad_rel_tol": 1.0},
+    {"quad_rel_tol": math.inf},
+    {"quad_rel_tol": math.nan},
+    {"taylor_order": -1},
+    {"taylor_order": 14},  # taylor-jensen(14) would need h^(17), past the jet cap
+], ids=lambda kw: f"{next(iter(kw))}={next(iter(kw.values()))}")
+def test_options_out_of_range_rejected(kwargs):
+    with pytest.raises(ValidationError) as err:
+        Options(**kwargs)
+    assert err.value.field == next(iter(kwargs))
+
+
+def test_options_range_edges_accepted():
+    Options(quad_rel_tol=1e-14, taylor_order=13)
+    Options(quad_rel_tol=0.5, taylor_order=0)
+
+
 def test_a_above_c_rejected():
     with pytest.raises(ValidationError) as err:
         make_problem("x", 2.0, 0.5, 1.0)

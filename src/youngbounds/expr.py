@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Union
 
 from .errors import DomainError, ExprSyntaxError, OrderCapError, UnsupportedFeatureError
@@ -34,14 +35,19 @@ __all__ = [
     "Const", "Var", "Neg", "BinOp", "Pow", "Call", "Node",
     "ExprAst", "TaylorJet",
     "parse_expr", "evaluate", "serialize", "jet",
-    "DEFAULT_ORDER_CAP", "MAX_DEPTH",
+    "DEFAULT_ORDER_CAP", "MAX_NESTING", "MAX_DEPTH",
 ]
 
 DEFAULT_ORDER_CAP = 16
-# Deepest expression ``parse_expr`` accepts, in syntactic levels. It keeps the
-# parser and every recursive tree walk (hashing, serialization, compilation)
-# far inside Python's default recursion limit.
-MAX_DEPTH = 100
+# Limits of ``parse_expr``, which keep the parser and every recursive tree walk
+# far inside Python's default recursion limit of 1000 frames. MAX_NESTING
+# bounds parentheses, calls, signs and exponents, each level of which costs the
+# parser about five frames. MAX_DEPTH bounds the tree, long left-associative
+# chains such as ``x+x+...+x`` included; a tree walk costs one to three frames
+# per level (``repr`` and ``pickle`` three, ``hash`` two, serialization,
+# compilation and the reference walkers one).
+MAX_NESTING = 100
+MAX_DEPTH = 200
 
 _FUNCTIONS = ("exp", "ln", "sqrt")
 _NAMED_CONSTANTS = {"e": math.e, "pi": math.pi}
@@ -175,10 +181,10 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Recursive descent. Every method below ``parse`` returns ``(node, depth)``.
 
-    Two guards share :data:`MAX_DEPTH`: ``_nesting`` counts the open
-    ``_unary`` frames (parentheses, calls, signs and exponents all recurse
-    through it), and each returned depth is the syntactic depth of its node,
-    which also grows along left-associative chains such as ``x+x+...+x``.
+    ``_nesting`` counts the open ``_unary`` frames (parentheses, calls, signs
+    and exponents all recurse through it) against :data:`MAX_NESTING`; each
+    returned depth is the depth of its node's tree, checked against
+    :data:`MAX_DEPTH`.
     """
 
     def __init__(self, tokens: list[_Token]):
@@ -201,7 +207,7 @@ class _Parser:
 
     @staticmethod
     def _too_deep(pos: int) -> ExprSyntaxError:
-        return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return ExprSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", pos)
 
     def parse(self) -> Node:
         node, _ = self._expression()
@@ -235,8 +241,8 @@ class _Parser:
     def _unary(self) -> tuple[Node, int]:
         tok = self._peek()
         self._nesting += 1
-        if self._nesting > MAX_DEPTH:
-            raise self._too_deep(tok.pos)
+        if self._nesting > MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", tok.pos)
         if tok.kind == "op" and tok.text == "-":
             self._next()
             child, depth = self._unary()
@@ -554,57 +560,14 @@ def _jet_node(node: Node, x0: float, order: int) -> list[float]:
 # ---------------------------------------------------------------------------
 # Compiled kernels
 #
-# Each ExprAst is flattened once into a tape of post-order slots, and the tape
-# becomes the source of one straight-line function per kernel: ``evaluate``,
-# and the jet of each requested order. Every value goes through the same float
-# operations, in the same order, as in the reference walkers above (``fsum``
-# over a tuple of the same terms, the same unrolled squarings), so the kernels
-# return the same bits. Constants and exponents reach the source only as names
-# bound in the kernel's namespace; operators and functions come from fixed sets.
+# Each kernel is one straight-line function, emitted by a post-order walk of
+# the tree: ``evaluate``, and the jet of each requested order. Every value goes
+# through the same float operations, in the same order, as in the reference
+# walkers above (``fsum`` over a tuple of the same terms, the same unrolled
+# squarings), so the kernels return the same bits. Constants and exponents
+# reach the source only as names bound in the kernel's namespace; operators
+# and functions come from fixed sets.
 # ---------------------------------------------------------------------------
-
-_Slot = tuple[str, object, tuple[int, ...]]
-
-
-def _tape(root: Node) -> list[_Slot]:
-    """Post-order slots ``(kind, parameter, operand slots)``; the root is last.
-
-    Structurally equal subtrees share a slot. Parameters are keyed by their
-    repr, because 0.0 and -0.0 compare and hash equal but are different
-    constants.
-    """
-    tape: list[_Slot] = []
-    slots: dict[tuple, int] = {}
-
-    def slot(kind: str, param: object, *operands: int) -> int:
-        key = (kind, repr(param), operands)
-        i = slots.get(key)
-        if i is None:
-            i = slots[key] = len(tape)
-            tape.append((kind, param, operands))
-        return i
-
-    def visit(node: Node) -> int:
-        if isinstance(node, Const):
-            return slot("const", node.value)
-        if isinstance(node, Var):
-            return slot("x", None)
-        if isinstance(node, Neg):
-            return slot("neg", None, visit(node.child))
-        if isinstance(node, BinOp):
-            left = visit(node.left)
-            # as in the walkers, every operator other than + - * divides
-            op = node.op if node.op in ("+", "-", "*") else "/"
-            return slot(op, None, left, visit(node.right))
-        if isinstance(node, Pow):
-            return slot("pow", node.exponent, visit(node.base))
-        if isinstance(node, Call):
-            return slot(node.func if node.func in ("exp", "ln") else "sqrt", None, visit(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    visit(root)
-    return tape
-
 
 def _fsum(terms: list[str]) -> str:
     return f"fsum(({', '.join(terms)},))" if terms else "0.0"
@@ -648,7 +611,7 @@ class _Emitter:
         self.lines.append(f"except OverflowError: {_raise(f'overflow in exp({{{u0}!r}})')} from None")
         return name
 
-    # -- evaluate: one float per slot -------------------------------------
+    # -- evaluate: one float per node -------------------------------------
 
     def scalar(self, kind: str, param, *args: str) -> str:
         if kind == "const":
@@ -673,9 +636,9 @@ class _Emitter:
         self.check(f"{v} < 0.0", f"sqrt of negative value {{{v}!r}}")
         return self.let(f"sqrt({v})")
 
-    # -- jets: the n Taylor coefficients of each slot, as in _jet_* ---------
+    # -- jets: the n Taylor coefficients of each node, as in _jet_* ---------
 
-    def jet(self, kind: str, param, n: int, *args: list[str]) -> list[str]:
+    def jet(self, kind: str, param, *args: list[str], n: int) -> list[str]:
         if kind == "const":
             return [self.bind(param)] + ["0.0"] * (n - 1)
         if kind == "x":
@@ -764,14 +727,27 @@ def _compile(root: Node, order: int | None):
     The jet kernel returns the derivatives, each coefficient times k!.
     """
     emitter = _Emitter()
-    values: list = []
-    for kind, param, operands in _tape(root):
-        args = [values[i] for i in operands]
-        if order is None:
-            values.append(emitter.scalar(kind, param, *args))
-        else:
-            values.append(emitter.jet(kind, param, order + 1, *args))
-    result = values[-1]
+    emit = emitter.scalar if order is None else partial(emitter.jet, n=order + 1)
+
+    def visit(node: Node):
+        if isinstance(node, Const):
+            return emit("const", node.value)
+        if isinstance(node, Var):
+            return emit("x", None)
+        if isinstance(node, Neg):
+            return emit("neg", None, visit(node.child))
+        if isinstance(node, BinOp):
+            left = visit(node.left)
+            # as in the walkers, every operator other than + - * divides
+            op = node.op if node.op in ("+", "-", "*") else "/"
+            return emit(op, None, left, visit(node.right))
+        if isinstance(node, Pow):
+            return emit("pow", node.exponent, visit(node.base))
+        if isinstance(node, Call):
+            return emit(node.func if node.func in ("exp", "ln") else "sqrt", None, visit(node.arg))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    result = visit(root)
     if order is not None:
         result = "(" + "".join(f"{c} * {math.factorial(k)}, " for k, c in enumerate(result)) + ")"
     source = "".join(f"    {line}\n" for line in emitter.lines)
@@ -795,7 +771,12 @@ def _kernel(ast: ExprAst | Node, order: int | None):
 # ---------------------------------------------------------------------------
 
 def evaluate(ast: ExprAst | Node, x: float) -> float:
-    """IEEE-double evaluation of the tree at ``x``."""
+    """IEEE-double evaluation of the tree at ``x``.
+
+    The kernel is cached on an :class:`ExprAst`. A bare :data:`Node` has no
+    cache and is compiled again on every call, some 50-150 µs against a few
+    µs for a cached kernel, so wrap a node evaluated often in an ExprAst once.
+    """
     value = _kernel(ast, None)(x)
     if not math.isfinite(value):
         raise DomainError(f"non-finite result {value!r} at x={x!r}")
@@ -808,6 +789,9 @@ def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP
     ``derivs[k]`` is the k-th Taylor coefficient rescaled by the exact integer
     k!, so the only rounding beyond the propagation itself is one final
     correctly-rounded float-by-int multiply per order.
+
+    As in :func:`evaluate`, a bare :data:`Node` is compiled again on every
+    call (some 0.2-0.5 ms at order 2); an :class:`ExprAst` reuses its kernel.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")

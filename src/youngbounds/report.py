@@ -86,8 +86,6 @@ def parse_method_spec(text: str) -> MethodSpec:
     if not m:
         raise ParseError(f"bad method spec {text!r}")
     name, argtext = m.group(1), m.group(2)
-    if name not in METHODS:
-        raise ParseError(f"unknown method {name!r}")
     args: tuple[float, ...] = ()
     if argtext:
         args = tuple(_parse_arg(x) for x in argtext.split(","))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import sys
 
 import mpmath
@@ -19,6 +20,7 @@ from youngbounds.errors import (
 )
 from youngbounds.expr import (
     MAX_DEPTH,
+    MAX_NESTING,
     BinOp,
     Call,
     Const,
@@ -87,11 +89,11 @@ def test_parse_errors_carry_offset(text, offset):
 
 
 @pytest.mark.parametrize("text,offset", [
-    ("(" * 200 + "x" + ")" * 200, MAX_DEPTH),
+    ("(" * 200 + "x" + ")" * 200, MAX_NESTING),
     ("+".join(["x"] * 3000), 2 * MAX_DEPTH - 1),
-    ("-" * 200 + "x", MAX_DEPTH),
-    ("x" + "^1" * 200, 2 * MAX_DEPTH),
-    ("exp(" * 200 + "x" + ")" * 200, 4 * MAX_DEPTH),
+    ("-" * 200 + "x", MAX_NESTING),
+    ("x" + "^1" * 200, 2 * MAX_NESTING),
+    ("exp(" * 200 + "x" + ")" * 200, 4 * MAX_NESTING),
 ], ids=["parentheses", "left-chain", "signs", "exponents", "calls"])
 def test_parse_rejects_deep_nesting(text, offset):
     # each would overflow the stack in the parser or in a later tree walk
@@ -100,11 +102,49 @@ def test_parse_rejects_deep_nesting(text, offset):
     assert err.value.offset == offset
 
 
-def test_parse_accepts_the_depth_limit():
+def test_parse_rejects_deep_tree_inside_shallow_nesting():
+    # each limit alone is kept, but the calls stack on top of the chain
+    text = "exp(" * 90 + "+".join(["x"] * 150) + ")" * 90
+    with pytest.raises(ExprSyntaxError, match=f"tree deeper than {MAX_DEPTH}") as err:
+        parse_expr(text)
+    assert text[err.value.offset:].startswith("exp(")
+
+
+def test_parse_accepts_the_depth_limits():
     ast = parse_expr("+".join(["x"] * MAX_DEPTH))  # a left chain MAX_DEPTH deep
     assert parse_expr(serialize(ast)) == ast
-    assert jet(ast, 0.5, 2).derivs == (50.0, 100.0, 0.0)
-    assert evaluate(parse_expr("(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1)), 2.0) == 2.0
+    assert jet(ast, 0.5, 2).derivs == (MAX_DEPTH / 2, float(MAX_DEPTH), 0.0)
+    nested = "(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1)
+    assert evaluate(parse_expr(nested), 2.0) == 2.0
+
+
+def test_long_polynomial_parses():
+    # a flat sum is a left chain as deep as it is long
+    ast = parse_expr("1+" + "+".join(f"x^{k}" for k in range(1, 150)))
+    assert evaluate(ast, 0.0) == 1.0
+    assert jet(ast, 0.0, 3).derivs == (1.0, 1.0, 2.0, 6.0)
+
+
+def test_deepest_trees_survive_every_walk():
+    """Trees at both limits, walked with 250 frames already on the stack."""
+    deepest = [
+        parse_expr("sqrt(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1)),
+        parse_expr("sqrt(" * 50 + "+".join(["x"] * (MAX_DEPTH - 50)) + ")" * 50),
+    ]
+
+    def walk(frames, ast):
+        if frames:
+            return walk(frames - 1, ast)
+        hash(ast)
+        repr(ast)
+        pickle.dumps(ast.root)
+        assert parse_expr(serialize(ast)) == ast
+        for order in (None, 2):
+            expr._compile(ast.root, order)
+        expr._jet_node(ast.root, 0.5, 2)
+
+    for ast in deepest:
+        walk(250, ast)
 
 
 def test_nonconstant_exponent_rejected():
@@ -411,19 +451,6 @@ def test_kernels_match_reference_walkers(tree, xs):
                 assert got[0] is DomainError, (want, got)
             else:
                 assert got == want, (serialize(tree), x, order)
-
-
-@pytest.mark.parametrize("tree", [
-    BinOp("*", Const(0.0), Neg(Const(-0.0))),
-    BinOp("+", Pow(Const(0.0), 3.0), Call("ln", Const(-0.0))),
-    BinOp("+", Pow(Var(), 0.0), Pow(Var(), -0.0)),
-], ids=["product", "message", "exponent"])
-def test_kernels_keep_signed_zeros_apart(tree):
-    # 0.0 == -0.0 and both hash alike, yet they are different constants
-    ast = ExprAst(tree, serialize(tree))
-    assert _outcome(evaluate, ast, 0.5) == _outcome(_reference_evaluate, ast, 0.5)
-    for order in range(3):
-        assert _outcome(jet, ast, 0.5, order) == _outcome(_reference_jet, ast, 0.5, order)
 
 
 def test_sweep_output_matches_reference_walkers(monkeypatch):

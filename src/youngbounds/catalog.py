@@ -6,6 +6,10 @@ quantity. Hypothesis checks are numerical (derivative signs sampled on a
 dense scan); failing a check never aborts an estimator, it only flags the
 result as not applicable, with the observations recorded in the diagnostics.
 
+Every derivative read goes through the anchors' :class:`DerivativeProfile`,
+so estimators run on the same anchors share each jet, each sampled gate and
+each extremum scan; the results are the bits an unshared run gives.
+
 Sign conventions. With d = a - h^{-1}(b) (signed), every Taylor-flavoured
 estimator reduces to a product of a signed kernel factor and a two-sided
 estimate of a nonnegative average. Computing both products and sorting the
@@ -32,9 +36,10 @@ from .errors import (
     InvalidTError,
     OrientationError,
     ParseError,
+    YoungBoundsError,
 )
 from .numerics import NormSpec, extremum, norm_r
-from .young import SCAN_POINTS, Anchors, ProblemInstance
+from .young import SCAN_POINTS, Anchors, DerivativeProfile, ProblemInstance
 
 __all__ = [
     "TargetQuantity", "HypothesisCheck", "BoundResult", "SnPolynomial",
@@ -127,14 +132,21 @@ class BoundResult:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+def _profile(inst: ProblemInstance, anch: Anchors) -> DerivativeProfile:
+    """The profile ``anch`` carries for ``inst``; anchors built by hand, or
+    for another instance, get a fresh one that is not shared."""
+    prof = anch.profile
+    return prof if prof is not None and prof.inst is inst else DerivativeProfile(inst)
+
+
 def _taylor_sum(inst: ProblemInstance, anch: Anchors, n: int) -> float:
     """T_n = sum_{k=1}^n h^(k)(h^{-1}(b)) d^{k+1}/(k+1)!  (0 when n = 0)."""
     if n == 0:
         return 0.0
     d = inst.a - anch.h_inv_b
-    jet_bp = inst.jet_at(anch.h_inv_b, n)
+    derivs = _profile(inst, anch).derivs(anch.h_inv_b, n)
     return math.fsum(
-        jet_bp.derivs[k] * d ** (k + 1) / math.factorial(k + 1) for k in range(1, n + 1)
+        derivs[k] * d ** (k + 1) / math.factorial(k + 1) for k in range(1, n + 1)
     )
 
 
@@ -152,7 +164,7 @@ def _shifted_target(inst: ProblemInstance, anch: Anchors) -> TargetQuantity:
     return TargetQuantity("SHIFTED", offset=inst.b * anch.h_inv_b)
 
 
-def _sign_class(values: list[float]) -> str:
+def _sign_class(values: tuple[float, ...]) -> str:
     """'nonnegative' | 'nonpositive' | 'flat' | 'mixed' with a relative floor."""
     if not values:
         return "mixed"
@@ -178,23 +190,30 @@ _CURVATURE = {"nonnegative": "convex", "nonpositive": "concave",
 
 def _check(
     inst: ProblemInstance,
+    anch: Anchors,
     name: str,
     required: str,
     order: int,
     lo: float,
     hi: float,
     passes: tuple[str, ...],
-) -> tuple[HypothesisCheck, str, list[float]]:
+) -> tuple[HypothesisCheck, str, tuple[float, ...]]:
     """Sample the order-th derivative at interior scan points of [lo, hi] and
     classify its sign; points where the jet is undefined are skipped (and
     counted). Returns the check, the sign class and the sampled values."""
-    values: list[float] = []
-    skipped = 0
-    for i in range(1, SCAN_POINTS + 1):
-        try:
-            values.append(inst.deriv(lo + (hi - lo) * i / (SCAN_POINTS + 1), order))
-        except DomainError:
-            skipped += 1
+    prof = _profile(inst, anch)
+
+    def sample() -> tuple[tuple[float, ...], int]:
+        values: list[float] = []
+        skipped = 0
+        for i in range(1, SCAN_POINTS + 1):
+            try:
+                values.append(prof.deriv(lo + (hi - lo) * i / (SCAN_POINTS + 1), order))
+            except DomainError:
+                skipped += 1
+        return tuple(values), skipped
+
+    values, skipped = prof.memo(("samples", order, lo, hi), sample)
     cls = _sign_class(values)
     observed = (
         f"h^({order}) in [{min(values):.6g}, {max(values):.6g}] "
@@ -217,12 +236,17 @@ def _zero_width_result(method: str, target: TargetQuantity) -> BoundResult:
     )
 
 
-def _extrema_of_deriv(
-    inst: ProblemInstance, order: int, lo: float, hi: float
-) -> tuple[float, float]:
-    """(inf, sup) of h^(order) over [lo, hi] from one scan."""
-    (_, f_min), (_, f_max) = extremum(lambda x: inst.deriv(x, order), lo, hi)
-    return f_min, f_max
+def _extrema_of_deriv(inst: ProblemInstance, anch: Anchors, order: int) -> tuple[float, float]:
+    """(inf, sup) of h^(order) over [alpha, beta] from one scan per profile."""
+    prof = _profile(inst, anch)
+
+    def scan() -> tuple[float, float]:
+        (_, f_min), (_, f_max) = extremum(
+            lambda x: prof.deriv(x, order), anch.alpha, anch.beta
+        )
+        return f_min, f_max
+
+    return prof.memo(("extrema", order, anch.alpha, anch.beta), scan)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +261,14 @@ def bound_hoorfar_qi(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     """
     target = _gap_target(inst)
     check, _, _ = _check(
-        inst, "h_prime_monotone_global", "h'' of one sign on (0, c)",
+        inst, anch, "h_prime_monotone_global", "h'' of one sign on (0, c)",
         2, 0.0, inst.c, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
         return _zero_width_result("hoorfar-qi", target)
+    prof = _profile(inst, anch)
     d = inst.a - anch.h_inv_b
-    m, M = _sorted_pair(inst.deriv(inst.a, 1), inst.deriv(anch.h_inv_b, 1))
+    m, M = _sorted_pair(prof.deriv(inst.a, 1), prof.deriv(anch.h_inv_b, 1))
     return BoundResult(
         "hoorfar-qi", target, m / 2.0 * d * d, M / 2.0 * d * d,
         applicable=check.ok, diagnostics=(check,),
@@ -260,7 +285,7 @@ def bound_hh_cebysev(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     """
     target = _gap_target(inst)
     check, cls, _ = _check(
-        inst, "h_prime_monotone_local", "h'' of one sign on [alpha, beta]",
+        inst, anch, "h_prime_monotone_local", "h'' of one sign on [alpha, beta]",
         2, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
@@ -293,15 +318,16 @@ def bound_jensen_first(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     """
     target = _gap_target(inst)
     check, cls, _ = _check(
-        inst, "h_prime_convexity", "h''' of one sign on [alpha, beta]",
+        inst, anch, "h_prime_convexity", "h''' of one sign on [alpha, beta]",
         3, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
         return _zero_width_result("jensen-first", target)
+    prof = _profile(inst, anch)
     d = inst.a - anch.h_inv_b
     curvature = _CURVATURE[cls]
-    q_mid = d * d / 2.0 * inst.deriv((inst.a + 2.0 * anch.h_inv_b) / 3.0, 1)
-    q_end = d * d / 3.0 * (inst.deriv(inst.a, 1) / 2.0 + inst.deriv(anch.h_inv_b, 1))
+    q_mid = d * d / 2.0 * prof.deriv((inst.a + 2.0 * anch.h_inv_b) / 3.0, 1)
+    q_end = d * d / 3.0 * (prof.deriv(inst.a, 1) / 2.0 + prof.deriv(anch.h_inv_b, 1))
     if curvature == "concave":
         lower, upper = q_end, q_mid
     else:
@@ -375,14 +401,20 @@ def _holder_core(
         return _zero_width_result(method, target)
     abs_d = anch.width
     tol = inst.options.quad_rel_tol
-    phi = lambda x: inst.deriv(x, n + 1)
-    extrema: list[float] = []  # (inf, sup) of phi, scanned on first use
+    prof = _profile(inst, anch)
+    phi = lambda x: prof.deriv(x, n + 1)
 
     def nrm(r: float) -> float:
         if math.isinf(r):  # ||phi||_{-inf} = inf phi, ||phi||_{+inf} = sup phi
-            if not extrema:
-                extrema.extend(_extrema_of_deriv(inst, n + 1, anch.alpha, anch.beta))
-            return extrema[r > 0]
+            return _extrema_of_deriv(inst, anch, n + 1)[r > 0]
+        if r == 1.0:  # ||phi||_1 is the signed integral: exact, no quadrature
+            value = prof.memo(
+                ("integral", n + 1, anch.alpha, anch.beta),
+                lambda: prof.deriv(anch.beta, n) - prof.deriv(anch.alpha, n),
+            )
+            if value <= 0.0:
+                raise DomainError(f"integral of f^{r!r} came out nonpositive")
+            return value
         return norm_r(phi, NormSpec(r, anch.alpha, anch.beta), tol)
 
     u, v = lower_pair
@@ -398,21 +430,21 @@ def _holder_core(
     extras: list[tuple[str, float]] = [
         ("statement_lower", sign * base_lo), ("statement_upper", sign * base_hi),
     ]
+    notes = [
+        f"pairs: lower (u,v)=({u!r},{v!r}), upper (p,q)=({p!r},{q!r})"
+        + ("; sign-reversed case" if sign < 0 else ""),
+    ]
     for label, (r1, r2) in (("proof_lower", (v, u)), ("proof_upper", (q, p))):
         try:
             extras.append(
                 (label, sign * _c_coeff(r1, abs_d, n) * nrm(r2) / math.factorial(n + 1))
             )
-        except (ExponentDomainError, DomainError):
-            pass
-    notes = (
-        f"pairs: lower (u,v)=({u!r},{v!r}), upper (p,q)=({p!r},{q!r})"
-        + ("; sign-reversed case" if sign < 0 else ""),
-    )
+        except YoungBoundsError as exc:
+            notes.append(f"{label} dropped: {type(exc).__name__}: {exc}")
     return BoundResult(
         method, target, lower, upper,
         applicable=all(c.ok for c in checks), diagnostics=checks,
-        notes=notes, extras=tuple(extras),
+        notes=tuple(notes), extras=tuple(extras),
     )
 
 
@@ -442,7 +474,7 @@ def bound_taylor_holder(
     enters with a minus sign; the sorted-pair mechanism realizes that case.
     """
     check, _, _ = _check(
-        inst, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
+        inst, anch, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
         n + 1, anch.alpha, anch.beta, ("nonnegative", "flat"),
     )
     return _holder_core(
@@ -461,14 +493,15 @@ def bound_taylor_lagrange(inst: ProblemInstance, anch: Anchors, n: int) -> Bound
     exactly the hoorfar-qi estimate."""
     target = _gap_target(inst)
     check, _, _ = _check(
-        inst, "deriv_monotone_global", f"h^({n + 2}) of one sign on (0, c)",
+        inst, anch, "deriv_monotone_global", f"h^({n + 2}) of one sign on (0, c)",
         n + 2, 0.0, inst.c, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
         return _zero_width_result("taylor-lagrange", target)
+    prof = _profile(inst, anch)
     d = inst.a - anch.h_inv_b
     t_sum = _taylor_sum(inst, anch, n)
-    m, M = _sorted_pair(inst.deriv(inst.a, n + 1), inst.deriv(anch.h_inv_b, n + 1))
+    m, M = _sorted_pair(prof.deriv(inst.a, n + 1), prof.deriv(anch.h_inv_b, n + 1))
     kernel = d ** (n + 2) / math.factorial(n + 2)
     lower, upper = _sorted_pair(t_sum + kernel * m, t_sum + kernel * M)
     return BoundResult(
@@ -497,14 +530,15 @@ def bound_taylor_cebysev(inst: ProblemInstance, anch: Anchors, n: int) -> BoundR
     direction of h^(n+1), parity of n)."""
     target = _remainder_target(inst, anch, n)
     check, cls, values = _check(
-        inst, "deriv_monotone_local", f"h^({n + 2}) of one sign on [alpha, beta]",
+        inst, anch, "deriv_monotone_local", f"h^({n + 2}) of one sign on [alpha, beta]",
         n + 2, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
         return _zero_width_result("taylor-cebysev", target)
+    prof = _profile(inst, anch)
     d = inst.a - anch.h_inv_b
     value = d ** (n + 1) / math.factorial(n + 2) * (
-        inst.deriv(inst.a, n) - inst.deriv(anch.h_inv_b, n)
+        prof.deriv(inst.a, n) - prof.deriv(anch.h_inv_b, n)
     )
     direction = _DIRECTION[cls]
     if direction == "flat":
@@ -537,16 +571,17 @@ def bound_taylor_jensen(inst: ProblemInstance, anch: Anchors, n: int) -> BoundRe
     """
     target = _remainder_target(inst, anch, n)
     check, cls, _ = _check(
-        inst, "deriv_convexity", f"h^({n + 3}) of one sign on [alpha, beta]",
+        inst, anch, "deriv_convexity", f"h^({n + 3}) of one sign on [alpha, beta]",
         n + 3, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
         return _zero_width_result("taylor-jensen", target)
+    prof = _profile(inst, anch)
     d = inst.a - anch.h_inv_b
     mean = (inst.a + (n + 2) * anch.h_inv_b) / (n + 3)
-    q_mid = inst.deriv(mean, n + 1) / math.factorial(n + 2)
+    q_mid = prof.deriv(mean, n + 1) / math.factorial(n + 2)
     q_end = (
-        inst.deriv(inst.a, n + 1) + (n + 2) * inst.deriv(anch.h_inv_b, n + 1)
+        prof.deriv(inst.a, n + 1) + (n + 2) * prof.deriv(anch.h_inv_b, n + 1)
     ) / math.factorial(n + 3)
     kernel = d ** (n + 2)
     lower, upper = _sorted_pair(kernel * q_mid, kernel * q_end)
@@ -568,20 +603,21 @@ def bound_taylor_product_hh(inst: ProblemInstance, anch: Anchors, n: int) -> Bou
     scaled by the signed kernel d^{n+2}/(n+1)!, then sorted."""
     target = _remainder_target(inst, anch, n)
     check_pos, _, _ = _check(
-        inst, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
+        inst, anch, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
         n + 1, anch.alpha, anch.beta, ("nonnegative", "flat"),
     )
     check_cvx, _, _ = _check(
-        inst, "deriv_convexity", f"h^({n + 3}) >= 0 on [alpha, beta]",
+        inst, anch, "deriv_convexity", f"h^({n + 3}) >= 0 on [alpha, beta]",
         n + 3, anch.alpha, anch.beta, ("nonnegative", "flat"),
     )
     checks = (check_pos, check_cvx)
     if anch.width == 0.0:
         return _zero_width_result("taylor-product-hh", target)
+    prof = _profile(inst, anch)
     d = inst.a - anch.h_inv_b
-    phi_a = inst.deriv(inst.a, n + 1)
-    phi_b = inst.deriv(anch.h_inv_b, n + 1)
-    phi_mid = inst.deriv(0.5 * (inst.a + anch.h_inv_b), n + 1)
+    phi_a = prof.deriv(inst.a, n + 1)
+    phi_b = prof.deriv(anch.h_inv_b, n + 1)
+    phi_mid = prof.deriv(0.5 * (inst.a + anch.h_inv_b), n + 1)
     base_lo = phi_mid / 2.0 ** n - (2.0 * phi_a + phi_b) / 6.0
     base_hi = (phi_a + 2.0 * phi_b) / 6.0
     kernel = d ** (n + 2) / math.factorial(n + 1)
@@ -605,7 +641,7 @@ def _derivative_range(
 ) -> tuple[float, float, HypothesisCheck]:
     """Default L, U to the sharp extrema of h^(order) over [alpha, beta];
     accept any user range that contains the observed one."""
-    obs_lo, obs_hi = _extrema_of_deriv(inst, order, anch.alpha, anch.beta)
+    obs_lo, obs_hi = _extrema_of_deriv(inst, anch, order)
     Lv = obs_lo if L is None else L
     Uv = obs_hi if U is None else U
     tol = 1e-9 * max(1.0, abs(obs_lo), abs(obs_hi))
@@ -676,8 +712,9 @@ def bound_polya_second(
     the two sides exchange roles."""
     a, b = inst.a, inst.b
     bp = anch.h_inv_b
-    hp_a = inst.deriv(a, 1)
-    hp_b = inst.deriv(bp, 1)
+    prof = _profile(inst, anch)
+    hp_a = prof.deriv(a, 1)
+    hp_b = prof.deriv(bp, 1)
     ha = anch.h_a
     target = TargetQuantity(
         "MIDDLE2", offset=a * ha - (a * a * hp_a - bp * bp * hp_b) / 2.0
@@ -787,8 +824,9 @@ def bound_polya_higher(
         return _zero_width_result("polya-higher", target)
     L, U, check = _derivative_range(inst, anch, n + 1, L=None, U=None)
     m = n + 2
-    s_bp = SnPolynomial(m, inst.jet_at(anch.h_inv_b, n).derivs)
-    s_a = SnPolynomial(m, inst.jet_at(inst.a, n).derivs)
+    prof = _profile(inst, anch)
+    s_bp = SnPolynomial(m, prof.derivs(anch.h_inv_b, n))
+    s_a = SnPolynomial(m, prof.derivs(inst.a, n))
     a, bp = inst.a, anch.h_inv_b
 
     def total(tv: float, w_bp: float, w_a: float) -> float:
@@ -816,7 +854,7 @@ def bound_polya_higher(
         lower, upper = lo_of(t), up_of(t)
         extras = (("L", L), ("U", U), ("t_lower", t), ("t_upper", t))
     else:
-        grid_n = max(inst.options.t_grid, 1)
+        grid_n = inst.options.t_grid
         grid = [
             anch.alpha + anch.width * j / (grid_n + 1) for j in range(1, grid_n + 1)
         ]
@@ -867,16 +905,17 @@ def bound_lp_remainder(
     sigma = -1.0 if anch.orientation < 0 else 1.0
     width = anch.width
 
-    jet_alpha = inst.jet_at(alpha, n)
-    jet_beta = inst.jet_at(beta, n)
+    prof = _profile(inst, anch)
+    derivs_alpha = prof.derivs(alpha, n)
+    derivs_beta = prof.derivs(beta, n)
 
     def taylor_two_point(tv: float) -> float:
         left = math.fsum(
-            jet_alpha.derivs[i] * (tv - alpha) ** (i + 1) / math.factorial(i + 1)
+            derivs_alpha[i] * (tv - alpha) ** (i + 1) / math.factorial(i + 1)
             for i in range(n + 1)
         )
         right = math.fsum(
-            jet_beta.derivs[i] * (tv - beta) ** (i + 1) / math.factorial(i + 1)
+            derivs_beta[i] * (tv - beta) ** (i + 1) / math.factorial(i + 1)
             for i in range(n + 1)
         )
         return left - right
@@ -890,7 +929,7 @@ def bound_lp_remainder(
             notes=("b = h(a): anchors coincide, bound collapses to 0",),
         )
 
-    phi_abs = lambda x: abs(inst.deriv(x, n + 1))
+    phi_abs = lambda x: abs(prof.deriv(x, n + 1))
     norm = norm_r(phi_abs, NormSpec(p, alpha, beta), inst.options.quad_rel_tol)
 
     if math.isinf(p):
@@ -915,7 +954,7 @@ def bound_lp_remainder(
             raise InvalidTError(f"t={t!r} not strictly between {alpha!r} and {beta!r}")
         t_used = t
     elif grid:
-        grid_n = max(inst.options.t_grid, 1)
+        grid_n = inst.options.t_grid
         t_used = min(
             (alpha + width * j / (grid_n + 1) for j in range(1, grid_n + 1)),
             key=tight,

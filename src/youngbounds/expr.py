@@ -569,6 +569,10 @@ def _jet_node(node: Node, x0: float, order: int) -> list[float]:
 # and functions come from fixed sets.
 # ---------------------------------------------------------------------------
 
+# Integer powers up to 2^8 - 1 are unrolled; larger ones call _jet_int_pow.
+_UNROLLED_POW_BITS = 8
+
+
 def _fsum(terms: list[str]) -> str:
     return f"fsum(({', '.join(terms)},))" if terms else "0.0"
 
@@ -589,7 +593,8 @@ class _Emitter:
         self.lines: list[str] = []
         self.namespace: dict[str, object] = {
             "fsum": math.fsum, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-            "pow": math.pow, "_pow_real": _pow_real, "DomainError": DomainError,
+            "pow": math.pow, "_pow_real": _pow_real, "_jet_int_pow": _jet_int_pow,
+            "DomainError": DomainError,
         }
 
     def bind(self, value: object) -> str:
@@ -688,6 +693,14 @@ class _Emitter:
         return w
 
     def int_pow(self, u: list[str], c: int) -> list[str]:
+        if c.bit_length() > _UNROLLED_POW_BITS:
+            # Unrolled, the squaring chain of a huge exponent would cost far
+            # more to compile than the reference loop costs to run.
+            names = [f"t{len(self.lines)}_{k}" for k in range(len(u))]
+            self.lines.append(
+                f"{', '.join(names)}, = _jet_int_pow([{', '.join(u)}], {self.bind(c)})"
+            )
+            return names
         result = ["1.0"] + ["0.0"] * (len(u) - 1)
         base = u
         e = c

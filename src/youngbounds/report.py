@@ -115,9 +115,11 @@ def _options_from_dict(data: dict) -> Options:
         kwargs["assume"] = frozenset(str(x) for x in data["assume"])
     for key in ("upper_exponent_pairs", "lower_exponent_pairs"):
         if key in data:
-            kwargs[key] = tuple(
-                (_parse_arg(str(p)), _parse_arg(str(q))) for p, q in data[key]
-            )
+            pairs = data[key]
+            if not (isinstance(pairs, list) and all(isinstance(p, list) for p in pairs)):
+                raise ParseError(f"{key} must be a list of [p, q] pairs, got {pairs!r}")
+            # Options checks the count and the length of each pair
+            kwargs[key] = tuple(tuple(_parse_arg(str(v)) for v in pair) for pair in pairs)
     unknown = set(data) - set(_OPTION_KEYS) - {"assume", "upper_exponent_pairs",
                                                "lower_exponent_pairs"}
     if unknown:

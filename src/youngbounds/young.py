@@ -28,7 +28,7 @@ from .expr import DEFAULT_ORDER_CAP, ExprAst, evaluate, jet, parse_expr
 from .numerics import integrate, invert
 
 __all__ = [
-    "Options", "ProblemInstance", "Anchors", "OracleResult",
+    "Options", "ProblemInstance", "DerivativeProfile", "Anchors", "OracleResult",
     "make_problem", "anchors", "oracle", "oracle_gap", "oracle_sum",
 ]
 
@@ -40,6 +40,9 @@ _DEFAULT_LOWER_PAIRS = ((1.0, -_INF), (-_INF, 1.0), (0.5, -1.0))
 
 # Interior sample count of the sign scans in validation and the catalog's gates.
 SCAN_POINTS = 257
+
+# polya-higher and lp-remainder evaluate their bound at t_grid points each.
+T_GRID_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,23 @@ class Options:
                 f"must be in [0, {DEFAULT_ORDER_CAP - 3}] (orders up to n + 3 stay "
                 f"within the jet cap {DEFAULT_ORDER_CAP}), got {self.taylor_order!r}",
             )
+        if (isinstance(self.t_grid, bool) or not isinstance(self.t_grid, int)
+                or not 1 <= self.t_grid <= T_GRID_MAX):
+            raise ValidationError(
+                "t_grid", f"must be an integer in [1, {T_GRID_MAX}], got {self.t_grid!r}"
+            )
+        for name in ("upper_exponent_pairs", "lower_exponent_pairs"):
+            pairs = getattr(self, name)
+            if not isinstance(pairs, tuple) or not pairs:
+                raise ValidationError(name, f"must be a nonempty tuple of pairs, got {pairs!r}")
+            for pair in pairs:
+                if not (isinstance(pair, tuple) and len(pair) == 2
+                        and _is_number(pair[0]) and _is_number(pair[1])):
+                    raise ValidationError(name, f"each pair must be two numbers, got {pair!r}")
+
+
+def _is_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -95,15 +115,74 @@ class ProblemInstance:
         return jet(self.ast, x, order)
 
 
+class DerivativeProfile:
+    """The derivatives of one instance, each jet computed once and shared.
+
+    A jet kernel's coefficient k depends only on coefficients <= k of its
+    operands, so when ``jet(x, m)`` succeeds its derivatives 0..k are those of
+    ``jet(x, k)``, bit for bit. The profile keeps, per abscissa, the longest
+    derivative tuple computed there and serves every lower order from it. A
+    miss computes exactly the order asked for, and a jet that fails is never
+    kept, so every read returns or raises what ``inst.deriv`` and
+    ``inst.jet_at`` would. ``memo`` keeps values derived from the derivatives
+    (the catalog's sampled gates, extrema and exact r = 1 norms) under keys
+    its caller chooses.
+
+    Entries only ever equal what a recomputation would give, so threads share
+    a profile without a lock: a race at worst computes an entry twice.
+    """
+
+    __slots__ = ("inst", "_jets", "_memo")
+
+    def __init__(self, inst: ProblemInstance) -> None:
+        self.inst = inst
+        self._jets: dict = {}
+        self._memo: dict = {}
+
+    def _row(self, x: float, order: int) -> tuple[float, ...]:
+        """A derivative tuple at x of length > order (the longest cached)."""
+        key = x if x else repr(x)  # 0.0 and -0.0 are equal dict keys
+        cached = self._jets.get(key)
+        if cached is None or not 0 <= order < len(cached):
+            cached = jet(self.inst.ast, x, order).derivs
+            if len(cached) > len(self._jets.get(key, ())):
+                self._jets[key] = cached
+        return cached
+
+    def derivs(self, x: float, order: int) -> tuple[float, ...]:
+        """h^(0)..h^(order) at x: ``inst.jet_at(x, order).derivs``."""
+        return self._row(x, order)[:order + 1]
+
+    def deriv(self, x: float, k: int) -> float:
+        """h^(k)(x), as ``inst.deriv``: h itself (not a jet) at k = 0."""
+        if k == 0:
+            return self.inst.h(x)
+        return self._row(x, k)[k]
+
+    def memo(self, key: tuple, compute):
+        """``compute()`` (never None), once per key; a call that raises leaves
+        no entry."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute()
+        return value
+
+
 @dataclass(frozen=True)
 class Anchors:
-    """h^{-1}(b) and the interval [alpha, beta] = [min, max] of {a, h^{-1}(b)}."""
+    """h^{-1}(b) and the interval [alpha, beta] = [min, max] of {a, h^{-1}(b)}.
+
+    ``profile`` is the instance's :class:`DerivativeProfile`, which every
+    estimator given these anchors shares; like ``ExprAst._kernels`` it takes
+    no part in equality, hashing or repr.
+    """
 
     h_inv_b: float
     alpha: float
     beta: float
     h_a: float
     orientation: int  # sign of a - h^{-1}(b)
+    profile: DerivativeProfile | None = field(default=None, repr=False, compare=False)
 
     @property
     def width(self) -> float:
@@ -243,6 +322,7 @@ def anchors(inst: ProblemInstance) -> Anchors:
         beta=max(inst.a, h_inv_b),
         h_a=inst.h(inst.a),
         orientation=0 if d == 0 else (1 if d > 0 else -1),
+        profile=DerivativeProfile(inst),
     )
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import time
 
 import pytest
 
@@ -235,7 +237,15 @@ def test_quartic_jensen_first_reproduces_reference_print(quartic):
 ], ids=["polya-first", "polya-second", "holder-norm", "taylor-holder(1)"])
 def test_one_extremum_scan_per_derivative_range(quartic, monkeypatch, estimator):
     # L, U and the +-inf norms are the inf and sup of one derivative on
-    # [alpha, beta]: a single scan yields both
+    # [alpha, beta]: a single scan yields both. Fresh anchors, because the
+    # module-scoped ones already hold the scans of earlier cases.
+    inst, _ = quartic
+    calls = _count_extremum_calls(monkeypatch)
+    estimator(inst, anchors(inst))
+    assert len(calls) == 1, calls
+
+
+def _count_extremum_calls(monkeypatch) -> list:
     calls = []
     for module in (cat, numerics):
         original = module.extremum
@@ -245,8 +255,50 @@ def test_one_extremum_scan_per_derivative_range(quartic, monkeypatch, estimator)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, "extremum", counted)
-    estimator(*quartic)
-    assert len(calls) == 1, calls
+    return calls
+
+
+def test_one_extremum_scan_per_derivative_range_across_methods(quartic, monkeypatch):
+    # every method on one anchors, plus the sweep's two REDUCTION re-runs,
+    # shares the scans of h' and h'' (Polya L/U, Holder +-inf norms) and
+    # scans |h''| once for lp-remainder
+    inst, _ = quartic
+    anch = anchors(inst)
+    calls = _count_extremum_calls(monkeypatch)
+    for name in cat.METHODS:
+        cat.run_method(inst, anch, name)
+    cat.run_method(inst, anch, "taylor-lagrange", (0.0,))
+    cat.run_method(inst, anch, "taylor-holder", (0.0,))
+    assert len(calls) == 3, calls
+
+
+def test_profile_of_another_instance_is_not_used(cubic):
+    # anchors carry the derivatives of the instance they were made for; with
+    # another instance they behave as anchors built by hand
+    inst, anch, _ = cubic
+    twin = make_problem("2*x^3", inst.a, 2.0 * inst.b, inst.c)  # same h^{-1}(b)
+    for name in cat.METHODS:
+        cat.run_method(inst, anch, name)
+    hand_built = dataclasses.replace(anch, profile=None)
+    for name in cat.METHODS:
+        assert cat.run_method(twin, anch, name) == cat.run_method(twin, hand_built, name), name
+
+
+def test_taylor_holder_extras_need_no_quadrature():
+    # h'' of this smooth step spikes to about 1e2 near 0.618 and integrates
+    # to h'(1) - h'(0.3) = -1.3e-12 over [alpha, beta]: the r = 1 norm of the
+    # proof extras comes from those two reads, not from quadrature (which
+    # ran for seconds and then failed the estimator); an extra that fails is
+    # dropped with a note
+    text = ("x + 1e-3*((x-0.61803)/sqrt((x-0.61803)^2+1e-5^2)"
+            " + 0.61803/sqrt(0.61803^2+1e-5^2))")
+    inst = make_problem(text, 1.0, 0.3)
+    start = time.perf_counter()
+    res = cat.run_method(inst, anchors(inst), "taylor-holder", (1.0,))
+    assert time.perf_counter() - start < 1.0
+    assert res.lower is not None and res.upper is not None
+    assert [k for k, _ in res.extras] == ["statement_lower", "statement_upper"]
+    assert [n.split(":")[0] for n in res.notes[1:]] == ["proof_lower dropped", "proof_upper dropped"]
 
 
 @pytest.mark.parametrize("name,args", [
@@ -526,6 +578,29 @@ def test_estimators_are_pure_under_concurrency(cubic):
             got = fut.result()
             assert got.lower == expected[nm].lower, nm
             assert got.upper == expected[nm].upper, nm
+
+
+def test_threads_filling_one_profile_get_unshared_results(quartic):
+    # threads that fill one fresh derivative profile at once, with frequent
+    # thread switches, return exactly what each method gives on its own anchors
+    import concurrent.futures
+    import sys
+
+    inst, _ = quartic
+    names = sorted(cat.METHODS)
+    expected = {nm: cat.run_method(inst, anchors(inst), nm) for nm in names}
+    shared = anchors(inst)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(cat.run_method, inst, shared, nm)
+                       for nm in names * 3]
+            results = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for nm, got in zip(names * 3, results):
+        assert got == expected[nm], nm
 
 
 # ---------------------------------------------------------------------------

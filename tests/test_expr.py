@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import pickle
 import sys
+import time
 
 import mpmath
 import pytest
@@ -428,7 +429,7 @@ def _any_trees():
             st.builds(BinOp, st.sampled_from("+-*/"), children, children),
             st.builds(Pow, children, st.sampled_from(
                 [0.0, -0.0, 1.0, 2.0, 3.0, 5.0, 13.0, -1.0, -2.0, 0.5, -0.5, 1.5, 200.5,
-                 1 / 3, -2 / 3])),
+                 1 / 3, -2 / 3, 300.0, -1000.0])),
             st.builds(Call, st.sampled_from(["exp", "ln", "sqrt"]), children),
         )
 
@@ -451,6 +452,36 @@ def test_kernels_match_reference_walkers(tree, xs):
                 assert got[0] is DomainError, (want, got)
             else:
                 assert got == want, (serialize(tree), x, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_any_trees(),
+       xs=st.lists(st.sampled_from(_EDGE_FLOATS + [-3.3, 100.0])
+                   | st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=3))
+def test_jet_derivatives_do_not_depend_on_the_order_taken(tree, xs):
+    # A jet's derivatives 0..k are the same bits at every order m > k at which
+    # the jet succeeds; the derivative profile serves low orders from high ones.
+    ast = ExprAst(tree, serialize(tree))
+    for x in xs:
+        for m in range(1, 7):
+            try:
+                full = jet(ast, x, m).derivs
+            except DomainError:
+                continue
+            for k in range(m):
+                assert repr(jet(ast, x, k).derivs) == repr(full[:k + 1]), (serialize(tree), x, k, m)
+
+
+def test_huge_integer_power_compiles_in_bounded_time():
+    # x^1e300 has a 997-bit exponent; its squaring chain is not unrolled
+    ast = parse_expr("x^1e300")
+    start = time.perf_counter()
+    got = _outcome(jet, ast, 1.0000001, 16)
+    elapsed = time.perf_counter() - start
+    assert _outcome(_reference_jet, ast, 1.0000001, 16) == (
+        OverflowError, "intermediate overflow in fsum")
+    assert got == (DomainError, "intermediate overflow in fsum at x=1.0000001")
+    assert elapsed < 0.05
 
 
 def test_sweep_output_matches_reference_walkers(monkeypatch):

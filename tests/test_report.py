@@ -129,7 +129,10 @@ def test_parse_method_spec_rejects_bad_arguments(text):
 @pytest.mark.parametrize("options,field", [
     ({"quad_rel_tol": 1e-15}, "quad_rel_tol"),
     ({"taylor_order": 14}, "taylor_order"),
-], ids=["quad_rel_tol", "taylor_order"])
+    ({"t_grid": -5}, "t_grid"),
+    ({"upper_exponent_pairs": []}, "upper_exponent_pairs"),
+    ({"lower_exponent_pairs": [[1]]}, "lower_exponent_pairs"),
+], ids=["quad_rel_tol", "taylor_order", "t_grid", "no-pairs", "short-pair"])
 def test_load_problem_rejects_out_of_range_options(tmp_path, options, field):
     p = _write(tmp_path / "p.json", {"function": "x^3", "a": 1, "b": 1, "options": options})
     with pytest.raises(ValidationError) as err:
@@ -353,7 +356,10 @@ def test_cli_run_rejects_bad_method_arguments(tmp_path, text):
     {"function": "x^3", "a": 1, "b": 1, "options": {"quad_rel_tol": 1e-15}},
     # h' overflows inside fsum during validation
     {"function": "1e308*x*x", "a": 0.95, "b": 1e307, "c": 0.99},
-], ids=["quad_rel_tol", "jet-overflow"])
+    {"function": "x^3", "a": 1, "b": 1, "options": {"upper_exponent_pairs": []}},
+    {"function": "x^3", "a": 1, "b": 1, "options": {"upper_exponent_pairs": [[1]]}},
+    {"function": "x^3", "a": 1, "b": 1, "options": {"lower_exponent_pairs": 5}},
+], ids=["quad_rel_tol", "jet-overflow", "no-pairs", "short-pair", "pairs-not-a-list"])
 def test_cli_run_reports_invalid_input_without_traceback(tmp_path, payload):
     p = _write(tmp_path / "p.json", payload)
     proc = _cli("run", str(p))

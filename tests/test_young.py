@@ -6,10 +6,21 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from youngbounds.errors import ValidationError
 from youngbounds.expr import evaluate, parse_expr
-from youngbounds.young import Options, anchors, make_problem, oracle, oracle_gap, oracle_sum
+from youngbounds.young import (
+    DerivativeProfile,
+    Options,
+    ProblemInstance,
+    anchors,
+    make_problem,
+    oracle,
+    oracle_gap,
+    oracle_sum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +52,16 @@ def test_b_above_range_rejected():
     {"quad_rel_tol": math.nan},
     {"taylor_order": -1},
     {"taylor_order": 14},  # taylor-jensen(14) would need h^(17), past the jet cap
+    {"t_grid": 0},
+    {"t_grid": -5},
+    {"t_grid": 1001},  # polya-higher evaluates its bound at every grid point
+    {"t_grid": 2.5},
+    {"t_grid": True},
+    {"upper_exponent_pairs": ()},
+    {"lower_exponent_pairs": ()},
+    {"upper_exponent_pairs": ((1.0,),)},
+    {"lower_exponent_pairs": ((1.0, "-inf"),)},
+    {"upper_exponent_pairs": [(1.0, math.inf)]},
 ], ids=lambda kw: f"{next(iter(kw))}={next(iter(kw.values()))}")
 def test_options_out_of_range_rejected(kwargs):
     with pytest.raises(ValidationError) as err:
@@ -49,8 +70,9 @@ def test_options_out_of_range_rejected(kwargs):
 
 
 def test_options_range_edges_accepted():
-    Options(quad_rel_tol=1e-14, taylor_order=13)
-    Options(quad_rel_tol=0.5, taylor_order=0)
+    Options(quad_rel_tol=1e-14, taylor_order=13, t_grid=1)
+    Options(quad_rel_tol=0.5, taylor_order=0, t_grid=1000,
+            upper_exponent_pairs=((2, 2),), lower_exponent_pairs=((1.0, -math.inf),))
 
 
 def test_a_above_c_rejected():
@@ -119,6 +141,51 @@ def test_anchors_exp_recip():
 def test_anchors_b_zero():
     anch = anchors(make_problem("x^2", 1.0, 0.0, 1.0))
     assert anch.h_inv_b == 0.0 and anch.orientation == 1
+
+
+def test_anchors_profile_is_not_part_of_their_value():
+    inst = make_problem("x^2", 1.0, 0.5, 1.0)
+    first, second = anchors(inst), anchors(inst)
+    assert first.profile is not second.profile and first.profile.inst is inst
+    assert first == second and hash(first) == hash(second)
+    assert "profile" not in repr(first)
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared class and message
+        return type(exc), str(exc)
+    return "value", repr(value)
+
+
+# Functions whose jets fail at some abscissae: exp(-1/x) at 0 and where its
+# derivatives underflow, x^2.5 and sqrt(x) at a zero base, ln(x) at 0; h = x
+# keeps the sign of a zero abscissa in h(x).
+_PROFILE_FUNCTIONS = ("exp(-1/x)", "x^2.5", "sqrt(x)", "(x^4+1)^(1/4)-1",
+                      "x", "x^3+ln(x)", "x^1e300")
+_PROFILE_POINTS = (0.0, -0.0, 1e-300, 1e-3, 0.0015, 0.5, 1.0, 1.0000001, 2.0, -1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.sampled_from(_PROFILE_FUNCTIONS),
+       reads=st.lists(st.tuples(st.sampled_from(_PROFILE_POINTS)
+                                | st.floats(min_value=-0.5, max_value=3.0),
+                                st.integers(min_value=0, max_value=6),
+                                st.booleans()),
+                      min_size=1, max_size=40))
+@example(text="x", reads=[(0.0, 1, False), (-0.0, 1, True)])
+def test_profile_reads_match_unshared_reads(text, reads):
+    # any sequence of reads returns, or raises, what the instance itself gives
+    inst = ProblemInstance(parse_expr(text), a=1.0, b=0.5, c=2.0)
+    prof = DerivativeProfile(inst)
+    for x, k, whole in reads:
+        if whole:
+            got = _outcome(prof.derivs, x, k)
+            want = _outcome(lambda x, k: inst.jet_at(x, k).derivs, x, k)
+        else:
+            got, want = _outcome(prof.deriv, x, k), _outcome(inst.deriv, x, k)
+        assert got == want, (text, x, k, whole)
 
 
 # ---------------------------------------------------------------------------

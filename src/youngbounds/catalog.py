@@ -6,9 +6,10 @@ quantity. Hypothesis checks are numerical (derivative signs sampled on a
 dense scan); failing a check never aborts an estimator, it only flags the
 result as not applicable, with the observations recorded in the diagnostics.
 
-Every derivative read goes through the anchors' :class:`DerivativeProfile`,
-so estimators run on the same anchors share each jet, each sampled gate and
-each extremum scan; the results are the bits an unshared run gives.
+Every derivative read outside a quadrature goes through the instance's
+:class:`DerivativeProfile`, so estimators run on the same instance share each
+jet, each sampled gate and each extremum scan; the results are the bits an
+unshared run gives.
 
 Sign conventions. With d = a - h^{-1}(b) (signed), every Taylor-flavoured
 estimator reduces to a product of a signed kernel factor and a two-sided
@@ -39,7 +40,7 @@ from .errors import (
     YoungBoundsError,
 )
 from .numerics import NormSpec, extremum, norm_r
-from .young import SCAN_POINTS, Anchors, DerivativeProfile, ProblemInstance
+from .young import SCAN_POINTS, Anchors, ProblemInstance
 
 __all__ = [
     "TargetQuantity", "HypothesisCheck", "BoundResult", "SnPolynomial",
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_EPS = math.ulp(1.0)
 _DEGENERATE_EPS = 1e-12
 
 
@@ -132,19 +134,12 @@ class BoundResult:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _profile(inst: ProblemInstance, anch: Anchors) -> DerivativeProfile:
-    """The profile ``anch`` carries for ``inst``; anchors built by hand, or
-    for another instance, get a fresh one that is not shared."""
-    prof = anch.profile
-    return prof if prof is not None and prof.inst is inst else DerivativeProfile(inst)
-
-
 def _taylor_sum(inst: ProblemInstance, anch: Anchors, n: int) -> float:
     """T_n = sum_{k=1}^n h^(k)(h^{-1}(b)) d^{k+1}/(k+1)!  (0 when n = 0)."""
     if n == 0:
         return 0.0
     d = inst.a - anch.h_inv_b
-    derivs = _profile(inst, anch).derivs(anch.h_inv_b, n)
+    derivs = inst.profile.derivs(anch.h_inv_b, n)
     return math.fsum(
         derivs[k] * d ** (k + 1) / math.factorial(k + 1) for k in range(1, n + 1)
     )
@@ -190,7 +185,6 @@ _CURVATURE = {"nonnegative": "convex", "nonpositive": "concave",
 
 def _check(
     inst: ProblemInstance,
-    anch: Anchors,
     name: str,
     required: str,
     order: int,
@@ -201,7 +195,7 @@ def _check(
     """Sample the order-th derivative at interior scan points of [lo, hi] and
     classify its sign; points where the jet is undefined are skipped (and
     counted). Returns the check, the sign class and the sampled values."""
-    prof = _profile(inst, anch)
+    prof = inst.profile
 
     def sample() -> tuple[tuple[float, ...], int]:
         values: list[float] = []
@@ -236,17 +230,17 @@ def _zero_width_result(method: str, target: TargetQuantity) -> BoundResult:
     )
 
 
-def _extrema_of_deriv(inst: ProblemInstance, anch: Anchors, order: int) -> tuple[float, float]:
-    """(inf, sup) of h^(order) over [alpha, beta] from one scan per profile."""
-    prof = _profile(inst, anch)
+def _extrema_of_deriv(
+    inst: ProblemInstance, order: int, lo: float, hi: float
+) -> tuple[float, float]:
+    """(inf, sup) of h^(order) over [lo, hi] from one scan per instance."""
+    prof = inst.profile
 
     def scan() -> tuple[float, float]:
-        (_, f_min), (_, f_max) = extremum(
-            lambda x: prof.deriv(x, order), anch.alpha, anch.beta
-        )
+        (_, f_min), (_, f_max) = extremum(lambda x: prof.deriv(x, order), lo, hi)
         return f_min, f_max
 
-    return prof.memo(("extrema", order, anch.alpha, anch.beta), scan)
+    return prof.memo(("extrema", order, lo, hi), scan)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +255,12 @@ def bound_hoorfar_qi(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     """
     target = _gap_target(inst)
     check, _, _ = _check(
-        inst, anch, "h_prime_monotone_global", "h'' of one sign on (0, c)",
+        inst, "h_prime_monotone_global", "h'' of one sign on (0, c)",
         2, 0.0, inst.c, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
         return _zero_width_result("hoorfar-qi", target)
-    prof = _profile(inst, anch)
+    prof = inst.profile
     d = inst.a - anch.h_inv_b
     m, M = _sorted_pair(prof.deriv(inst.a, 1), prof.deriv(anch.h_inv_b, 1))
     return BoundResult(
@@ -285,7 +279,7 @@ def bound_hh_cebysev(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     """
     target = _gap_target(inst)
     check, cls, _ = _check(
-        inst, anch, "h_prime_monotone_local", "h'' of one sign on [alpha, beta]",
+        inst, "h_prime_monotone_local", "h'' of one sign on [alpha, beta]",
         2, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
@@ -318,12 +312,12 @@ def bound_jensen_first(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     """
     target = _gap_target(inst)
     check, cls, _ = _check(
-        inst, anch, "h_prime_convexity", "h''' of one sign on [alpha, beta]",
+        inst, "h_prime_convexity", "h''' of one sign on [alpha, beta]",
         3, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
         return _zero_width_result("jensen-first", target)
-    prof = _profile(inst, anch)
+    prof = inst.profile
     d = inst.a - anch.h_inv_b
     curvature = _CURVATURE[cls]
     q_mid = d * d / 2.0 * prof.deriv((inst.a + 2.0 * anch.h_inv_b) / 3.0, 1)
@@ -401,17 +395,25 @@ def _holder_core(
         return _zero_width_result(method, target)
     abs_d = anch.width
     tol = inst.options.quad_rel_tol
-    prof = _profile(inst, anch)
-    phi = lambda x: prof.deriv(x, n + 1)
+    phi = lambda x: inst.deriv(x, n + 1)  # quadrature nodes stay out of the profile
+
+    def integral() -> float:
+        """||phi||_1 = h^(n)(beta) - h^(n)(alpha) when both reads succeed and
+        their difference stands well clear of their rounding; else quadrature."""
+        try:
+            lo, hi = inst.profile.deriv(anch.alpha, n), inst.profile.deriv(anch.beta, n)
+        except DomainError:  # e.g. x^2.5 at alpha = 0 for n >= 1
+            lo = hi = math.nan
+        value = hi - lo
+        if math.isfinite(value) and abs(value) > 8.0 * _EPS * max(abs(lo), abs(hi)):
+            return value
+        return norm_r(phi, NormSpec(1.0, anch.alpha, anch.beta), tol)
 
     def nrm(r: float) -> float:
         if math.isinf(r):  # ||phi||_{-inf} = inf phi, ||phi||_{+inf} = sup phi
-            return _extrema_of_deriv(inst, anch, n + 1)[r > 0]
-        if r == 1.0:  # ||phi||_1 is the signed integral: exact, no quadrature
-            value = prof.memo(
-                ("integral", n + 1, anch.alpha, anch.beta),
-                lambda: prof.deriv(anch.beta, n) - prof.deriv(anch.alpha, n),
-            )
+            return _extrema_of_deriv(inst, n + 1, anch.alpha, anch.beta)[r > 0]
+        if r == 1.0:
+            value = inst.profile.memo(("integral", n + 1, anch.alpha, anch.beta), integral)
             if value <= 0.0:
                 raise DomainError(f"integral of f^{r!r} came out nonpositive")
             return value
@@ -474,7 +476,7 @@ def bound_taylor_holder(
     enters with a minus sign; the sorted-pair mechanism realizes that case.
     """
     check, _, _ = _check(
-        inst, anch, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
+        inst, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
         n + 1, anch.alpha, anch.beta, ("nonnegative", "flat"),
     )
     return _holder_core(
@@ -493,12 +495,12 @@ def bound_taylor_lagrange(inst: ProblemInstance, anch: Anchors, n: int) -> Bound
     exactly the hoorfar-qi estimate."""
     target = _gap_target(inst)
     check, _, _ = _check(
-        inst, anch, "deriv_monotone_global", f"h^({n + 2}) of one sign on (0, c)",
+        inst, "deriv_monotone_global", f"h^({n + 2}) of one sign on (0, c)",
         n + 2, 0.0, inst.c, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
         return _zero_width_result("taylor-lagrange", target)
-    prof = _profile(inst, anch)
+    prof = inst.profile
     d = inst.a - anch.h_inv_b
     t_sum = _taylor_sum(inst, anch, n)
     m, M = _sorted_pair(prof.deriv(inst.a, n + 1), prof.deriv(anch.h_inv_b, n + 1))
@@ -530,12 +532,12 @@ def bound_taylor_cebysev(inst: ProblemInstance, anch: Anchors, n: int) -> BoundR
     direction of h^(n+1), parity of n)."""
     target = _remainder_target(inst, anch, n)
     check, cls, values = _check(
-        inst, anch, "deriv_monotone_local", f"h^({n + 2}) of one sign on [alpha, beta]",
+        inst, "deriv_monotone_local", f"h^({n + 2}) of one sign on [alpha, beta]",
         n + 2, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
         return _zero_width_result("taylor-cebysev", target)
-    prof = _profile(inst, anch)
+    prof = inst.profile
     d = inst.a - anch.h_inv_b
     value = d ** (n + 1) / math.factorial(n + 2) * (
         prof.deriv(inst.a, n) - prof.deriv(anch.h_inv_b, n)
@@ -571,12 +573,12 @@ def bound_taylor_jensen(inst: ProblemInstance, anch: Anchors, n: int) -> BoundRe
     """
     target = _remainder_target(inst, anch, n)
     check, cls, _ = _check(
-        inst, anch, "deriv_convexity", f"h^({n + 3}) of one sign on [alpha, beta]",
+        inst, "deriv_convexity", f"h^({n + 3}) of one sign on [alpha, beta]",
         n + 3, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
     )
     if anch.width == 0.0:
         return _zero_width_result("taylor-jensen", target)
-    prof = _profile(inst, anch)
+    prof = inst.profile
     d = inst.a - anch.h_inv_b
     mean = (inst.a + (n + 2) * anch.h_inv_b) / (n + 3)
     q_mid = prof.deriv(mean, n + 1) / math.factorial(n + 2)
@@ -603,17 +605,17 @@ def bound_taylor_product_hh(inst: ProblemInstance, anch: Anchors, n: int) -> Bou
     scaled by the signed kernel d^{n+2}/(n+1)!, then sorted."""
     target = _remainder_target(inst, anch, n)
     check_pos, _, _ = _check(
-        inst, anch, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
+        inst, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
         n + 1, anch.alpha, anch.beta, ("nonnegative", "flat"),
     )
     check_cvx, _, _ = _check(
-        inst, anch, "deriv_convexity", f"h^({n + 3}) >= 0 on [alpha, beta]",
+        inst, "deriv_convexity", f"h^({n + 3}) >= 0 on [alpha, beta]",
         n + 3, anch.alpha, anch.beta, ("nonnegative", "flat"),
     )
     checks = (check_pos, check_cvx)
     if anch.width == 0.0:
         return _zero_width_result("taylor-product-hh", target)
-    prof = _profile(inst, anch)
+    prof = inst.profile
     d = inst.a - anch.h_inv_b
     phi_a = prof.deriv(inst.a, n + 1)
     phi_b = prof.deriv(anch.h_inv_b, n + 1)
@@ -641,7 +643,7 @@ def _derivative_range(
 ) -> tuple[float, float, HypothesisCheck]:
     """Default L, U to the sharp extrema of h^(order) over [alpha, beta];
     accept any user range that contains the observed one."""
-    obs_lo, obs_hi = _extrema_of_deriv(inst, anch, order)
+    obs_lo, obs_hi = _extrema_of_deriv(inst, order, anch.alpha, anch.beta)
     Lv = obs_lo if L is None else L
     Uv = obs_hi if U is None else U
     tol = 1e-9 * max(1.0, abs(obs_lo), abs(obs_hi))
@@ -712,7 +714,7 @@ def bound_polya_second(
     the two sides exchange roles."""
     a, b = inst.a, inst.b
     bp = anch.h_inv_b
-    prof = _profile(inst, anch)
+    prof = inst.profile
     hp_a = prof.deriv(a, 1)
     hp_b = prof.deriv(bp, 1)
     ha = anch.h_a
@@ -824,7 +826,7 @@ def bound_polya_higher(
         return _zero_width_result("polya-higher", target)
     L, U, check = _derivative_range(inst, anch, n + 1, L=None, U=None)
     m = n + 2
-    prof = _profile(inst, anch)
+    prof = inst.profile
     s_bp = SnPolynomial(m, prof.derivs(anch.h_inv_b, n))
     s_a = SnPolynomial(m, prof.derivs(inst.a, n))
     a, bp = inst.a, anch.h_inv_b
@@ -905,7 +907,7 @@ def bound_lp_remainder(
     sigma = -1.0 if anch.orientation < 0 else 1.0
     width = anch.width
 
-    prof = _profile(inst, anch)
+    prof = inst.profile
     derivs_alpha = prof.derivs(alpha, n)
     derivs_beta = prof.derivs(beta, n)
 
@@ -929,7 +931,9 @@ def bound_lp_remainder(
             notes=("b = h(a): anchors coincide, bound collapses to 0",),
         )
 
-    phi_abs = lambda x: abs(prof.deriv(x, n + 1))
+    # the +inf norm is a scan and shares the profile; quadrature nodes stay out
+    deriv = prof.deriv if math.isinf(p) else inst.deriv
+    phi_abs = lambda x: abs(deriv(x, n + 1))
     norm = norm_r(phi_abs, NormSpec(p, alpha, beta), inst.options.quad_rel_tol)
 
     if math.isinf(p):

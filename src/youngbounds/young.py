@@ -88,13 +88,22 @@ def _is_number(v: object) -> bool:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Validated (h, c, a, b) plus options. Immutable; all methods are pure."""
+    """Validated (h, c, a, b) plus options. Immutable; all methods are pure.
+
+    ``profile`` is the instance's :class:`DerivativeProfile`, which every
+    estimator run on it shares; like ``ExprAst._kernels`` it takes no part in
+    equality, hashing or repr.
+    """
 
     ast: ExprAst
     a: float
     b: float
     c: float
     options: Options = field(default_factory=Options)
+    profile: DerivativeProfile = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "profile", DerivativeProfile(self))
 
     def h(self, x: float) -> float:
         """h(x); at x = 0 the validated limit h(0+) = 0 stands in when the
@@ -126,7 +135,12 @@ class DerivativeProfile:
     kept, so every read returns or raises what ``inst.deriv`` and
     ``inst.jet_at`` would. ``memo`` keeps values derived from the derivatives
     (the catalog's sampled gates, extrema and exact r = 1 norms) under keys
-    its caller chooses.
+    its caller chooses; keys that name an interval make the profile valid for
+    any anchors.
+
+    Only point reads, gates and scans read the profile, so it keeps a few
+    thousand abscissae per distinct interval; quadrature integrands call
+    ``inst.deriv`` and leave nothing behind.
 
     Entries only ever equal what a recomputation would give, so threads share
     a profile without a lock: a race at worst computes an entry twice.
@@ -170,19 +184,13 @@ class DerivativeProfile:
 
 @dataclass(frozen=True)
 class Anchors:
-    """h^{-1}(b) and the interval [alpha, beta] = [min, max] of {a, h^{-1}(b)}.
-
-    ``profile`` is the instance's :class:`DerivativeProfile`, which every
-    estimator given these anchors shares; like ``ExprAst._kernels`` it takes
-    no part in equality, hashing or repr.
-    """
+    """h^{-1}(b) and the interval [alpha, beta] = [min, max] of {a, h^{-1}(b)}."""
 
     h_inv_b: float
     alpha: float
     beta: float
     h_a: float
     orientation: int  # sign of a - h^{-1}(b)
-    profile: DerivativeProfile | None = field(default=None, repr=False, compare=False)
 
     @property
     def width(self) -> float:
@@ -322,7 +330,6 @@ def anchors(inst: ProblemInstance) -> Anchors:
         beta=max(inst.a, h_inv_b),
         h_a=inst.h(inst.a),
         orientation=0 if d == 0 else (1 if d > 0 else -1),
-        profile=DerivativeProfile(inst),
     )
 
 

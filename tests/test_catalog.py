@@ -18,7 +18,7 @@ from youngbounds.errors import (
     ParseError,
 )
 from youngbounds.expr import evaluate, parse_expr
-from youngbounds.young import anchors, make_problem, oracle
+from youngbounds.young import Anchors, anchors, make_problem, oracle
 
 INF = math.inf
 
@@ -237,11 +237,11 @@ def test_quartic_jensen_first_reproduces_reference_print(quartic):
 ], ids=["polya-first", "polya-second", "holder-norm", "taylor-holder(1)"])
 def test_one_extremum_scan_per_derivative_range(quartic, monkeypatch, estimator):
     # L, U and the +-inf norms are the inf and sup of one derivative on
-    # [alpha, beta]: a single scan yields both. Fresh anchors, because the
-    # module-scoped ones already hold the scans of earlier cases.
-    inst, _ = quartic
+    # [alpha, beta]: a single scan yields both. A fresh instance, because the
+    # module-scoped one's profile already holds the scans of earlier cases.
+    inst, anch = quartic
     calls = _count_extremum_calls(monkeypatch)
-    estimator(inst, anchors(inst))
+    estimator(dataclasses.replace(inst), anch)
     assert len(calls) == 1, calls
 
 
@@ -259,29 +259,17 @@ def _count_extremum_calls(monkeypatch) -> list:
 
 
 def test_one_extremum_scan_per_derivative_range_across_methods(quartic, monkeypatch):
-    # every method on one anchors, plus the sweep's two REDUCTION re-runs,
+    # every method on one instance, plus the sweep's two REDUCTION re-runs,
     # shares the scans of h' and h'' (Polya L/U, Holder +-inf norms) and
     # scans |h''| once for lp-remainder
-    inst, _ = quartic
-    anch = anchors(inst)
+    inst, anch = quartic
+    inst = dataclasses.replace(inst)  # an empty profile
     calls = _count_extremum_calls(monkeypatch)
     for name in cat.METHODS:
         cat.run_method(inst, anch, name)
     cat.run_method(inst, anch, "taylor-lagrange", (0.0,))
     cat.run_method(inst, anch, "taylor-holder", (0.0,))
     assert len(calls) == 3, calls
-
-
-def test_profile_of_another_instance_is_not_used(cubic):
-    # anchors carry the derivatives of the instance they were made for; with
-    # another instance they behave as anchors built by hand
-    inst, anch, _ = cubic
-    twin = make_problem("2*x^3", inst.a, 2.0 * inst.b, inst.c)  # same h^{-1}(b)
-    for name in cat.METHODS:
-        cat.run_method(inst, anch, name)
-    hand_built = dataclasses.replace(anch, profile=None)
-    for name in cat.METHODS:
-        assert cat.run_method(twin, anch, name) == cat.run_method(twin, hand_built, name), name
 
 
 def test_taylor_holder_extras_need_no_quadrature():
@@ -299,6 +287,41 @@ def test_taylor_holder_extras_need_no_quadrature():
     assert res.lower is not None and res.upper is not None
     assert [k for k, _ in res.extras] == ["statement_lower", "statement_upper"]
     assert [n.split(":")[0] for n in res.notes[1:]] == ["proof_lower dropped", "proof_upper dropped"]
+
+
+def test_one_norm_integrates_where_an_endpoint_jet_fails():
+    # h'' = 3.75 x^0.5 has no jet at alpha = a = 0, so ||h''||_1 over [0, 1]
+    # comes from quadrature: the proof extras and a user (inf, 1) pair stand
+    inst = make_problem("x^2.5", 0.0, 1.0, 2.0)
+    anch = anchors(inst)
+    res = cat.run_method(inst, anch, "taylor-holder", (1.0,))
+    assert [k for k, _ in res.extras] == [
+        "statement_lower", "statement_upper", "proof_lower", "proof_upper"]
+    res = cat.run_method(inst, anch, "taylor-holder", (1.0, INF, 1.0))
+    assert res.lower == pytest.approx(-1.25, rel=1e-12)  # -(h'(1) - h'(0)) / 2!
+
+
+def test_quadrature_nodes_are_not_kept_in_the_profile(quartic):
+    # finite-exponent norms integrate reads of the instance itself: the
+    # profile keeps no quadrature node, only lp-remainder's two anchor jets
+    inst, anch = quartic
+    inst = dataclasses.replace(inst)
+    cat.bound_holder_norm(inst, anch, (0.5, -1.0), (2.0, 2.0))
+    assert len(inst.profile._jets) == 0
+    cat.run_method(inst, anch, "lp-remainder", (1.0, 2.0))
+    assert len(inst.profile._jets) == 2
+
+
+def test_one_norm_integrates_when_the_endpoint_difference_is_rounding():
+    # anchors one ulp apart: ln(1+beta) - ln(1+alpha) rounds to 0, so
+    # ||h'||_1 comes from quadrature, about h'(a) * width
+    a = 1000.0
+    inst = make_problem("ln(1+x)", a, math.log1p(a))
+    bp = math.nextafter(a, 0.0)
+    anch = Anchors(h_inv_b=bp, alpha=bp, beta=a, h_a=inst.h(a), orientation=1)
+    assert inst.h(a) - inst.h(bp) == 0.0
+    res = cat.bound_holder_norm(inst, anch, upper_pair=(INF, 1.0))
+    assert res.upper == pytest.approx(anch.width ** 2 / (1.0 + a), rel=1e-9)
 
 
 @pytest.mark.parametrize("name,args", [
@@ -582,19 +605,19 @@ def test_estimators_are_pure_under_concurrency(cubic):
 
 def test_threads_filling_one_profile_get_unshared_results(quartic):
     # threads that fill one fresh derivative profile at once, with frequent
-    # thread switches, return exactly what each method gives on its own anchors
+    # thread switches, return exactly what each method gives on a fresh instance
     import concurrent.futures
     import sys
 
-    inst, _ = quartic
+    inst, anch = quartic
     names = sorted(cat.METHODS)
-    expected = {nm: cat.run_method(inst, anchors(inst), nm) for nm in names}
-    shared = anchors(inst)
+    expected = {nm: cat.run_method(dataclasses.replace(inst), anch, nm) for nm in names}
+    shared = dataclasses.replace(inst)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(cat.run_method, inst, shared, nm)
+            futures = [pool.submit(cat.run_method, shared, anch, nm)
                        for nm in names * 3]
             results = [fut.result(timeout=60) for fut in futures]
     finally:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from youngbounds.errors import ValidationError
 from youngbounds.expr import evaluate, parse_expr
 from youngbounds.young import (
-    DerivativeProfile,
     Options,
     ProblemInstance,
     anchors,
@@ -143,10 +143,11 @@ def test_anchors_b_zero():
     assert anch.h_inv_b == 0.0 and anch.orientation == 1
 
 
-def test_anchors_profile_is_not_part_of_their_value():
-    inst = make_problem("x^2", 1.0, 0.5, 1.0)
-    first, second = anchors(inst), anchors(inst)
-    assert first.profile is not second.profile and first.profile.inst is inst
+def test_profile_is_not_part_of_the_instance_value():
+    first = make_problem("x^2", 1.0, 0.5, 1.0)
+    second = dataclasses.replace(first)
+    assert first.profile is not second.profile and first.profile.inst is first
+    assert second.profile.inst is second
     assert first == second and hash(first) == hash(second)
     assert "profile" not in repr(first)
 
@@ -178,7 +179,7 @@ _PROFILE_POINTS = (0.0, -0.0, 1e-300, 1e-3, 0.0015, 0.5, 1.0, 1.0000001, 2.0, -1
 def test_profile_reads_match_unshared_reads(text, reads):
     # any sequence of reads returns, or raises, what the instance itself gives
     inst = ProblemInstance(parse_expr(text), a=1.0, b=0.5, c=2.0)
-    prof = DerivativeProfile(inst)
+    prof = inst.profile
     for x, k, whole in reads:
         if whole:
             got = _outcome(prof.derivs, x, k)

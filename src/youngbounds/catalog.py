@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     YoungBoundsError,
 )
-from .numerics import NormSpec, extremum, norm_r
+from .numerics import NormSpec, extremum, norm_r, scan_grid
 from .young import SCAN_POINTS, Anchors, ProblemInstance
 
 __all__ = [
@@ -198,14 +198,9 @@ def _check(
     prof = inst.profile
 
     def sample() -> tuple[tuple[float, ...], int]:
-        values: list[float] = []
-        skipped = 0
-        for i in range(1, SCAN_POINTS + 1):
-            try:
-                values.append(prof.deriv(lo + (hi - lo) * i / (SCAN_POINTS + 1), order))
-            except DomainError:
-                skipped += 1
-        return tuple(values), skipped
+        xs = [lo + (hi - lo) * i / (SCAN_POINTS + 1) for i in range(1, SCAN_POINTS + 1)]
+        values = tuple(v for v in prof.column(xs, order) if v is not None)
+        return values, SCAN_POINTS - len(values)
 
     values, skipped = prof.memo(("samples", order, lo, hi), sample)
     cls = _sign_class(values)
@@ -237,10 +232,18 @@ def _extrema_of_deriv(
     prof = inst.profile
 
     def scan() -> tuple[float, float]:
+        _fill_scan(inst, order, lo, hi)
         (_, f_min), (_, f_max) = extremum(lambda x: prof.deriv(x, order), lo, hi)
         return f_min, f_max
 
     return prof.memo(("extrema", order, lo, hi), scan)
+
+
+def _fill_scan(inst: ProblemInstance, order: int, lo: float, hi: float) -> None:
+    """Compute h^(order) over the interior of ``extremum``'s scan of [lo, hi]
+    in one profile batch, so that the scan reads profile hits."""
+    if lo < hi:
+        inst.profile.column(scan_grid(lo, hi)[1:-1], order)
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +935,8 @@ def bound_lp_remainder(
         )
 
     # the +inf norm is a scan and shares the profile; quadrature nodes stay out
+    if math.isinf(p):
+        _fill_scan(inst, n + 1, alpha, beta)
     deriv = prof.deriv if math.isinf(p) else inst.deriv
     phi_abs = lambda x: abs(deriv(x, n + 1))
     norm = norm_r(phi_abs, NormSpec(p, alpha, beta), inst.options.quad_rel_tol)

@@ -34,7 +34,7 @@ from .errors import DomainError, ExprSyntaxError, OrderCapError, UnsupportedFeat
 __all__ = [
     "Const", "Var", "Neg", "BinOp", "Pow", "Call", "Node",
     "ExprAst", "TaylorJet",
-    "parse_expr", "evaluate", "serialize", "jet",
+    "parse_expr", "evaluate", "serialize", "jet", "jet_rows",
     "DEFAULT_ORDER_CAP", "MAX_NESTING", "MAX_DEPTH",
 ]
 
@@ -796,6 +796,28 @@ def evaluate(ast: ExprAst | Node, x: float) -> float:
     return value
 
 
+def _jet_kernel(ast: ExprAst | Node, order: int, cap: int):
+    """The jet kernel of ``order``, after the order checks both entry points share."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    if order > cap:
+        raise OrderCapError(f"order {order} exceeds cap {cap}")
+    return _kernel(ast, order)
+
+
+def _derivs(kernel, x0: float) -> tuple[float, ...]:
+    """The kernel's derivatives at ``x0``, or DomainError where the jet is undefined."""
+    try:
+        derivs = kernel(x0)
+    except (OverflowError, ValueError) as exc:
+        # math.pow overflowing, or fsum overflowing or meeting inf - inf
+        raise DomainError(f"{exc} at x={x0!r}") from None
+    if not all(map(math.isfinite, derivs)):
+        k = next(k for k, v in enumerate(derivs) if not math.isfinite(v))
+        raise DomainError(f"non-finite derivative of order {k} at x={x0!r}")
+    return derivs
+
+
 def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP) -> TaylorJet:
     """Derivatives h^(0)..h^(order) at ``x0`` via truncated-Taylor propagation.
 
@@ -805,18 +827,29 @@ def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP
 
     As in :func:`evaluate`, a bare :data:`Node` is compiled again on every
     call (some 0.2-0.5 ms at order 2); an :class:`ExprAst` reuses its kernel.
+    A scan over many abscissae should call :func:`jet_rows`, which skips the
+    per-call checks and the :class:`TaylorJet` wrapper.
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    if order > cap:
-        raise OrderCapError(f"order {order} exceeds cap {cap}")
-    kernel = _kernel(ast, order)
-    try:
-        derivs = kernel(x0)
-    except (OverflowError, ValueError) as exc:
-        # math.pow overflowing, or fsum overflowing or meeting inf - inf
-        raise DomainError(f"{exc} at x={x0!r}") from None
-    if not all(map(math.isfinite, derivs)):
-        k = next(k for k, v in enumerate(derivs) if not math.isfinite(v))
-        raise DomainError(f"non-finite derivative of order {k} at x={x0!r}")
+    derivs = _derivs(_jet_kernel(ast, order, cap), x0)
     return TaylorJet(center=x0, order=order, derivs=derivs)
+
+
+def jet_rows(
+    ast: ExprAst | Node, xs, order: int, cap: int = DEFAULT_ORDER_CAP
+) -> list[tuple[float, ...] | None]:
+    """``jet(ast, x, order).derivs`` for each x of ``xs``, None where that
+    raises :class:`DomainError`.
+
+    One kernel lookup and one loop for the whole batch; each row is the same
+    bits :func:`jet` returns. Order and cap errors are raised up front, as
+    :func:`jet` raises them. A caller that needs the message of a failed
+    point gets it from one :func:`jet` call there.
+    """
+    kernel = _jet_kernel(ast, order, cap)
+    rows: list[tuple[float, ...] | None] = []
+    for x in xs:
+        try:
+            rows.append(_derivs(kernel, x))
+        except DomainError:
+            rows.append(None)
+    return rows

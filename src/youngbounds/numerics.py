@@ -23,7 +23,7 @@ from .errors import (
 
 __all__ = [
     "QuadratureResult", "NormSpec",
-    "integrate", "invert", "extremum", "norm_r",
+    "integrate", "invert", "scan_grid", "extremum", "norm_r",
 ]
 
 Func = Callable[[float], float]
@@ -289,14 +289,27 @@ def _golden_min(g: Func, a: float, b: float, max_iter: int = 120) -> tuple[float
     return (c, yc) if yc < yd else (d, yd)
 
 
+# Abscissae of extremum's dense scan.
+EXTREMUM_SCAN_POINTS = 1025
+
+
+def scan_grid(lo: float, hi: float, scan_points: int = EXTREMUM_SCAN_POINTS) -> list[float]:
+    """The abscissae :func:`extremum` scans on [lo, hi] (lo < hi), endpoints
+    first and last; a caller can compute f over the interior in one batch."""
+    n = max(scan_points, 3)
+    width = hi - lo
+    return [lo + width * i / (n - 1) for i in range(n)]
+
+
 def extremum(
     f: Func,
     lo: float,
     hi: float,
-    scan_points: int = 1025,
+    scan_points: int = EXTREMUM_SCAN_POINTS,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Global minimum and maximum of f over [lo, hi] as ((x_min, f_min),
-    (x_max, f_max)): one dense scan, then a golden-section refinement per side.
+    (x_max, f_max)): one dense scan over :func:`scan_grid`, then a
+    golden-section refinement per side.
 
     Endpoint candidates enter via one-sided limits: when f raises
     :class:`DomainError` at an endpoint it is re-sampled at a distance of
@@ -311,10 +324,10 @@ def extremum(
 
     width = hi - lo
     pts: list[tuple[float, float]] = []
-    n = max(scan_points, 3)
-    for i in range(n):
-        x = lo + width * i / (n - 1)
-        if i == 0 or i == n - 1:
+    xs = scan_grid(lo, hi, scan_points)
+    last = len(xs) - 1
+    for i, x in enumerate(xs):
+        if i == 0 or i == last:
             try:
                 x, fx = _guarded(f, x, hi if i == 0 else lo, width)
             except DomainError:

@@ -99,20 +99,39 @@ class ProblemFile:
     methods: tuple[MethodSpec, ...]
 
 
+def _number_option(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"option {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer_option(key: str, value) -> int:
+    # an integral float such as 11.0 is accepted; 11.7 is not truncated
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ParseError(f"option {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 _OPTION_KEYS = {
-    "quad_rel_tol": float,
-    "taylor_order": int,
-    "t_grid": int,
+    "quad_rel_tol": _number_option,
+    "taylor_order": _integer_option,
+    "t_grid": _integer_option,
 }
 
 
 def _options_from_dict(data: dict) -> Options:
+    if not isinstance(data, dict):
+        raise ParseError(f"options must be an object, got {data!r}")
     kwargs: dict = {}
     for key, cast in _OPTION_KEYS.items():
         if key in data:
-            kwargs[key] = cast(data[key])
+            kwargs[key] = cast(key, data[key])
     if "assume" in data:
-        kwargs["assume"] = frozenset(str(x) for x in data["assume"])
+        names = data["assume"]
+        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+            raise ParseError(f"assume must be a list of check names, got {names!r}")
+        kwargs["assume"] = frozenset(names)
     for key in ("upper_exponent_pairs", "lower_exponent_pairs"):
         if key in data:
             pairs = data[key]

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, ValidationError
-from .expr import DEFAULT_ORDER_CAP, ExprAst, evaluate, jet, parse_expr
+from .expr import DEFAULT_ORDER_CAP, ExprAst, evaluate, jet, jet_rows, parse_expr
 from .numerics import integrate, invert
 
 __all__ = [
@@ -133,7 +133,9 @@ class DerivativeProfile:
     derivative tuple computed there and serves every lower order from it. A
     miss computes exactly the order asked for, and a jet that fails is never
     kept, so every read returns or raises what ``inst.deriv`` and
-    ``inst.jet_at`` would. ``memo`` keeps values derived from the derivatives
+    ``inst.jet_at`` would. ``column`` reads many abscissae at once and
+    computes all its misses in one :func:`jet_rows` batch; ``deriv`` and
+    ``derivs`` read one. ``memo`` keeps values derived from the derivatives
     (the catalog's sampled gates, extrema and exact r = 1 norms) under keys
     its caller chooses; keys that name an interval make the profile valid for
     any anchors.
@@ -163,6 +165,33 @@ class DerivativeProfile:
                 self._jets[key] = cached
         return cached
 
+    def column(self, xs, k: int) -> list[float | None]:
+        """h^(k) at each x of the sequence ``xs``: what ``deriv`` returns, or
+        None where it raises DomainError. The misses at k > 0 are computed in
+        one batch, and only the rows that succeed are kept."""
+        if k == 0:
+            return [_value_or_none(self.inst.h, x) for x in xs]
+        jets = self._jets
+        values: list[float | None] = []
+        misses: list[int] = []
+        for x in xs:
+            row = jets.get(x if x else repr(x))  # 0.0 and -0.0 are equal dict keys
+            if row is not None and 0 < k < len(row):
+                values.append(row[k])
+            else:
+                misses.append(len(values))
+                values.append(None)
+        if misses:
+            rows = jet_rows(self.inst.ast, [xs[i] for i in misses], k)
+            for i, row in zip(misses, rows):
+                if row is not None:
+                    x = xs[i]
+                    key = x if x else repr(x)
+                    if len(row) > len(jets.get(key, ())):
+                        jets[key] = row
+                    values[i] = row[k]
+        return values
+
     def derivs(self, x: float, order: int) -> tuple[float, ...]:
         """h^(0)..h^(order) at x: ``inst.jet_at(x, order).derivs``."""
         return self._row(x, order)[:order + 1]
@@ -180,6 +209,13 @@ class DerivativeProfile:
         if value is None:
             value = self._memo[key] = compute()
         return value
+
+
+def _value_or_none(f, x: float) -> float | None:
+    try:
+        return f(x)
+    except DomainError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -285,10 +321,11 @@ def _validate(inst: ProblemInstance) -> None:
     n = SCAN_POINTS
     seen_positive = False
     floor = -1e-12
-    for i in range(1, n + 1):
-        x = c * i / (n + 1)
+    xs = [c * i / (n + 1) for i in range(1, n + 1)]
+    for x, row in zip(xs, jet_rows(inst.ast, xs, 1)):
         try:
-            d1 = inst.deriv(x, 1)
+            # a failed row's message comes from one jet at its abscissa
+            d1 = row[1] if row is not None else inst.deriv(x, 1)
         except DomainError as exc:
             raise ValidationError("function", f"h' not evaluable at x={x!r}: {exc}")
         if d1 < floor * max(1.0, abs(d1)):

@@ -5,13 +5,16 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 
 from youngbounds import catalog as cat
-from youngbounds import numerics
+from youngbounds import expr, numerics
 from youngbounds.errors import (
+    DomainError,
     ExponentDomainError,
     InvalidTError,
     OrientationError,
@@ -270,6 +273,75 @@ def test_one_extremum_scan_per_derivative_range_across_methods(quartic, monkeypa
     cat.run_method(inst, anch, "taylor-lagrange", (0.0,))
     cat.run_method(inst, anch, "taylor-holder", (0.0,))
     assert len(calls) == 3, calls
+
+
+def _patch_everywhere(monkeypatch, name: str, replacement) -> None:
+    """Bind ``replacement`` to ``name`` in every youngbounds module that
+    imported ``expr.<name>``."""
+    original = getattr(expr, name)
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "youngbounds"]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _per_point_jet_rows(ast, xs, order, cap=expr.DEFAULT_ORDER_CAP):
+    rows = []
+    for x in xs:
+        try:
+            rows.append(expr.jet(ast, x, order, cap).derivs)
+        except DomainError:
+            rows.append(None)
+    return rows
+
+
+def test_sweep_output_does_not_depend_on_batching(monkeypatch):
+    from youngbounds.report import sweep
+
+    batched = sweep(42, 5).render()
+    _patch_everywhere(monkeypatch, "jet_rows", _per_point_jet_rows)
+    assert sweep(42, 5).render() == batched
+
+
+# Kernel evaluations by jet order (None: evaluate) of make_problem, anchors,
+# all 13 methods and the sweep's two REDUCTION re-runs on the quartic. Batched
+# scans call the kernels differently, not more or less often.
+_QUARTIC_KERNEL_EVALUATIONS = {None: 16, 1: 1382, 2: 1634, 3: 514, 4: 257}
+# The point reads left to jet (anchor reads, Newton slopes, extremum endpoints
+# and golden-section refinement) number 201; one 257-point gate, 257-point
+# validation scan or 1023-point extremum scan read point by point exceeds this.
+_QUARTIC_JET_CALL_BOUND = 250
+
+
+def test_work_count_gate(monkeypatch):
+    kernel_evaluations: Counter = Counter()
+    compile_kernel = expr._compile
+
+    def counted_compile(root, order):
+        kernel = compile_kernel(root, order)
+
+        def counted(x):
+            kernel_evaluations[order] += 1
+            return kernel(x)
+
+        return counted
+
+    jet_calls = []
+    jet = expr.jet
+
+    def counted_jet(ast, x0, order, *args):
+        jet_calls.append(order)
+        return jet(ast, x0, order, *args)
+
+    monkeypatch.setattr(expr, "_compile", counted_compile)
+    _patch_everywhere(monkeypatch, "jet", counted_jet)
+    inst = make_problem("(x^4+1)^(1/4)-1", 3.0, 2.0, 3.0)
+    anch = anchors(inst)
+    for name in cat.METHODS:
+        cat.run_method(inst, anch, name)
+    cat.run_method(inst, anch, "taylor-lagrange", (0.0,))
+    cat.run_method(inst, anch, "taylor-holder", (0.0,))
+    assert dict(kernel_evaluations) == _QUARTIC_KERNEL_EVALUATIONS
+    assert len(jet_calls) <= _QUARTIC_JET_CALL_BOUND, Counter(jet_calls)
 
 
 def test_taylor_holder_extras_need_no_quadrature():

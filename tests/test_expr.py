@@ -31,6 +31,7 @@ from youngbounds.expr import (
     Var,
     evaluate,
     jet,
+    jet_rows,
     parse_expr,
     serialize,
 )
@@ -472,6 +473,40 @@ def test_jet_derivatives_do_not_depend_on_the_order_taken(tree, xs):
                 assert repr(jet(ast, x, k).derivs) == repr(full[:k + 1]), (serialize(tree), x, k, m)
 
 
+# abscissae where jets fail (zero bases, ln at 0, exp and pow overflowing) or
+# keep the sign of zero
+_BATCH_FLOATS = _EDGE_FLOATS + [-3.3, 100.0, 1e-200, -1e300, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_any_trees(),
+       xs=st.lists(st.sampled_from(_BATCH_FLOATS) | st.floats(min_value=-5.0, max_value=5.0),
+                   max_size=8),
+       order=st.integers(min_value=0, max_value=6))
+def test_jet_rows_match_jet(tree, xs, order):
+    # each row is jet's derivatives, bit for bit, and None exactly where jet
+    # raises DomainError
+    ast = ExprAst(tree, serialize(tree))
+    rows = jet_rows(ast, xs, order)
+    assert len(rows) == len(xs)
+    for x, row in zip(xs, rows):
+        want = _outcome(jet, ast, x, order)
+        if want[0] is DomainError:
+            assert row is None, (serialize(tree), x, order)
+        else:
+            assert want == ("value", repr(row)), (serialize(tree), x, order)
+
+
+@pytest.mark.parametrize("order,cap", [(-1, expr.DEFAULT_ORDER_CAP), (17, expr.DEFAULT_ORDER_CAP),
+                                       (3, 2)])
+@pytest.mark.parametrize("xs", [[], [0.5, 1.0]], ids=["empty", "two"])
+def test_jet_rows_order_errors_match_jet(order, cap, xs):
+    ast = parse_expr("exp(-1/x)")
+    want = _outcome(jet, ast, 0.5, order, cap)
+    assert want[0] in (ValueError, OrderCapError)
+    assert _outcome(jet_rows, ast, xs, order, cap) == want
+
+
 def test_huge_integer_power_compiles_in_bounded_time():
     # x^1e300 has a 997-bit exponent; its squaring chain is not unrolled
     ast = parse_expr("x^1e300")
@@ -484,6 +519,16 @@ def test_huge_integer_power_compiles_in_bounded_time():
     assert elapsed < 0.05
 
 
+def _reference_jet_rows(ast, xs, order, cap=expr.DEFAULT_ORDER_CAP):
+    rows = []
+    for x in xs:
+        try:
+            rows.append(_reference_jet(ast, x, order, cap).derivs)
+        except (DomainError, OverflowError, ValueError):
+            rows.append(None)
+    return rows
+
+
 def test_sweep_output_matches_reference_walkers(monkeypatch):
     """The whole pipeline, on this machine's libm: same rendered sweep."""
     from youngbounds.report import sweep
@@ -492,6 +537,8 @@ def test_sweep_output_matches_reference_walkers(monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "youngbounds"]:
         if getattr(module, "jet", None) is jet:
             monkeypatch.setattr(module, "jet", _reference_jet)
+        if getattr(module, "jet_rows", None) is jet_rows:
+            monkeypatch.setattr(module, "jet_rows", _reference_jet_rows)
         if getattr(module, "evaluate", None) is evaluate:
             monkeypatch.setattr(module, "evaluate", _reference_evaluate)
     assert sweep(42, 10).render() == compiled

@@ -92,6 +92,34 @@ def test_load_problem_options(tmp_path):
     assert "h_prime_monotone_global" in pf.instance.options.assume
 
 
+# option values a cast used to truncate, coerce or crash on
+_MISTYPED_OPTIONS = (
+    {"t_grid": 11.7},
+    {"taylor_order": True},
+    {"quad_rel_tol": "abc"},
+    {"t_grid": [1]},
+    {"assume": 5},
+    {"assume": "h_prime_monotone_global"},
+)
+_MISTYPED_IDS = ("fractional-t_grid", "bool-taylor_order", "string-tol", "list-t_grid",
+                 "number-assume", "string-assume")
+
+
+@pytest.mark.parametrize("options", _MISTYPED_OPTIONS, ids=_MISTYPED_IDS)
+def test_load_problem_rejects_mistyped_options(tmp_path, options):
+    p = _write(tmp_path / "p.json", {"function": "x^3", "a": 1, "b": 1, "options": options})
+    with pytest.raises(ParseError):
+        load_problem(p)
+
+
+def test_load_problem_accepts_integral_float_options(tmp_path):
+    p = _write(tmp_path / "p.json", {"function": "x^3", "a": 1, "b": 1,
+                                     "options": {"t_grid": 11.0, "taylor_order": 2.0}})
+    options = load_problem(p).instance.options
+    assert (options.t_grid, options.taylor_order) == (11, 2)
+    assert isinstance(options.t_grid, int) and isinstance(options.taylor_order, int)
+
+
 def test_load_problem_exponent_pair_options(tmp_path):
     p = _write(tmp_path / "p.json", {
         "function": "x^3", "a": 1.5, "b": 1, "c": 2,
@@ -362,6 +390,15 @@ def test_cli_run_rejects_bad_method_arguments(tmp_path, text):
 ], ids=["quad_rel_tol", "jet-overflow", "no-pairs", "short-pair", "pairs-not-a-list"])
 def test_cli_run_reports_invalid_input_without_traceback(tmp_path, payload):
     p = _write(tmp_path / "p.json", payload)
+    proc = _cli("run", str(p))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("options", _MISTYPED_OPTIONS + ([1],),
+                         ids=_MISTYPED_IDS + ("options-not-an-object",))
+def test_cli_run_rejects_mistyped_options(tmp_path, options):
+    p = _write(tmp_path / "p.json", {"function": "x^3", "a": 1, "b": 1, "options": options})
     proc = _cli("run", str(p))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

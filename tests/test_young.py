@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from youngbounds.errors import ValidationError
+from youngbounds.errors import DomainError, ValidationError
 from youngbounds.expr import evaluate, parse_expr
 from youngbounds.young import (
     Options,
@@ -91,6 +91,37 @@ def test_decreasing_function_rejected():
     with pytest.raises(ValidationError) as err:
         make_problem("x-x^2", 0.5, 0.2, 0.6)  # h' < 0 past x = 1/2
     assert err.value.field == "function"
+
+
+# On c = 2 the h' scan samples x = 2i/258, so 1.0, 0.3333333333333333 and
+# 1.937984496124031 are scan points; ((x - x0)^2)^(2/3) has no jet where x = x0.
+_KINK = "(((x-{0})^2)^(2/3) - {0}^(4/3))"
+
+
+@pytest.mark.parametrize("function,message", [
+    ("x + 0.1*" + _KINK.format(1),
+     "h' not evaluable at x=1.0: derivatives of 0.0^0.6666666666666666 are singular "
+     "at a zero base"),
+    ("x + 0.1*" + _KINK.format(1) + " + 0.1*" + _KINK.format(0.3333333333333333),
+     "h' not evaluable at x=0.3333333333333333: derivatives of 0.0^0.6666666666666666 "
+     "are singular at a zero base"),
+    ("x - 0.3*x^2 + 0.01*" + _KINK.format(1.937984496124031),
+     "h'(1.6589147286821706) = -0.004062010137012963 < 0: h is not increasing on [0, c]"),
+], ids=["undefined", "first-undefined", "slope-before-undefined"])
+def test_validation_names_the_first_failing_scan_point(function, message):
+    with pytest.raises(ValidationError) as err:
+        make_problem(function, 1.5, 0.5, 2.0)
+    assert err.value.field == "function"
+    assert str(err.value) == f"function: {message}"
+
+
+def test_decreasing_function_message():
+    with pytest.raises(ValidationError) as err:
+        make_problem("x-x^2", 0.5, 0.2, 0.6)
+    assert str(err.value) == (
+        "function: h'(0.5023255813953488) = -0.0046511627906975495 < 0: "
+        "h is not increasing on [0, c]"
+    )
 
 
 def test_limit_assumption_admits_exp_recip():
@@ -187,6 +218,49 @@ def test_profile_reads_match_unshared_reads(text, reads):
         else:
             got, want = _outcome(prof.deriv, x, k), _outcome(inst.deriv, x, k)
         assert got == want, (text, x, k, whole)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.sampled_from(_PROFILE_FUNCTIONS),
+       reads=st.lists(st.tuples(st.lists(st.sampled_from(_PROFILE_POINTS)
+                                         | st.floats(min_value=-0.5, max_value=3.0),
+                                         max_size=6),
+                                st.integers(min_value=0, max_value=6)),
+                      min_size=1, max_size=12))
+@example(text="x", reads=[([0.0, -0.0], 2), ([-0.0, 0.0], 1)])
+def test_profile_column_reads_match_unshared_reads(text, reads):
+    # a column is deriv at each abscissa, None where it raises DomainError,
+    # and later point reads still match the instance
+    inst = ProblemInstance(parse_expr(text), a=1.0, b=0.5, c=2.0)
+    prof = inst.profile
+    for xs, k in reads:
+        want = [_outcome(inst.deriv, x, k) for x in xs]
+        got = prof.column(xs, k)
+        assert [("value", repr(v)) if v is not None else DomainError for v in got] == [
+            w if w[0] == "value" else w[0] for w in want], (text, xs, k)
+        for x in xs:
+            assert _outcome(prof.derivs, x, k) == _outcome(
+                lambda x, k: inst.jet_at(x, k).derivs, x, k), (text, x, k)
+
+
+def test_failed_column_miss_leaves_no_entry():
+    inst = ProblemInstance(parse_expr("x^2.5"), a=1.0, b=0.5, c=2.0)
+    prof = inst.profile
+    assert prof.column([0.0, 0.5, -0.0], 2) == [None, inst.deriv(0.5, 2), None]
+    assert list(prof._jets) == [0.5]
+    with pytest.raises(DomainError) as got:
+        prof.deriv(0.0, 2)
+    with pytest.raises(DomainError) as want:
+        inst.deriv(0.0, 2)
+    assert str(got.value) == str(want.value)
+    assert list(prof._jets) == [0.5]
+
+
+def test_column_orders_fail_as_deriv_does():
+    prof = ProblemInstance(parse_expr("x^3"), a=1.0, b=0.5, c=2.0).profile
+    prof.column([0.5], 3)
+    assert _outcome(prof.column, [0.5], -1) == _outcome(prof.deriv, 0.5, -1)
+    assert _outcome(prof.column, [0.5], 17) == _outcome(prof.deriv, 0.5, 17)
 
 
 # ---------------------------------------------------------------------------

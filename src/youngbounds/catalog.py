@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     YoungBoundsError,
 )
-from .numerics import NormSpec, extremum, norm_r, scan_grid
+from .numerics import NormSpec, extremum, interior_grid, norm_r
 from .young import SCAN_POINTS, Anchors, ProblemInstance
 
 __all__ = [
@@ -198,7 +198,7 @@ def _check(
     prof = inst.profile
 
     def sample() -> tuple[tuple[float, ...], int]:
-        xs = [lo + (hi - lo) * i / (SCAN_POINTS + 1) for i in range(1, SCAN_POINTS + 1)]
+        xs = interior_grid(lo, hi, SCAN_POINTS)
         values = tuple(v for v in prof.column(xs, order) if v is not None)
         return values, SCAN_POINTS - len(values)
 
@@ -228,22 +228,18 @@ def _zero_width_result(method: str, target: TargetQuantity) -> BoundResult:
 def _extrema_of_deriv(
     inst: ProblemInstance, order: int, lo: float, hi: float
 ) -> tuple[float, float]:
-    """(inf, sup) of h^(order) over [lo, hi] from one scan per instance."""
+    """(inf, sup) of h^(order) over [lo, hi] from one scan per instance, whose
+    interior is one profile batch."""
     prof = inst.profile
 
     def scan() -> tuple[float, float]:
-        _fill_scan(inst, order, lo, hi)
-        (_, f_min), (_, f_max) = extremum(lambda x: prof.deriv(x, order), lo, hi)
+        (_, f_min), (_, f_max) = extremum(
+            lambda x: prof.deriv(x, order), lo, hi,
+            column=lambda xs: prof.column(xs, order),
+        )
         return f_min, f_max
 
     return prof.memo(("extrema", order, lo, hi), scan)
-
-
-def _fill_scan(inst: ProblemInstance, order: int, lo: float, hi: float) -> None:
-    """Compute h^(order) over the interior of ``extremum``'s scan of [lo, hi]
-    in one profile batch, so that the scan reads profile hits."""
-    if lo < hi:
-        inst.profile.column(scan_grid(lo, hi)[1:-1], order)
 
 
 # ---------------------------------------------------------------------------
@@ -860,9 +856,7 @@ def bound_polya_higher(
         extras = (("L", L), ("U", U), ("t_lower", t), ("t_upper", t))
     else:
         grid_n = inst.options.t_grid
-        grid = [
-            anch.alpha + anch.width * j / (grid_n + 1) for j in range(1, grid_n + 1)
-        ]
+        grid = interior_grid(anch.alpha, anch.beta, grid_n)
         t_lo, lower = max(((tv, lo_of(tv)) for tv in grid), key=lambda p: p[1])
         t_hi, upper = min(((tv, up_of(tv)) for tv in grid), key=lambda p: p[1])
         notes = (f"grid-optimized over {grid_n} interior points",)
@@ -934,12 +928,11 @@ def bound_lp_remainder(
             notes=("b = h(a): anchors coincide, bound collapses to 0",),
         )
 
-    # the +inf norm is a scan and shares the profile; quadrature nodes stay out
-    if math.isinf(p):
-        _fill_scan(inst, n + 1, alpha, beta)
-    deriv = prof.deriv if math.isinf(p) else inst.deriv
-    phi_abs = lambda x: abs(deriv(x, n + 1))
-    norm = norm_r(phi_abs, NormSpec(p, alpha, beta), inst.options.quad_rel_tol)
+    if math.isinf(p):  # sup |h^(n+1)|, from the scan polya and holder estimators share
+        norm = max(map(abs, _extrema_of_deriv(inst, n + 1, alpha, beta)))
+    else:  # quadrature nodes stay out of the profile
+        phi_abs = lambda x: abs(inst.deriv(x, n + 1))
+        norm = norm_r(phi_abs, NormSpec(p, alpha, beta), inst.options.quad_rel_tol)
 
     if math.isinf(p):
         expo = n + 2.0
@@ -963,11 +956,7 @@ def bound_lp_remainder(
             raise InvalidTError(f"t={t!r} not strictly between {alpha!r} and {beta!r}")
         t_used = t
     elif grid:
-        grid_n = inst.options.t_grid
-        t_used = min(
-            (alpha + width * j / (grid_n + 1) for j in range(1, grid_n + 1)),
-            key=tight,
-        )
+        t_used = min(interior_grid(alpha, beta, inst.options.t_grid), key=tight)
     else:
         t_used = 0.5 * (alpha + beta)
     upper = tight(t_used)

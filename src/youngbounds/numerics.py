@@ -23,7 +23,7 @@ from .errors import (
 
 __all__ = [
     "QuadratureResult", "NormSpec",
-    "integrate", "invert", "scan_grid", "extremum", "norm_r",
+    "integrate", "invert", "interior_grid", "extremum", "norm_r",
 ]
 
 Func = Callable[[float], float]
@@ -289,32 +289,41 @@ def _golden_min(g: Func, a: float, b: float, max_iter: int = 120) -> tuple[float
     return (c, yc) if yc < yd else (d, yd)
 
 
-# Abscissae of extremum's dense scan.
-EXTREMUM_SCAN_POINTS = 1025
+def _value_or_none(f: Func, x: float) -> float | None:
+    try:
+        return f(x)
+    except DomainError:
+        return None
 
 
-def scan_grid(lo: float, hi: float, scan_points: int = EXTREMUM_SCAN_POINTS) -> list[float]:
-    """The abscissae :func:`extremum` scans on [lo, hi] (lo < hi), endpoints
-    first and last; a caller can compute f over the interior in one batch."""
-    n = max(scan_points, 3)
+def interior_grid(lo: float, hi: float, n: int) -> list[float]:
+    """The n abscissae lo + (hi - lo)*i/(n + 1), i = 1..n, of [lo, hi]: every
+    sign scan, extremum scan and t grid samples these."""
     width = hi - lo
-    return [lo + width * i / (n - 1) for i in range(n)]
+    return [lo + width * i / (n + 1) for i in range(1, n + 1)]
+
+
+# Abscissae of extremum's dense scan, both endpoints included.
+EXTREMUM_SCAN_POINTS = 1025
 
 
 def extremum(
     f: Func,
     lo: float,
     hi: float,
-    scan_points: int = EXTREMUM_SCAN_POINTS,
+    column: Callable[[list[float]], list[float | None]] | None = None,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Global minimum and maximum of f over [lo, hi] as ((x_min, f_min),
-    (x_max, f_max)): one dense scan over :func:`scan_grid`, then a
-    golden-section refinement per side.
+    (x_max, f_max)): one dense scan, then a golden-section refinement per side.
 
-    Endpoint candidates enter via one-sided limits: when f raises
-    :class:`DomainError` at an endpoint it is re-sampled at a distance of
-    1e-9 times the interval width. Raises :class:`DomainError` when fewer
-    than two scan points are evaluable.
+    The scan reads the endpoints and ``EXTREMUM_SCAN_POINTS - 2`` interior
+    points of :func:`interior_grid`; ``column(xs)`` supplies the interior
+    values in one call, a value per point or None where f raises
+    :class:`DomainError` (by default f is called at each point). Endpoint
+    candidates enter via one-sided limits: when f raises :class:`DomainError`
+    at an endpoint it is re-sampled at a distance of 1e-9 times the interval
+    width. Raises :class:`DomainError` when fewer than two scan points are
+    evaluable.
     """
     if hi < lo:
         lo, hi = hi, lo
@@ -323,21 +332,21 @@ def extremum(
         return (lo, v), (lo, v)
 
     width = hi - lo
+    xs = interior_grid(lo, hi, EXTREMUM_SCAN_POINTS - 2)
     pts: list[tuple[float, float]] = []
-    xs = scan_grid(lo, hi, scan_points)
-    last = len(xs) - 1
-    for i, x in enumerate(xs):
-        if i == 0 or i == last:
-            try:
-                x, fx = _guarded(f, x, hi if i == 0 else lo, width)
-            except DomainError:
-                continue
-        else:
-            try:
-                fx = f(x)
-            except DomainError:
-                continue
-        pts.append((x, fx))
+    # the endpoints are the grid formula at i = 0 and i = n + 1 (exact, as
+    # n + 1 = 1024): lo + 0.0 is +0.0 at lo = -0.0, and lo + width may differ
+    # from hi in the last bit
+    try:
+        pts.append(_guarded(f, lo + 0.0, hi, width))
+    except DomainError:
+        pass
+    values = column(xs) if column is not None else [_value_or_none(f, x) for x in xs]
+    pts.extend((x, v) for x, v in zip(xs, values) if v is not None)
+    try:
+        pts.append(_guarded(f, lo + width, lo, width))
+    except DomainError:
+        pass
     if len(pts) < 2:
         raise DomainError("fewer than 2 scan points evaluable")
 

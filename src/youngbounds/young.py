@@ -13,9 +13,7 @@ The oracle evaluates GAP through the orientation-free area identity
 (one signed integral, same code path whichever of a and h^{-1}(b) is larger)
 and cross-checks it against the split two-integral form, where the inverse
 integral is rewritten by parts as b*h^{-1}(b) - integral(h, 0, h^{-1}(b)) so
-that no root-solve ever runs inside a quadrature loop. A slow direct-inversion
-cross-check (integrand = pointwise invert at reduced tolerance 1e-8) can be
-switched on for diagnostics.
+that no root-solve ever runs inside a quadrature loop.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, ValidationError
 from .expr import DEFAULT_ORDER_CAP, ExprAst, evaluate, jet, jet_rows, parse_expr
-from .numerics import integrate, invert
+from .numerics import _value_or_none, integrate, interior_grid, invert
 
 __all__ = [
     "Options", "ProblemInstance", "DerivativeProfile", "Anchors", "OracleResult",
@@ -53,7 +51,6 @@ class Options:
     upper_exponent_pairs: tuple[tuple[float, float], ...] = _DEFAULT_UPPER_PAIRS
     lower_exponent_pairs: tuple[tuple[float, float], ...] = _DEFAULT_LOWER_PAIRS
     assume: frozenset[str] = frozenset()
-    cross_check_inversion: bool = False
 
     def __post_init__(self) -> None:
         if not 1e-14 <= self.quad_rel_tol < 1.0:
@@ -211,13 +208,6 @@ class DerivativeProfile:
         return value
 
 
-def _value_or_none(f, x: float) -> float | None:
-    try:
-        return f(x)
-    except DomainError:
-        return None
-
-
 @dataclass(frozen=True)
 class Anchors:
     """h^{-1}(b) and the interval [alpha, beta] = [min, max] of {a, h^{-1}(b)}."""
@@ -321,7 +311,7 @@ def _validate(inst: ProblemInstance) -> None:
     n = SCAN_POINTS
     seen_positive = False
     floor = -1e-12
-    xs = [c * i / (n + 1) for i in range(1, n + 1)]
+    xs = interior_grid(0.0, c, n)
     for x, row in zip(xs, jet_rows(inst.ast, xs, 1)):
         try:
             # a failed row's message comes from one jet at its abscissa
@@ -393,19 +383,6 @@ def oracle(inst: ProblemInstance, anch: Anchors | None = None) -> OracleResult:
             f"area path {gap!r} and split path {gap_split!r} disagree by {delta:.3e} "
             f"(allowance {max(20.0 * err, 1e-13 * scale):.3e})"
         )
-
-    if inst.options.cross_check_inversion and b > 0:
-        inv_tol = 1e-8
-        h_inv = lambda y: invert(inst.h, y, 0.0, inst.c, rel_tol=inv_tol)
-        q_inv = integrate(h_inv, 0.0, b, inv_tol)
-        direct = b * bp - q_0bp.value
-        allowance = 20.0 * (q_inv.abs_error_estimate + inv_tol * max(1.0, b * bp))
-        if abs(q_inv.value - direct) > allowance:
-            raise ConsistencyError(
-                f"pointwise-inversion integral {q_inv.value!r} disagrees with "
-                f"by-parts value {direct!r} beyond {allowance:.3e}"
-            )
-        evals += q_inv.evaluations
 
     if gap < -max(1e-10, 20.0 * err):
         raise ConsistencyError(f"Young gap came out negative: {gap!r}")

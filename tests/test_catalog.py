@@ -263,8 +263,8 @@ def _count_extremum_calls(monkeypatch) -> list:
 
 def test_one_extremum_scan_per_derivative_range_across_methods(quartic, monkeypatch):
     # every method on one instance, plus the sweep's two REDUCTION re-runs,
-    # shares the scans of h' and h'' (Polya L/U, Holder +-inf norms) and
-    # scans |h''| once for lp-remainder
+    # shares the scans of h' and h'' (Polya L/U, Holder +-inf norms, and
+    # lp-remainder's sup |h''|)
     inst, anch = quartic
     inst = dataclasses.replace(inst)  # an empty profile
     calls = _count_extremum_calls(monkeypatch)
@@ -272,7 +272,22 @@ def test_one_extremum_scan_per_derivative_range_across_methods(quartic, monkeypa
         cat.run_method(inst, anch, name)
     cat.run_method(inst, anch, "taylor-lagrange", (0.0,))
     cat.run_method(inst, anch, "taylor-holder", (0.0,))
-    assert len(calls) == 3, calls
+    assert len(calls) == 2, calls
+
+
+def test_lp_remainder_sup_norm_reuses_the_polya_scan(monkeypatch):
+    # sup |h''| is max(|inf h''|, |sup h''|) from polya-second's scan
+    kernel_evaluations = _count_kernel_evaluations(monkeypatch)
+    inst = make_problem("(x^4+1)^(1/4)-1", 3.0, 2.0, 3.0)  # kernels compiled from here on
+    anch = anchors(inst)
+    cat.run_method(inst, anch, "polya-second")
+    before = Counter(kernel_evaluations)
+    calls = _count_extremum_calls(monkeypatch)
+    res = cat.run_method(inst, anch, "lp-remainder", (1.0, INF))
+    assert calls == [] and kernel_evaluations == before, kernel_evaluations - before
+    # the same bits as a scan of |h''| itself
+    _, (_, sup_abs) = numerics.extremum(lambda x: abs(inst.deriv(x, 2)), anch.alpha, anch.beta)
+    assert res.extra("norm") == sup_abs
 
 
 def _patch_everywhere(monkeypatch, name: str, replacement) -> None:
@@ -294,12 +309,18 @@ def _per_point_jet_rows(ast, xs, order, cap=expr.DEFAULT_ORDER_CAP):
     return rows
 
 
-def test_sweep_output_does_not_depend_on_batching(monkeypatch):
-    from youngbounds.report import sweep
-
-    batched = sweep(42, 5).render()
+def test_sweep_output_does_not_depend_on_batching(monkeypatch, sweep_reprs):
+    batched = sweep_reprs(5)
     _patch_everywhere(monkeypatch, "jet_rows", _per_point_jet_rows)
-    assert sweep(42, 5).render() == batched
+    assert sweep_reprs(5) == batched
+
+
+def test_sweep_output_does_not_depend_on_the_scan_column(monkeypatch, sweep_reprs):
+    # every extremum scan read point by point through f, as without a column
+    columned = sweep_reprs(5)
+    extremum = cat.extremum
+    monkeypatch.setattr(cat, "extremum", lambda f, lo, hi, column=None: extremum(f, lo, hi))
+    assert sweep_reprs(5) == columned
 
 
 # Kernel evaluations by jet order (None: evaluate) of make_problem, anchors,
@@ -312,7 +333,9 @@ _QUARTIC_KERNEL_EVALUATIONS = {None: 16, 1: 1382, 2: 1634, 3: 514, 4: 257}
 _QUARTIC_JET_CALL_BOUND = 250
 
 
-def test_work_count_gate(monkeypatch):
+def _count_kernel_evaluations(monkeypatch) -> Counter:
+    """Kernel evaluations by jet order (None: evaluate) of kernels compiled
+    from here on."""
     kernel_evaluations: Counter = Counter()
     compile_kernel = expr._compile
 
@@ -325,6 +348,11 @@ def test_work_count_gate(monkeypatch):
 
         return counted
 
+    monkeypatch.setattr(expr, "_compile", counted_compile)
+    return kernel_evaluations
+
+
+def test_work_count_gate(monkeypatch):
     jet_calls = []
     jet = expr.jet
 
@@ -332,7 +360,7 @@ def test_work_count_gate(monkeypatch):
         jet_calls.append(order)
         return jet(ast, x0, order, *args)
 
-    monkeypatch.setattr(expr, "_compile", counted_compile)
+    kernel_evaluations = _count_kernel_evaluations(monkeypatch)
     _patch_everywhere(monkeypatch, "jet", counted_jet)
     inst = make_problem("(x^4+1)^(1/4)-1", 3.0, 2.0, 3.0)
     anch = anchors(inst)
@@ -342,6 +370,22 @@ def test_work_count_gate(monkeypatch):
     cat.run_method(inst, anch, "taylor-holder", (0.0,))
     assert dict(kernel_evaluations) == _QUARTIC_KERNEL_EVALUATIONS
     assert len(jet_calls) <= _QUARTIC_JET_CALL_BOUND, Counter(jet_calls)
+
+
+def test_a_failed_scan_point_is_evaluated_once(monkeypatch):
+    # h' has no jet at x0, the 300th interior point of polya-first's scan of
+    # [0.5, 1.5]: the batch's None stands and x0 is not read again. 1,144 =
+    # 1,023 interior points + 2 endpoints + 119 golden-section reads.
+    x0 = 0.79296875
+    kernel_evaluations = _count_kernel_evaluations(monkeypatch)
+    ast = parse_expr(f"x + 0.1*(((x-{x0})^2)^(2/3) - {x0}^(4/3))")
+    inst = make_problem(ast, 1.5, evaluate(ast, 0.5), 2.0)
+    anch = Anchors(h_inv_b=0.5, alpha=0.5, beta=1.5, h_a=inst.h(1.5), orientation=1)
+    with pytest.raises(DomainError):
+        inst.deriv(x0, 1)
+    before = Counter(kernel_evaluations)
+    cat.bound_polya_first(inst, anch)
+    assert (kernel_evaluations - before) == {1: 1144}
 
 
 def test_taylor_holder_extras_need_no_quadrature():

@@ -529,11 +529,9 @@ def _reference_jet_rows(ast, xs, order, cap=expr.DEFAULT_ORDER_CAP):
     return rows
 
 
-def test_sweep_output_matches_reference_walkers(monkeypatch):
-    """The whole pipeline, on this machine's libm: same rendered sweep."""
-    from youngbounds.report import sweep
-
-    compiled = sweep(42, 10).render()
+def test_sweep_output_matches_reference_walkers(monkeypatch, sweep_reprs):
+    """The whole pipeline, on this machine's libm: the same bounds."""
+    compiled = sweep_reprs(10)
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "youngbounds"]:
         if getattr(module, "jet", None) is jet:
             monkeypatch.setattr(module, "jet", _reference_jet)
@@ -541,7 +539,7 @@ def test_sweep_output_matches_reference_walkers(monkeypatch):
             monkeypatch.setattr(module, "jet_rows", _reference_jet_rows)
         if getattr(module, "evaluate", None) is evaluate:
             monkeypatch.setattr(module, "evaluate", _reference_evaluate)
-    assert sweep(42, 10).render() == compiled
+    assert sweep_reprs(10) == compiled
 
 
 def test_kernel_compiles_once_per_ast_and_order(monkeypatch):

@@ -14,7 +14,16 @@ from youngbounds.errors import (
     NotBracketedError,
 )
 from youngbounds.expr import evaluate, jet, parse_expr
-from youngbounds.numerics import NormSpec, _gk15, extremum, integrate, invert, norm_r
+from youngbounds.numerics import (
+    EXTREMUM_SCAN_POINTS,
+    NormSpec,
+    _gk15,
+    extremum,
+    integrate,
+    interior_grid,
+    invert,
+    norm_r,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +250,34 @@ def test_extremum_guarded_endpoints():
     (_, v_min), (_, v) = extremum(f, 0.0, 1.0)
     assert v == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert v_min == 0.0  # exp(-1/x) underflows near the guarded endpoint
+
+
+def test_extremum_column_matches_pointwise_reads():
+    # the interior values arrive in one column call, None where f raises;
+    # f itself is then read only at the endpoints and in the refinement
+    def f(t):
+        reads.append(t)
+        if t == 0.0 or 0.3 < t < 0.4:
+            raise DomainError("hole")
+        return math.sin(7.0 * t) * t
+
+    def column(xs):
+        columns.append(len(xs))
+        return [None if t == 0.0 or 0.3 < t < 0.4 else math.sin(7.0 * t) * t for t in xs]
+
+    reads: list[float] = []
+    columns: list[int] = []
+    pointwise = extremum(f, 0.0, 1.0)
+    pointwise_reads = len(reads)
+    reads.clear()
+    assert extremum(f, 0.0, 1.0, column=column) == pointwise
+    assert columns == [EXTREMUM_SCAN_POINTS - 2]
+    assert pointwise_reads - len(reads) == EXTREMUM_SCAN_POINTS - 2
+
+
+def test_interior_grid():
+    assert interior_grid(1.0, 2.0, 3) == [1.25, 1.5, 1.75]
+    assert interior_grid(0.0, 1.0, 0) == []
 
 
 def test_extremum_needs_two_points():

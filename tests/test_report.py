@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -431,3 +432,17 @@ def test_cli_sweep_json():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["violations"] == []
+
+
+def test_package_exports_every_name_readme_lists():
+    # the names README.md imports from the package or lists as exported
+    from conftest import REPO_ROOT
+    import youngbounds
+
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    listed = text.split("Lower-level pieces are exported too:")[1].split("\n\n")[0]
+    names = set(re.findall(r"`([A-Za-z_]\w*)`", listed)) - {"None"}
+    for line in re.findall(r"^from youngbounds import (.+)$", text, re.M):
+        names.update(name.strip() for name in line.split(","))
+    assert {"jet_rows", "extremum", "make_problem"} <= names
+    assert [name for name in sorted(names) if not hasattr(youngbounds, name)] == []

@@ -6,12 +6,14 @@ import dataclasses
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from youngbounds.errors import DomainError, ValidationError
 from youngbounds.expr import evaluate, parse_expr
+from youngbounds.numerics import integrate
 from youngbounds.young import (
     Options,
     ProblemInstance,
@@ -335,8 +337,19 @@ def test_oracle_equality_clause_lowest_family_exponent():
     assert abs(oracle_gap(make_problem(ast, a, b, 1.0))) <= 1e-9
 
 
-def test_oracle_inversion_cross_check_path():
-    opts = Options(cross_check_inversion=True)
-    inst = make_problem("exp(x^2)-1", 1.0, 1.0, 1.0, opts)
-    res = oracle(inst)  # would raise ConsistencyError on disagreement
-    assert res.sum + 1.0 == pytest.approx(2.0552421684047513, rel=1e-11)
+def test_oracle_by_parts_matches_pointwise_inversion():
+    # the inverse integral over [0, b] by pointwise inversion at 30 digits
+    # (mpmath) against the oracle's by-parts b*h^{-1}(b) - integral(h, 0, h^{-1}(b))
+    inst = make_problem("exp(x^2)-1", 1.0, 1.0, 1.0)
+    anch = anchors(inst)
+    with mpmath.workdps(30):
+        h = lambda x: mpmath.expm1(x * x)
+        # verify=False: findroot's residual test asks for less than h's rounding
+        h_inv = lambda y: mpmath.findroot(
+            lambda x: h(x) - y, (0, 1), solver="anderson", verify=False)
+        inverse_integral = mpmath.quad(h_inv, [0, inst.b])
+        total = float(mpmath.quad(h, [0, inst.a]) + inverse_integral)
+    q_0bp = integrate(inst.h, 0.0, anch.h_inv_b, inst.options.quad_rel_tol)
+    by_parts = inst.b * anch.h_inv_b - q_0bp.value
+    assert by_parts == pytest.approx(float(inverse_integral), rel=1e-13)
+    assert oracle(inst, anch).sum == pytest.approx(total, rel=1e-13)

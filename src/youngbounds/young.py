@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConsistencyError, DomainError, ValidationError
+from .errors import ConsistencyError, DomainError, ValidationError, YoungBoundsError
 from .expr import DEFAULT_ORDER_CAP, ExprAst, evaluate, jet, jet_rows, parse_expr
 from .numerics import _value_or_none, integrate, interior_grid, invert
 
@@ -133,16 +133,17 @@ class DerivativeProfile:
     ``inst.jet_at`` would. ``column`` reads many abscissae at once and
     computes all its misses in one :func:`jet_rows` batch; ``deriv`` and
     ``derivs`` read one. ``memo`` keeps values derived from the derivatives
-    (the catalog's sampled gates, extrema and exact r = 1 norms) under keys
-    its caller chooses; keys that name an interval make the profile valid for
-    any anchors.
+    (the catalog's sampled gates, extrema and exact r = 1 norms), or the
+    typed error of a computation that failed, under keys its caller chooses;
+    keys that name an interval make the profile valid for any anchors.
 
     Only point reads, gates and scans read the profile, so it keeps a few
     thousand abscissae per distinct interval; quadrature integrands call
     ``inst.deriv`` and leave nothing behind.
 
-    Entries only ever equal what a recomputation would give, so threads share
-    a profile without a lock: a race at worst computes an entry twice.
+    Entries only ever equal what a recomputation would give or raise, so
+    threads share a profile without a lock: a race at worst computes an entry
+    twice.
     """
 
     __slots__ = ("inst", "_jets", "_memo")
@@ -200,12 +201,29 @@ class DerivativeProfile:
         return self._row(x, k)[k]
 
     def memo(self, key: tuple, compute):
-        """``compute()`` (never None), once per key; a call that raises leaves
-        no entry."""
+        """``compute()`` (never None), once per key. A call that raises a
+        :class:`YoungBoundsError` is kept too, and every later read raises an
+        error of the same class and message without calling ``compute``
+        again; any other exception leaves no entry."""
         value = self._memo.get(key)
         if value is None:
-            value = self._memo[key] = compute()
+            try:
+                value = compute()
+            except YoungBoundsError as exc:
+                self._memo[key] = _copy_error(exc)
+                raise
+            self._memo[key] = value
+        elif isinstance(value, YoungBoundsError):
+            raise _copy_error(value)
         return value
+
+
+def _copy_error(exc: YoungBoundsError) -> YoungBoundsError:
+    """A new error with the class, arguments and attributes of ``exc``, but no
+    traceback: a memo keeps no frames alive, and each read raises its own."""
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(exc.__dict__)
+    return copy
 
 
 @dataclass(frozen=True)

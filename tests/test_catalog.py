@@ -405,6 +405,29 @@ def test_taylor_holder_extras_need_no_quadrature():
     assert [n.split(":")[0] for n in res.notes[1:]] == ["proof_lower dropped", "proof_upper dropped"]
 
 
+def test_a_failed_norm_quadrature_runs_once_per_instance(monkeypatch):
+    # on this sharper step h'(1) - h'(0.3) is lost to rounding, so the r = 1
+    # norm of both proof extras falls back to norm_r's quadrature of h'',
+    # which fails; the profile keeps that failure, so the quadrature runs
+    # once, not once per extra, and both extras are dropped with its message
+    calls = []
+    norm_r = cat.norm_r
+
+    def counted(*args):
+        calls.append(args[1])
+        return norm_r(*args)
+
+    monkeypatch.setattr(cat, "norm_r", counted)
+    text = "x + 1e-3*((x-0.5)/sqrt((x-0.5)^2+1e-8^2) + 0.5/sqrt(0.5^2+1e-8^2))"
+    inst = make_problem(text, 1.0, 0.3)
+    res = cat.run_method(inst, anchors(inst), "taylor-holder", (1.0,))
+    assert len(calls) == 1 and calls[0].r == 1.0
+    reason = ("NoConvergenceError: roundoff-limited panels alone carry error 2.667e-11"
+              " above the goal 9.184e-18; no further subdivision can converge")
+    assert res.notes[1:] == (f"proof_lower dropped: {reason}", f"proof_upper dropped: {reason}")
+    assert [k for k, _ in res.extras] == ["statement_lower", "statement_upper"]
+
+
 def test_one_norm_integrates_where_an_endpoint_jet_fails():
     # h'' = 3.75 x^0.5 has no jet at alpha = a = 0, so ||h''||_1 over [0, 1]
     # comes from quadrature: the proof extras and a user (inf, 1) pair stand

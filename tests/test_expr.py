@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import pickle
 import sys
+import threading
 import time
 
 import mpmath
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from youngbounds import expr
+from youngbounds import expr, sweep
 from youngbounds.errors import (
     DomainError,
     ExprSyntaxError,
@@ -561,3 +562,102 @@ def test_kernel_compiles_once_per_ast_and_order(monkeypatch):
     jet(twin, 0.7, 1)
     assert compiled[-1] == 1 and len(compiled) == 5
     assert twin == ast and hash(twin) == hash(ast) and "_kernels" not in repr(ast)
+    # its own kernel, running the code compiled for the first
+    assert twin._kernels[1] is not ast._kernels[1]
+    assert twin._kernels[1].__code__ is ast._kernels[1].__code__
+
+
+@pytest.fixture
+def code_table(monkeypatch):
+    """An empty code table in place of the process-wide one."""
+    table = expr._CodeTable()
+    monkeypatch.setattr(expr, "_code_table", table)
+    return table
+
+
+def _kernel_outcomes(text, orders=(None, 1, 2, 4), evaluate=evaluate, jet=jet):
+    """Outcomes of a freshly parsed ``text`` at a few points, each order."""
+    ast = parse_expr(text)
+    return [_outcome(evaluate, ast, x) if order is None else _outcome(jet, ast, x, order)
+            for order in orders for x in (0.0, 0.25, 0.5, 1.0, 1.75)]
+
+
+def test_same_shape_kernels_share_code_but_not_constants():
+    # the exponent reaches the kernel through its namespace, not its source
+    low, high = parse_expr("x^2.5"), parse_expr("x^3.5")
+    for order in (None, 1, 3):
+        k_low, k_high = expr._kernel(low, order), expr._kernel(high, order)
+        assert k_low.__code__ is k_high.__code__
+        assert k_low.__globals__ is not k_high.__globals__
+    for ast in (low, high):
+        assert _outcome(evaluate, ast, 0.7) == _outcome(_reference_evaluate, ast, 0.7)
+        for order in (1, 3):
+            assert _outcome(jet, ast, 0.7, order) == _outcome(_reference_jet, ast, 0.7, order)
+    assert jet(low, 0.7, 3).derivs != jet(high, 0.7, 3).derivs
+
+
+def test_code_table_is_thread_safe(code_table, monkeypatch):
+    # 8 threads build and run same-shape kernels with different constants at
+    # once, switching every microsecond, each on an empty table
+    texts = [f"exp({lam}*x^{p})-1" for lam in (0.5, 0.3, 1.1, 2.0) for p in (1.5, 2.5)]
+    want = [_kernel_outcomes(text) for text in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            table = expr._CodeTable()
+            monkeypatch.setattr(expr, "_code_table", table)
+            start = threading.Barrier(len(texts))
+            got: dict = {}
+
+            def build(i):
+                start.wait(timeout=60)
+                got[i] = [_kernel_outcomes(texts[(i + j) % len(texts)])
+                          for j in range(len(texts))]
+
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(len(texts))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for i in range(len(texts)):
+                assert got[i] == want[i:] + want[:i]
+            assert len(table._codes) == 4  # evaluate and three jet orders
+            assert table.chars == sum(map(len, table._codes))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_code_table_stays_within_its_character_bound(code_table, monkeypatch):
+    bound = 3000
+    monkeypatch.setattr(expr, "_CODE_TABLE_CHARS", bound)
+    texts = ["x^2.5", "exp(0.6*x^1.4)-1", "0.3*ln(1+x)+x^2", "exp(-1/x)", "x/(1+x^2)"]
+    for text in texts:
+        for order in (None, 1, 2, 4):
+            want = _kernel_outcomes(text, (order,), _reference_evaluate, _reference_jet)
+            for _ in range(2):  # built, then rebuilt from the table or recompiled
+                assert _kernel_outcomes(text, (order,)) == want
+                assert code_table.chars <= bound
+                assert code_table.chars == sum(map(len, code_table._codes))
+    # an order-6 jet of a 10-term sum emits a source far above the bound: it
+    # is compiled, used and dropped, and evaluates as the walkers do
+    big = parse_expr("+".join(f"exp({k}*x^1.5)" for k in range(1, 11)))
+    assert code_table._codes
+    assert _outcome(jet, big, 0.8, 6) == _outcome(_reference_jet, big, 0.8, 6)
+    assert code_table.chars == 0 and not code_table._codes
+
+
+def test_sweep_compiles_each_kernel_source_once(code_table, monkeypatch):
+    # sweep(42, 10) parses 10 functions and builds 50 kernels, which share
+    # 15 distinct sources; without the table each kernel was compiled
+    sources = []
+
+    def counted(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(expr, "compile", counted, raising=False)
+    sweep(42, 10)
+    assert len(sources) == len(set(sources)) == 15
+    assert code_table.chars == sum(map(len, sources))

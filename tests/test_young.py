@@ -258,6 +258,34 @@ def test_failed_column_miss_leaves_no_entry():
     assert list(prof._jets) == [0.5]
 
 
+def test_memo_remembers_a_typed_failure():
+    prof = ProblemInstance(parse_expr("x^3"), a=1.0, b=0.5, c=2.0).profile
+    calls = []
+
+    def fails(error):
+        def compute():
+            calls.append(error)
+            raise error
+        return compute
+
+    first = ValidationError("t", "out of range")
+    with pytest.raises(ValidationError) as got:
+        prof.memo(("k", 1), fails(first))
+    assert got.value is first
+    for _ in range(2):  # a new error of the same class, message and field
+        with pytest.raises(ValidationError) as again:
+            prof.memo(("k", 1), fails(first))
+        assert again.value is not first and again.traceback[-1].name == "memo"
+        assert (str(again.value), again.value.field) == ("t: out of range", "t")
+    assert calls == [first]
+    # an untyped failure leaves no entry, and a later success is kept
+    with pytest.raises(ZeroDivisionError):
+        prof.memo(("k", 2), fails(ZeroDivisionError("x")))
+    assert prof.memo(("k", 2), lambda: 2.5) == 2.5
+    assert prof.memo(("k", 2), fails(ZeroDivisionError("x"))) == 2.5
+    assert len(calls) == 2
+
+
 def test_column_orders_fail_as_deriv_does():
     prof = ProblemInstance(parse_expr("x^3"), a=1.0, b=0.5, c=2.0).profile
     prof.column([0.5], 3)

@@ -41,7 +41,6 @@ from .errors import (
     NoConvergenceError,
     NotBracketedError,
     OrderCapError,
-    OrientationError,
     ParseError,
     UnsupportedFeatureError,
     ValidationError,

@@ -35,12 +35,12 @@ from .errors import (
     DomainError,
     ExponentDomainError,
     InvalidTError,
-    OrientationError,
+    OrderCapError,
     ParseError,
     YoungBoundsError,
 )
 from .numerics import NormSpec, extremum, interior_grid, norm_r
-from .young import SCAN_POINTS, Anchors, ProblemInstance
+from .young import DEFAULT_LOWER_PAIR, DEFAULT_UPPER_PAIR, SCAN_POINTS, Anchors, ProblemInstance
 
 __all__ = [
     "TargetQuantity", "HypothesisCheck", "BoundResult", "SnPolynomial",
@@ -216,6 +216,12 @@ def _check(
 
 def _sorted_pair(x: float, y: float) -> tuple[float, float]:
     return (x, y) if x <= y else (y, x)
+
+
+def _check_order(n: int) -> None:
+    """The entry check of every order-n estimator; the jets check the cap."""
+    if n < 0:
+        raise OrderCapError(f"order must be nonnegative, got {n}")
 
 
 def _zero_width_result(method: str, target: TargetQuantity) -> BoundResult:
@@ -452,8 +458,8 @@ def _holder_core(
 def bound_holder_norm(
     inst: ProblemInstance,
     anch: Anchors,
-    lower_pair: tuple[float, float] = (1.0, -_INF),
-    upper_pair: tuple[float, float] = (1.0, _INF),
+    lower_pair: tuple[float, float] = DEFAULT_LOWER_PAIR,
+    upper_pair: tuple[float, float] = DEFAULT_UPPER_PAIR,
 ) -> BoundResult:
     """Gap estimate C_u*||h'||_v <= GAP <= C_p*||h'||_q over [alpha, beta]."""
     return _holder_core(
@@ -466,14 +472,15 @@ def bound_taylor_holder(
     inst: ProblemInstance,
     anch: Anchors,
     n: int,
-    lower_pair: tuple[float, float] = (1.0, -_INF),
-    upper_pair: tuple[float, float] = (1.0, _INF),
+    lower_pair: tuple[float, float] = DEFAULT_LOWER_PAIR,
+    upper_pair: tuple[float, float] = DEFAULT_UPPER_PAIR,
 ) -> BoundResult:
     """Order-n remainder estimate via C_{r,n} and norms of h^(n+1).
 
     For b > h(a) with odd n the remainder is nonpositive and the printed pair
     enters with a minus sign; the sorted-pair mechanism realizes that case.
     """
+    _check_order(n)
     check, _, _ = _check(
         inst, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
         n + 1, anch.alpha, anch.beta, ("nonnegative", "flat"),
@@ -492,6 +499,7 @@ def bound_taylor_lagrange(inst: ProblemInstance, anch: Anchors, n: int) -> Bound
     """Order-n gap sandwich T_n + {m_n, M_n} * d^{n+2}/(n+2)! with m_n, M_n the
     smaller/larger of h^(n+1) at the two anchor abscissae. At n = 0 this is
     exactly the hoorfar-qi estimate."""
+    _check_order(n)
     target = _gap_target(inst)
     check, _, _ = _check(
         inst, "deriv_monotone_global", f"h^({n + 2}) of one sign on (0, c)",
@@ -529,6 +537,7 @@ def bound_taylor_cebysev(inst: ProblemInstance, anch: Anchors, n: int) -> BoundR
     """One-sided remainder estimate d^{n+1}/(n+2)! * [h^(n)(a) - h^(n)(h^{-1}(b))];
     the bounded side follows the six-way case table on (sign of h(a)-b,
     direction of h^(n+1), parity of n)."""
+    _check_order(n)
     target = _remainder_target(inst, anch, n)
     check, cls, values = _check(
         inst, "deriv_monotone_local", f"h^({n + 2}) of one sign on [alpha, beta]",
@@ -570,6 +579,7 @@ def bound_taylor_jensen(inst: ProblemInstance, anch: Anchors, n: int) -> BoundRe
     signed kernel d^{n+2} and sorting realizes every orientation/parity case;
     concavity swaps which formula supplies which side.
     """
+    _check_order(n)
     target = _remainder_target(inst, anch, n)
     check, cls, _ = _check(
         inst, "deriv_convexity", f"h^({n + 3}) of one sign on [alpha, beta]",
@@ -602,6 +612,7 @@ def bound_taylor_product_hh(inst: ProblemInstance, anch: Anchors, n: int) -> Bou
         hi = [h^(n+1)(a) + 2 h^(n+1)(h^{-1}(b))]/6
 
     scaled by the signed kernel d^{n+2}/(n+1)!, then sorted."""
+    _check_order(n)
     target = _remainder_target(inst, anch, n)
     check_pos, _, _ = _check(
         inst, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
@@ -800,9 +811,6 @@ class SnPolynomial:
         total += (-1.0) ** self.m * w * u ** (self.m - i) / math.factorial(self.m - i)
         return total
 
-    def value(self, u: float, w: float) -> float:
-        return self.partial(0, u, w)
-
 
 def bound_polya_higher(
     inst: ProblemInstance,
@@ -818,8 +826,7 @@ def bound_polya_higher(
     Without an explicit t the bound is optimized over a uniform interior grid
     of ``options.t_grid`` points, each grid value being valid on its own, so
     the tightest lower and tightest upper may use different t."""
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
+    _check_order(n)
     target = _shifted_target(inst, anch)
     if anch.width == 0.0:
         return _zero_width_result("polya-higher", target)
@@ -878,28 +885,22 @@ def bound_lp_remainder(
     inst: ProblemInstance,
     anch: Anchors,
     n: int,
-    p: float,
+    p: float = _INF,
     t: float | None = None,
-    grid: bool = False,
-    reflect: bool = True,
 ) -> BoundResult:
     """Upper bound on |SHIFTED - two-point Taylor sums| via the L^p norm of
     h^(n+1) over [alpha, beta].
 
     The printed powers presume h^{-1}(b) <= t <= a; instances with the
-    opposite orientation are reflected onto [alpha, beta] first (disable with
-    ``reflect=False`` to get an :class:`OrientationError` instead). Both the
+    opposite orientation are reflected onto [alpha, beta] first. Both the
     t-dependent tight bound and the coarse width-power bound are computed; the
     tight one is reported as the upper bound, the coarse one in the extras.
+    The default t is the midpoint, the minimum of the tight bound, which is
+    convex and symmetric about it: ((t-alpha)^e + (beta-t)^e) with e >= 1.
     """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
+    _check_order(n)
     if not (p == 1.0 or math.isinf(p) or p > 1.0):
         raise ExponentDomainError(f"L^p exponent must be 1, +inf, or in (1, inf): {p!r}")
-    if anch.orientation < 0 and not reflect:
-        raise OrientationError(
-            "a < h^{-1}(b) and reflection is disabled"
-        )
     alpha, beta = anch.alpha, anch.beta
     sigma = -1.0 if anch.orientation < 0 else 1.0
     width = anch.width
@@ -955,8 +956,6 @@ def bound_lp_remainder(
         if not (alpha < t < beta):
             raise InvalidTError(f"t={t!r} not strictly between {alpha!r} and {beta!r}")
         t_used = t
-    elif grid:
-        t_used = min(interior_grid(alpha, beta, inst.options.t_grid), key=tight)
     else:
         t_used = 0.5 * (alpha + beta)
     upper = tight(t_used)
@@ -974,32 +973,6 @@ def bound_lp_remainder(
 # ---------------------------------------------------------------------------
 # Method registry
 # ---------------------------------------------------------------------------
-
-def _defaults(inst: ProblemInstance) -> dict[str, dict]:
-    opts = inst.options
-    return {
-        "hoorfar-qi": {},
-        "hh-cebysev": {},
-        "jensen-first": {},
-        "holder-norm": {
-            "lower_pair": opts.lower_exponent_pairs[0],
-            "upper_pair": opts.upper_exponent_pairs[0],
-        },
-        "taylor-lagrange": {"n": opts.taylor_order},
-        "taylor-holder": {
-            "n": opts.taylor_order,
-            "lower_pair": opts.lower_exponent_pairs[0],
-            "upper_pair": opts.upper_exponent_pairs[0],
-        },
-        "taylor-cebysev": {"n": opts.taylor_order},
-        "taylor-jensen": {"n": opts.taylor_order},
-        "taylor-product-hh": {"n": opts.taylor_order},
-        "polya-first": {},
-        "polya-second": {},
-        "polya-higher": {"n": opts.taylor_order},
-        "lp-remainder": {"n": opts.taylor_order, "p": _INF},
-    }
-
 
 # method name -> (estimator, positional argument names accepted by CLI specs
 # like "taylor-jensen(2)" or "holder-norm(2,2)")
@@ -1041,17 +1014,16 @@ def run_method(
     name: str,
     args: tuple[float, ...] = (),
 ) -> BoundResult:
-    """Dispatch a method by registry name with optional positional arguments."""
+    """Dispatch a method by registry name with optional positional arguments.
+    A missing n is ``options.taylor_order``; the Hölder pairs are the first of
+    each ``*_exponent_pairs`` option, with a positional p or q replacing its side."""
     check_method_args(name, args)
     fn, arg_names = METHODS[name]
-    kwargs = dict(_defaults(inst)[name])
-    supplied = dict(zip(arg_names, args))
-    if name in ("holder-norm", "taylor-holder") and ("p" in supplied or "q" in supplied):
-        # positional p, q configure the (p, q) upper pair; the lower pair
-        # keeps its option default
-        base = kwargs["upper_pair"]
-        kwargs["upper_pair"] = (supplied.pop("p", base[0]), supplied.pop("q", base[1]))
-    if "n" in supplied:
-        supplied["n"] = int(supplied["n"])
-    kwargs.update(supplied)
+    kwargs = dict(zip(arg_names, args))
+    if "n" in arg_names:
+        kwargs["n"] = int(kwargs.get("n", inst.options.taylor_order))
+    if name in ("holder-norm", "taylor-holder"):
+        p, q = inst.options.upper_exponent_pairs[0]
+        kwargs["upper_pair"] = (kwargs.pop("p", p), kwargs.pop("q", q))
+        kwargs["lower_pair"] = inst.options.lower_exponent_pairs[0]
     return fn(inst, anch, **kwargs)

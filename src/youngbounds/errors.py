@@ -25,7 +25,7 @@ class DomainError(YoungBoundsError):
 
 
 class OrderCapError(YoungBoundsError):
-    """Requested derivative order exceeds the configured cap."""
+    """Requested derivative order outside [0, cap]."""
 
 
 class NoConvergenceError(YoungBoundsError):
@@ -47,10 +47,6 @@ class ExponentDomainError(YoungBoundsError):
 
 class InvalidTError(YoungBoundsError):
     """Free evaluation point t outside its admissible interval."""
-
-
-class OrientationError(YoungBoundsError):
-    """Instance orientation incompatible with the requested bound and reflection disabled."""
 
 
 class ValidationError(YoungBoundsError):

@@ -20,9 +20,10 @@ k-th derivative is the k-th coefficient rescaled by the exact integer k!.
 expression (and per jet order) and cached on the :class:`ExprAst`. A kernel's
 source holds no constant, so expressions of one shape share its compiled
 code through a bounded, locked table, and each distinct source is compiled
-once per process. The recursive tree walkers the kernels were generated from
-stay below as the reference implementation, and the tests hold the kernels
-to it bit for bit.
+once per process. The recursive evaluation walker stays below, for constant
+folding and as a reference; the jet walkers the kernels were generated from
+are in ``tests/reference_expr.py``, and the tests hold the kernels to both
+bit for bit.
 """
 
 from __future__ import annotations
@@ -126,9 +127,6 @@ class TaylorJet:
     center: float
     order: int
     derivs: tuple[float, ...]
-
-    def deriv(self, k: int) -> float:
-        return self.derivs[k]
 
 
 # ---------------------------------------------------------------------------
@@ -451,48 +449,14 @@ def serialize(ast: ExprAst | Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Reference jet (truncated Taylor) arithmetic: a recursive tree walk over
-# coefficient lists. The compiled kernels below unroll these recurrences, and
-# the tests hold them to it.
+# Jet (truncated Taylor) products and integer powers over coefficient lists.
+# A kernel calls ``_jet_int_pow`` for an integer power too large to unroll;
+# the reference jet walkers in ``tests/reference_expr.py`` build on both.
 # ---------------------------------------------------------------------------
 
 def _jet_mul(u: list[float], v: list[float]) -> list[float]:
     n = len(u)
     return [math.fsum(u[j] * v[k - j] for j in range(k + 1)) for k in range(n)]
-
-
-def _jet_div(u: list[float], v: list[float]) -> list[float]:
-    if v[0] == 0.0:
-        raise DomainError("division by zero")
-    n = len(u)
-    q = [0.0] * n
-    for k in range(n):
-        acc = u[k] - math.fsum(v[j] * q[k - j] for j in range(1, k + 1))
-        q[k] = acc / v[0]
-    return q
-
-
-def _jet_exp(u: list[float]) -> list[float]:
-    n = len(u)
-    try:
-        w0 = math.exp(u[0])
-    except OverflowError:
-        raise DomainError(f"overflow in exp({u[0]!r})") from None
-    w = [w0] + [0.0] * (n - 1)
-    for k in range(1, n):
-        w[k] = math.fsum(j * u[j] * w[k - j] for j in range(1, k + 1)) / k
-    return w
-
-
-def _jet_ln(u: list[float]) -> list[float]:
-    if u[0] <= 0.0:
-        raise DomainError(f"ln of nonpositive value {u[0]!r}")
-    n = len(u)
-    w = [math.log(u[0])] + [0.0] * (n - 1)
-    for k in range(1, n):
-        acc = u[k] - math.fsum(j * w[j] * u[k - j] for j in range(1, k)) / k
-        w[k] = acc / u[0]
-    return w
 
 
 def _jet_int_pow(u: list[float], c: int) -> list[float]:
@@ -509,67 +473,13 @@ def _jet_int_pow(u: list[float], c: int) -> list[float]:
     return result
 
 
-def _jet_pow(u: list[float], c: float) -> list[float]:
-    n = len(u)
-    if float(c).is_integer():
-        ci = int(c)
-        if ci >= 0:
-            return _jet_int_pow(u, ci)
-        one = [1.0] + [0.0] * (n - 1)
-        return _jet_div(one, _jet_int_pow(u, -ci))
-    if u[0] < 0.0:
-        raise DomainError(f"negative base {u[0]!r} raised to non-integer power {c!r}")
-    if u[0] == 0.0:
-        if n == 1 and c > 0.0:
-            return [0.0]
-        raise DomainError(f"derivatives of {u[0]!r}^{c!r} are singular at a zero base")
-    w = [math.pow(u[0], c)] + [0.0] * (n - 1)
-    for k in range(1, n):
-        acc = math.fsum(((c + 1.0) * j - k) * u[j] * w[k - j] for j in range(1, k + 1))
-        w[k] = acc / (k * u[0])
-    return w
-
-
-def _jet_node(node: Node, x0: float, order: int) -> list[float]:
-    n = order + 1
-    if isinstance(node, Const):
-        return [node.value] + [0.0] * (n - 1)
-    if isinstance(node, Var):
-        coeffs = [x0] + [0.0] * (n - 1)
-        if n > 1:
-            coeffs[1] = 1.0
-        return coeffs
-    if isinstance(node, Neg):
-        return [-c for c in _jet_node(node.child, x0, order)]
-    if isinstance(node, BinOp):
-        u = _jet_node(node.left, x0, order)
-        v = _jet_node(node.right, x0, order)
-        if node.op == "+":
-            return [a + b for a, b in zip(u, v)]
-        if node.op == "-":
-            return [a - b for a, b in zip(u, v)]
-        if node.op == "*":
-            return _jet_mul(u, v)
-        return _jet_div(u, v)
-    if isinstance(node, Pow):
-        return _jet_pow(_jet_node(node.base, x0, order), node.exponent)
-    if isinstance(node, Call):
-        u = _jet_node(node.arg, x0, order)
-        if node.func == "exp":
-            return _jet_exp(u)
-        if node.func == "ln":
-            return _jet_ln(u)
-        return _jet_pow(u, 0.5)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # ---------------------------------------------------------------------------
 # Compiled kernels
 #
 # Each kernel is one straight-line function, emitted by a post-order walk of
 # the tree: ``evaluate``, and the jet of each requested order. Every value goes
 # through the same float operations, in the same order, as in the reference
-# walkers above (``fsum`` over a tuple of the same terms, the same unrolled
+# walkers (``fsum`` over a tuple of the same terms, the same unrolled
 # squarings), so the kernels return the same bits. Constants and exponents
 # reach the source only as names bound in the kernel's namespace; operators
 # and functions come from fixed sets.
@@ -849,10 +759,8 @@ def evaluate(ast: ExprAst | Node, x: float) -> float:
 
 def _jet_kernel(ast: ExprAst | Node, order: int, cap: int):
     """The jet kernel of ``order``, after the order checks both entry points share."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    if order > cap:
-        raise OrderCapError(f"order {order} exceeds cap {cap}")
+    if not 0 <= order <= cap:
+        raise OrderCapError(f"order {order} outside [0, {cap}]")
     return _kernel(ast, order)
 
 

@@ -421,8 +421,11 @@ def verify_golden(directory: str | Path) -> GoldenSummary:
 # ---------------------------------------------------------------------------
 
 _SANDWICH_TOL = 1e-9
-_REDUCTION_TOL_LAGRANGE = 1e-14
-_REDUCTION_TOL_HOLDER = 1e-12
+# (method at order 0, the estimator it reduces to, relative tolerance)
+_REDUCTIONS = (
+    ("taylor-lagrange", "hoorfar-qi", 1e-14),
+    ("taylor-holder", "holder-norm", 1e-12),
+)
 _EQUALITY_TOL = 1e-10
 
 
@@ -518,28 +521,19 @@ def sweep(seed: int, count: int, strict: bool = False) -> SweepSummary:
                 violations.append(f"SANDWICH {nm} on {serial}: {why}")
 
         # REDUCTION: order-0 collapses
-        try:
-            tl0 = run_method(inst, anch, "taylor-lagrange", (0.0,))
-            hq = results.get("hoorfar-qi") or run_method(inst, anch, "hoorfar-qi")
-            checks += 1
-            for side, x, y in (("lower", tl0.lower, hq.lower), ("upper", tl0.upper, hq.upper)):
-                if abs(x - y) > _REDUCTION_TOL_LAGRANGE * max(1.0, abs(x), abs(y)):
-                    violations.append(
-                        f"REDUCTION taylor-lagrange(0) {side} {x!r} != hoorfar-qi {y!r} on {serial}"
-                    )
-        except YoungBoundsError:
-            pass
-        try:
-            th0 = run_method(inst, anch, "taylor-holder", (0.0,))
-            hn = results.get("holder-norm") or run_method(inst, anch, "holder-norm")
-            checks += 1
-            for side, x, y in (("lower", th0.lower, hn.lower), ("upper", th0.upper, hn.upper)):
-                if abs(x - y) > _REDUCTION_TOL_HOLDER * max(1.0, abs(x), abs(y)):
-                    violations.append(
-                        f"REDUCTION taylor-holder(0) {side} {x!r} != holder-norm {y!r} on {serial}"
-                    )
-        except YoungBoundsError:
-            pass
+        for name, reference, tol in _REDUCTIONS:
+            try:
+                res0 = run_method(inst, anch, name, (0.0,))
+                ref = results.get(reference) or run_method(inst, anch, reference)
+                checks += 1
+                for side, x, y in (("lower", res0.lower, ref.lower),
+                                   ("upper", res0.upper, ref.upper)):
+                    if abs(x - y) > tol * max(1.0, abs(x), abs(y)):
+                        violations.append(
+                            f"REDUCTION {name}(0) {side} {x!r} != {reference} {y!r} on {serial}"
+                        )
+            except YoungBoundsError:
+                pass
 
         # Equality collapse on b = h(a) instances
         if params["tie_b_to_a"]:

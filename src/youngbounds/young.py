@@ -32,14 +32,14 @@ __all__ = [
 
 _INF = math.inf
 
-# Exponent pairs are (coefficient exponent, norm exponent); see bounds_catalog.
-_DEFAULT_UPPER_PAIRS = ((1.0, _INF), (_INF, 1.0), (2.0, 2.0))
-_DEFAULT_LOWER_PAIRS = ((1.0, -_INF), (-_INF, 1.0), (0.5, -1.0))
+# (coefficient exponent, norm exponent): the Hölder estimators' default pairs.
+DEFAULT_UPPER_PAIR = (1.0, _INF)
+DEFAULT_LOWER_PAIR = (1.0, -_INF)
 
 # Interior sample count of the sign scans in validation and the catalog's gates.
 SCAN_POINTS = 257
 
-# polya-higher and lp-remainder evaluate their bound at t_grid points each.
+# polya-higher evaluates its bound at t_grid points.
 T_GRID_MAX = 1000
 
 
@@ -48,24 +48,24 @@ class Options:
     quad_rel_tol: float = 1e-12
     taylor_order: int = 1
     t_grid: int = 33
-    upper_exponent_pairs: tuple[tuple[float, float], ...] = _DEFAULT_UPPER_PAIRS
-    lower_exponent_pairs: tuple[tuple[float, float], ...] = _DEFAULT_LOWER_PAIRS
+    upper_exponent_pairs: tuple[tuple[float, float], ...] = (DEFAULT_UPPER_PAIR,)
+    lower_exponent_pairs: tuple[tuple[float, float], ...] = (DEFAULT_LOWER_PAIR,)
     assume: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not 1e-14 <= self.quad_rel_tol < 1.0:
+        if not (_is_number(self.quad_rel_tol) and 1e-14 <= self.quad_rel_tol < 1.0):
             raise ValidationError(
-                "quad_rel_tol", f"must be in [1e-14, 1), got {self.quad_rel_tol!r}"
+                "quad_rel_tol", f"must be a number in [1e-14, 1), got {self.quad_rel_tol!r}"
             )
         # taylor-jensen and taylor-product-hh gate on h^(n+3)
-        if not 0 <= self.taylor_order <= DEFAULT_ORDER_CAP - 3:
+        if not (_is_integer(self.taylor_order)
+                and 0 <= self.taylor_order <= DEFAULT_ORDER_CAP - 3):
             raise ValidationError(
                 "taylor_order",
-                f"must be in [0, {DEFAULT_ORDER_CAP - 3}] (orders up to n + 3 stay "
-                f"within the jet cap {DEFAULT_ORDER_CAP}), got {self.taylor_order!r}",
+                f"must be an integer in [0, {DEFAULT_ORDER_CAP - 3}] (orders up to n + 3 "
+                f"stay within the jet cap {DEFAULT_ORDER_CAP}), got {self.taylor_order!r}",
             )
-        if (isinstance(self.t_grid, bool) or not isinstance(self.t_grid, int)
-                or not 1 <= self.t_grid <= T_GRID_MAX):
+        if not (_is_integer(self.t_grid) and 1 <= self.t_grid <= T_GRID_MAX):
             raise ValidationError(
                 "t_grid", f"must be an integer in [1, {T_GRID_MAX}], got {self.t_grid!r}"
             )
@@ -81,6 +81,10 @@ class Options:
 
 def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_integer(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -117,9 +121,6 @@ class ProblemInstance:
             return self.h(x)
         return jet(self.ast, x, k).derivs[k]
 
-    def jet_at(self, x: float, order: int):
-        return jet(self.ast, x, order)
-
 
 class DerivativeProfile:
     """The derivatives of one instance, each jet computed once and shared.
@@ -130,12 +131,13 @@ class DerivativeProfile:
     derivative tuple computed there and serves every lower order from it. A
     miss computes exactly the order asked for, and a jet that fails is never
     kept, so every read returns or raises what ``inst.deriv`` and
-    ``inst.jet_at`` would. ``column`` reads many abscissae at once and
-    computes all its misses in one :func:`jet_rows` batch; ``deriv`` and
-    ``derivs`` read one. ``memo`` keeps values derived from the derivatives
-    (the catalog's sampled gates, extrema and exact r = 1 norms), or the
-    typed error of a computation that failed, under keys its caller chooses;
-    keys that name an interval make the profile valid for any anchors.
+    ``jet(inst.ast, x, order)`` would. ``column`` reads many abscissae at
+    once and computes all its misses in one :func:`jet_rows` batch;
+    ``deriv`` and ``derivs`` read one. ``memo`` keeps values derived from
+    the derivatives (the catalog's sampled gates, extrema and exact r = 1
+    norms), or the typed error of a computation that failed, under keys its
+    caller chooses; keys that name an interval make the profile valid for
+    any anchors.
 
     Only point reads, gates and scans read the profile, so it keeps a few
     thousand abscissae per distinct interval; quadrature integrands call
@@ -191,7 +193,7 @@ class DerivativeProfile:
         return values
 
     def derivs(self, x: float, order: int) -> tuple[float, ...]:
-        """h^(0)..h^(order) at x: ``inst.jet_at(x, order).derivs``."""
+        """h^(0)..h^(order) at x: ``jet(inst.ast, x, order).derivs``."""
         return self._row(x, order)[:order + 1]
 
     def deriv(self, x: float, k: int) -> float:

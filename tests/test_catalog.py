@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import random
 import sys
@@ -17,11 +18,11 @@ from youngbounds.errors import (
     DomainError,
     ExponentDomainError,
     InvalidTError,
-    OrientationError,
+    OrderCapError,
     ParseError,
 )
-from youngbounds.expr import evaluate, parse_expr
-from youngbounds.young import Anchors, anchors, make_problem, oracle
+from youngbounds.expr import evaluate, jet, parse_expr
+from youngbounds.young import Anchors, Options, anchors, make_problem, oracle
 
 INF = math.inf
 
@@ -475,6 +476,85 @@ def test_run_method_rejects_bad_arguments(quartic, name, args):
         cat.run_method(*quartic, name, args)
 
 
+def test_run_method_fills_defaults_from_options(cubic):
+    # a missing n is taylor_order, the Hölder pairs are the options' first
+    # pairs, positional p and q replace the upper pair, lp-remainder's p is inf
+    base, anch, _ = cubic
+    inst = dataclasses.replace(base, options=Options(
+        taylor_order=2, upper_exponent_pairs=((2.0, 2.0), (1.0, INF)),
+        lower_exponent_pairs=((0.5, -1.0), (1.0, -INF))))
+    for name, args, want in [
+        ("taylor-jensen", (), cat.bound_taylor_jensen(inst, anch, 2)),
+        ("polya-higher", (), cat.bound_polya_higher(inst, anch, 2)),
+        ("lp-remainder", (), cat.bound_lp_remainder(inst, anch, 2, INF)),
+        ("holder-norm", (), cat.bound_holder_norm(inst, anch, (0.5, -1.0), (2.0, 2.0))),
+        ("taylor-holder", (1.0, 1.5, 3.0),
+         cat.bound_taylor_holder(inst, anch, 1, (0.5, -1.0), (1.5, 3.0))),
+    ]:
+        assert repr(cat.run_method(inst, anch, name, args)) == repr(want), name
+
+
+_ORDER_ESTIMATORS = (
+    cat.bound_taylor_lagrange, cat.bound_taylor_holder, cat.bound_taylor_cebysev,
+    cat.bound_taylor_jensen, cat.bound_taylor_product_hh, cat.bound_polya_higher,
+    cat.bound_lp_remainder,
+)
+
+
+@pytest.mark.parametrize("b", [1.0, 3.375], ids=["no-tie", "tie"])
+@pytest.mark.parametrize("estimator", _ORDER_ESTIMATORS, ids=lambda f: f.__name__)
+def test_negative_order_raises_a_typed_error(estimator, b):
+    # on a tie b = h(a) the zero-width shortcut must not hide the bad order
+    inst = make_problem("x^3", 1.5, b, 2.0)
+    with pytest.raises(OrderCapError):
+        estimator(inst, anchors(inst), -1)
+
+
+def test_settable_surface_is_pinned():
+    # Every value a caller can set, by name. A new option, method argument or
+    # estimator parameter must edit this test.
+    assert [f.name for f in dataclasses.fields(Options)] == [
+        "quad_rel_tol", "taylor_order", "t_grid",
+        "upper_exponent_pairs", "lower_exponent_pairs", "assume",
+    ]
+    assert {name: args for name, (_, args) in cat.METHODS.items()} == {
+        "hoorfar-qi": (),
+        "hh-cebysev": (),
+        "jensen-first": (),
+        "holder-norm": ("p", "q"),
+        "taylor-lagrange": ("n",),
+        "taylor-holder": ("n", "p", "q"),
+        "taylor-cebysev": ("n",),
+        "taylor-jensen": ("n",),
+        "taylor-product-hh": ("n",),
+        "polya-first": ("L", "U"),
+        "polya-second": ("L", "U"),
+        "polya-higher": ("n", "t"),
+        "lp-remainder": ("n", "p", "t"),
+    }
+    estimators = {name: getattr(cat, name) for name in dir(cat) if name.startswith("bound_")}
+    assert {name: tuple(inspect.signature(fn).parameters) for name, fn in estimators.items()} == {
+        "bound_hoorfar_qi": ("inst", "anch"),
+        "bound_hh_cebysev": ("inst", "anch"),
+        "bound_jensen_first": ("inst", "anch"),
+        "bound_holder_norm": ("inst", "anch", "lower_pair", "upper_pair"),
+        "bound_taylor_lagrange": ("inst", "anch", "n"),
+        "bound_taylor_holder": ("inst", "anch", "n", "lower_pair", "upper_pair"),
+        "bound_taylor_cebysev": ("inst", "anch", "n"),
+        "bound_taylor_jensen": ("inst", "anch", "n"),
+        "bound_taylor_product_hh": ("inst", "anch", "n"),
+        "bound_polya_first": ("inst", "anch", "L", "U"),
+        "bound_polya_second": ("inst", "anch", "L", "U"),
+        "bound_polya_higher": ("inst", "anch", "n", "t"),
+        "bound_lp_remainder": ("inst", "anch", "n", "p", "t"),
+    }
+    # the Hölder estimators default to the pairs run_method reads from Options
+    for fn in (cat.bound_holder_norm, cat.bound_taylor_holder):
+        params = inspect.signature(fn).parameters
+        assert params["upper_pair"].default == Options().upper_exponent_pairs[0]
+        assert params["lower_pair"].default == Options().lower_exponent_pairs[0]
+
+
 # ---------------------------------------------------------------------------
 # Reversed orientation (a < h^{-1}(b)): gap = 0.671875
 # ---------------------------------------------------------------------------
@@ -520,8 +600,6 @@ def test_lp_orientation_reflection(cubic_reversed):
     r = cat.bound_lp_remainder(inst, anch, 1, INF)
     assert "reflected orientation" in r.notes
     assert r.target.native_of_sum(orc.sum) <= r.upper
-    with pytest.raises(OrientationError):
-        cat.bound_lp_remainder(inst, anch, 1, INF, reflect=False)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +702,7 @@ def test_taylor_holder_order0_is_holder_norm(pairs, cubic):
 
 def test_sn_polynomial_partials_match_finite_differences():
     inst = make_problem("exp(x^2)-1", 1.0, 1.0, 1.0)
-    jet5 = inst.jet_at(0.7, 4)
+    jet5 = jet(inst.ast, 0.7, 4)
     sn = cat.SnPolynomial(5, jet5.derivs)
     w = 2.3
     for i in range(1, 5):
@@ -639,7 +717,7 @@ def test_sn_polynomial_partials_match_finite_differences():
 
 def test_sn_polynomial_top_partial_is_u_independent():
     inst = make_problem("x^3", 1.5, 1.0, 2.0)
-    sn = cat.SnPolynomial(4, inst.jet_at(1.2, 2).derivs)
+    sn = cat.SnPolynomial(4, jet(inst.ast, 1.2, 2).derivs)
     w = -1.7
     values = {sn.partial(4, u, w) for u in (0.1, 0.5, 2.0)}
     assert len(values) == 1
@@ -671,8 +749,7 @@ def test_lp_invalid_t_and_exponent(cubic):
 
 
 # ---------------------------------------------------------------------------
-# lp-remainder: tight bound never exceeds the coarse bound, and the grid
-# search never loses to the midpoint default
+# lp-remainder: tight bound never exceeds the coarse bound
 # ---------------------------------------------------------------------------
 
 def test_lp_tight_below_coarse_on_random_family():
@@ -692,13 +769,6 @@ def test_lp_tight_below_coarse_on_random_family():
         for p in (1.0, 2.0, INF):
             r = cat.bound_lp_remainder(inst, anch, 1, p)
             assert r.upper <= r.extra("coarse_upper") + 1e-12, (p, a, b)
-
-
-def test_lp_grid_search_improves_on_midpoint(cubic):
-    inst, anch, _ = cubic
-    mid = cat.bound_lp_remainder(inst, anch, 1, 2.0)
-    best = cat.bound_lp_remainder(inst, anch, 1, 2.0, grid=True)
-    assert best.upper <= mid.upper + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +852,6 @@ def test_failed_gate_still_reports_bounds():
 
 
 def test_assume_option_overrides_gate():
-    from youngbounds.young import Options
     expr_text = "exp(0.5*x^1.3)-1"
     b = evaluate(parse_expr(expr_text), 0.3)
     assumed = make_problem(expr_text, 0.9, b, 1.5,

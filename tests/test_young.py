@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from youngbounds.errors import DomainError, ValidationError
-from youngbounds.expr import evaluate, parse_expr
+from youngbounds.expr import evaluate, jet, parse_expr
 from youngbounds.numerics import integrate
 from youngbounds.young import (
     Options,
@@ -52,8 +52,11 @@ def test_b_above_range_rejected():
     {"quad_rel_tol": 1.0},
     {"quad_rel_tol": math.inf},
     {"quad_rel_tol": math.nan},
+    {"quad_rel_tol": "1e-12"},
     {"taylor_order": -1},
     {"taylor_order": 14},  # taylor-jensen(14) would need h^(17), past the jet cap
+    {"taylor_order": 1.5},
+    {"taylor_order": True},
     {"t_grid": 0},
     {"t_grid": -5},
     {"t_grid": 1001},  # polya-higher evaluates its bound at every grid point
@@ -216,7 +219,7 @@ def test_profile_reads_match_unshared_reads(text, reads):
     for x, k, whole in reads:
         if whole:
             got = _outcome(prof.derivs, x, k)
-            want = _outcome(lambda x, k: inst.jet_at(x, k).derivs, x, k)
+            want = _outcome(lambda x, k: jet(inst.ast, x, k).derivs, x, k)
         else:
             got, want = _outcome(prof.deriv, x, k), _outcome(inst.deriv, x, k)
         assert got == want, (text, x, k, whole)
@@ -242,7 +245,7 @@ def test_profile_column_reads_match_unshared_reads(text, reads):
             w if w[0] == "value" else w[0] for w in want], (text, xs, k)
         for x in xs:
             assert _outcome(prof.derivs, x, k) == _outcome(
-                lambda x, k: inst.jet_at(x, k).derivs, x, k), (text, x, k)
+                lambda x, k: jet(inst.ast, x, k).derivs, x, k), (text, x, k)
 
 
 def test_failed_column_miss_leaves_no_entry():

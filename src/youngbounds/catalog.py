@@ -40,7 +40,14 @@ from .errors import (
     YoungBoundsError,
 )
 from .numerics import NormSpec, extremum, interior_grid, norm_r
-from .young import DEFAULT_LOWER_PAIR, DEFAULT_UPPER_PAIR, SCAN_POINTS, Anchors, ProblemInstance
+from .young import (
+    DEFAULT_LOWER_PAIR,
+    DEFAULT_UPPER_PAIR,
+    SCAN_POINTS,
+    Anchors,
+    ProblemInstance,
+    _is_integer,
+)
 
 __all__ = [
     "TargetQuantity", "HypothesisCheck", "BoundResult", "SnPolynomial",
@@ -123,12 +130,6 @@ class BoundResult:
                 f"{self.method}: lower {self.lower!r} > upper {self.upper!r}"
             )
 
-    def extra(self, key: str) -> float:
-        for k, v in self.extras:
-            if k == key:
-                return v
-        raise KeyError(key)
-
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -198,8 +199,7 @@ def _check(
     prof = inst.profile
 
     def sample() -> tuple[tuple[float, ...], int]:
-        xs = interior_grid(lo, hi, SCAN_POINTS)
-        values = tuple(v for v in prof.column(xs, order) if v is not None)
+        values = tuple(v for v in prof.column(lo, hi, SCAN_POINTS, order) if v is not None)
         return values, SCAN_POINTS - len(values)
 
     values, skipped = prof.memo(("samples", order, lo, hi), sample)
@@ -219,9 +219,10 @@ def _sorted_pair(x: float, y: float) -> tuple[float, float]:
 
 
 def _check_order(n: int) -> None:
-    """The entry check of every order-n estimator; the jets check the cap."""
-    if n < 0:
-        raise OrderCapError(f"order must be nonnegative, got {n}")
+    """The entry check of every order-n estimator, with the rule of
+    ``Options.taylor_order``; the jets check the cap."""
+    if not (_is_integer(n) and n >= 0):
+        raise OrderCapError(f"order must be a nonnegative integer, got {n!r}")
 
 
 def _zero_width_result(method: str, target: TargetQuantity) -> BoundResult:
@@ -235,13 +236,16 @@ def _extrema_of_deriv(
     inst: ProblemInstance, order: int, lo: float, hi: float
 ) -> tuple[float, float]:
     """(inf, sup) of h^(order) over [lo, hi] from one scan per instance, whose
-    interior is one profile batch."""
+    interior is one profile column. The column is filled at order >= 2, so
+    the h' and h'' scans of one interval share one batch; a point where the
+    order-2 jet fails is read at ``order``."""
     prof = inst.profile
 
     def scan() -> tuple[float, float]:
         (_, f_min), (_, f_max) = extremum(
             lambda x: prof.deriv(x, order), lo, hi,
-            column=lambda xs: prof.column(xs, order),
+            # extremum's interior is interior_grid(lo, hi, len(xs)), lo <= hi
+            column=lambda xs: prof.column(lo, hi, len(xs), order, fill=2),
         )
         return f_min, f_max
 
@@ -837,28 +841,29 @@ def bound_polya_higher(
     s_a = SnPolynomial(m, prof.derivs(inst.a, n))
     a, bp = inst.a, anch.h_inv_b
 
-    def total(tv: float, w_bp: float, w_a: float) -> float:
-        return math.fsum(
-            (-1.0) ** i / math.factorial(i)
-            * (s_bp.partial(i, bp, w_bp) - s_a.partial(i, a, w_a)) * tv ** i
-            for i in range(m + 1)
-        )
+    def coefficients(w_bp: float, w_a: float) -> list[float]:
+        """c_i = (-1)^i/i! * (d^i S/du^i at (h^{-1}(b), w_bp) - at (a, w_a)):
+        the bound at t is the fsum of c_i * t^i."""
+        return [(-1.0) ** i / math.factorial(i)
+                * (s_bp.partial(i, bp, w_bp) - s_a.partial(i, a, w_a))
+                for i in range(m + 1)]
 
     if n % 2 == 1:
-        lo_of = lambda tv: total(tv, L, L)
-        up_of = lambda tv: total(tv, U, U)
+        lo_w, up_w = (L, L), (U, U)
     else:
-        lo_of = lambda tv: total(tv, L, U)
-        up_of = lambda tv: total(tv, U, L)
+        lo_w, up_w = (L, U), (U, L)
     if anch.orientation < 0 and n % 2 == 1:
-        lo_of, up_of = up_of, lo_of
+        lo_w, up_w = up_w, lo_w
+    if t is not None and not (anch.alpha < t < anch.beta):
+        raise InvalidTError(
+            f"t={t!r} not strictly between {anch.alpha!r} and {anch.beta!r}"
+        )
+    lo_c, up_c = coefficients(*lo_w), coefficients(*up_w)
+    lo_of = lambda tv: math.fsum(c * tv ** i for i, c in enumerate(lo_c))
+    up_of = lambda tv: math.fsum(c * tv ** i for i, c in enumerate(up_c))
 
     notes: tuple[str, ...] = ()
     if t is not None:
-        if not (anch.alpha < t < anch.beta):
-            raise InvalidTError(
-                f"t={t!r} not strictly between {anch.alpha!r} and {anch.beta!r}"
-            )
         lower, upper = lo_of(t), up_of(t)
         extras = (("L", L), ("U", U), ("t_lower", t), ("t_upper", t))
     else:

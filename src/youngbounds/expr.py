@@ -16,14 +16,17 @@ Derivatives come from jet (truncated Taylor series) arithmetic: every node
 propagates the coefficients of ``h(x0 + t)`` up to the requested order, and the
 k-th derivative is the k-th coefficient rescaled by the exact integer k!.
 
-``evaluate`` and ``jet`` run straight-line kernels, emitted once per
-expression (and per jet order) and cached on the :class:`ExprAst`. A kernel's
-source holds no constant, so expressions of one shape share its compiled
-code through a bounded, locked table, and each distinct source is compiled
-once per process. The recursive evaluation walker stays below, for constant
-folding and as a reference; the jet walkers the kernels were generated from
-are in ``tests/reference_expr.py``, and the tests hold the kernels to both
-bit for bit.
+``evaluate`` runs a straight-line kernel, and each jet order a batch kernel:
+one loop over its abscissae around the same straight-line body, which gives
+one row per abscissa, the derivatives or the :class:`DomainError` that
+``jet`` raises there. ``jet`` runs a batch of one and ``jet_rows`` a whole
+scan. Kernels are emitted once per expression (and per jet order) and cached
+on the :class:`ExprAst`. A kernel's source holds no constant, so expressions
+of one shape share its compiled code through a bounded, locked table, and
+each distinct source is compiled once per process. The recursive evaluation
+walker stays below, for constant folding and as a reference; the jet walkers
+the kernels were generated from are in ``tests/reference_expr.py``, and the
+tests hold the kernels to both bit for bit.
 """
 
 from __future__ import annotations
@@ -476,13 +479,13 @@ def _jet_int_pow(u: list[float], c: int) -> list[float]:
 # ---------------------------------------------------------------------------
 # Compiled kernels
 #
-# Each kernel is one straight-line function, emitted by a post-order walk of
-# the tree: ``evaluate``, and the jet of each requested order. Every value goes
-# through the same float operations, in the same order, as in the reference
-# walkers (``fsum`` over a tuple of the same terms, the same unrolled
-# squarings), so the kernels return the same bits. Constants and exponents
-# reach the source only as names bound in the kernel's namespace; operators
-# and functions come from fixed sets.
+# Each kernel's body is straight-line code, emitted by a post-order walk of
+# the tree: ``evaluate``, and the jet of each requested order, whose body runs
+# in a loop over a batch of abscissae. Every value goes through the same float
+# operations, in the same order, as in the reference walkers (``fsum`` over a
+# tuple of the same terms, the same unrolled squarings), so the kernels return
+# the same bits. Constants and exponents reach the source only as names bound
+# in the kernel's namespace; operators and functions come from fixed sets.
 # ---------------------------------------------------------------------------
 
 # Integer powers up to 2^8 - 1 are unrolled; larger ones call _jet_int_pow.
@@ -498,8 +501,42 @@ def _raise(message: str) -> str:
     return f"raise DomainError(f{message!r})"
 
 
+def _non_finite(derivs: tuple[float, ...], x: float) -> DomainError:
+    k = next(k for k, v in enumerate(derivs) if not math.isfinite(v))
+    return DomainError(f"non-finite derivative of order {k} at x={x!r}")
+
+
+# A jet kernel: the body at x in a loop over the batch xs, one row per x.
+# ``jet``'s error rule is part of it: the body's own DomainError, kept
+# without its traceback or context; math.pow overflowing, or fsum overflowing
+# or meeting inf - inf, as a DomainError naming x; and a non-finite
+# derivative, found by the sum of each d - d, which is 0.0 for a finite d and
+# nan otherwise (the partial sums alternate between 0.0 and one d, exactly).
+_BATCH_KERNEL = """\
+def kernel(xs):
+    rows = []
+    append = rows.append
+    for x in xs:
+        try:
+{body}\
+        except DomainError as exc:
+            exc.__traceback__ = exc.__context__ = None
+            append(exc)
+            continue
+        except (OverflowError, ValueError) as exc:
+            append(DomainError(f"{{exc}} at x={{x!r}}"))
+            continue
+{derivs}\
+        if {finite} == 0.0:
+            append(({names},))
+        else:
+            append(_non_finite(({names},), x))
+    return rows
+"""
+
+
 class _Emitter:
-    """Lines and namespace of one kernel ``def kernel(x)``.
+    """Body lines, at one abscissa ``x``, and namespace of one kernel.
 
     A value is the source text of a name or a float literal, never of a
     compound expression, so operands need no parentheses.
@@ -510,7 +547,7 @@ class _Emitter:
         self.namespace: dict[str, object] = {
             "fsum": math.fsum, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
             "pow": math.pow, "_pow_real": _pow_real, "_jet_int_pow": _jet_int_pow,
-            "DomainError": DomainError,
+            "DomainError": DomainError, "_non_finite": _non_finite,
         }
 
     def bind(self, value: object) -> str:
@@ -694,9 +731,11 @@ _code_table = _CodeTable()
 
 
 def _compile(root: Node, order: int | None):
-    """The kernel of ``evaluate`` (``order`` None) or of the jet of ``order``.
+    """The kernel of ``evaluate`` (``order`` None), ``kernel(x)``, or the batch
+    kernel of the jet of ``order``, ``kernel(xs)``.
 
-    The jet kernel returns the derivatives, each coefficient times k!.
+    The batch kernel returns a list with, per abscissa, the derivatives (each
+    coefficient times k!) or the :class:`DomainError` ``jet`` raises there.
     """
     emitter = _Emitter()
     emit = emitter.scalar if order is None else partial(emitter.jet, n=order + 1)
@@ -720,10 +759,18 @@ def _compile(root: Node, order: int | None):
         raise TypeError(f"not an expression node: {node!r}")
 
     result = visit(root)
-    if order is not None:
-        result = "(" + "".join(f"{c} * {math.factorial(k)}, " for k, c in enumerate(result)) + ")"
-    source = "".join(f"    {line}\n" for line in emitter.lines)
-    source = f"def kernel(x):\n{source}    return {result}\n"
+    if order is None:
+        source = "".join(f"    {line}\n" for line in emitter.lines)
+        source = f"def kernel(x):\n{source}    return {result}\n"
+    else:
+        names = [f"d{k}" for k in range(len(result))]
+        source = _BATCH_KERNEL.format(
+            body="".join(f"            {line}\n" for line in emitter.lines or ["pass"]),
+            derivs="".join(f"        {d} = {c} * {math.factorial(k)}\n"
+                           for k, (d, c) in enumerate(zip(names, result))),
+            finite=" + ".join(f"{d} - {d}" for d in names),
+            names=", ".join(names),
+        )
     exec(_code_table.code(source), emitter.namespace)
     return emitter.namespace["kernel"]
 
@@ -764,19 +811,6 @@ def _jet_kernel(ast: ExprAst | Node, order: int, cap: int):
     return _kernel(ast, order)
 
 
-def _derivs(kernel, x0: float) -> tuple[float, ...]:
-    """The kernel's derivatives at ``x0``, or DomainError where the jet is undefined."""
-    try:
-        derivs = kernel(x0)
-    except (OverflowError, ValueError) as exc:
-        # math.pow overflowing, or fsum overflowing or meeting inf - inf
-        raise DomainError(f"{exc} at x={x0!r}") from None
-    if not all(map(math.isfinite, derivs)):
-        k = next(k for k, v in enumerate(derivs) if not math.isfinite(v))
-        raise DomainError(f"non-finite derivative of order {k} at x={x0!r}")
-    return derivs
-
-
 def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP) -> TaylorJet:
     """Derivatives h^(0)..h^(order) at ``x0`` via truncated-Taylor propagation.
 
@@ -784,13 +818,17 @@ def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP
     k!, so the only rounding beyond the propagation itself is one final
     correctly-rounded float-by-int multiply per order.
 
-    As in :func:`evaluate`, a bare :data:`Node` is emitted again on every
-    call (some 20-50 µs at order 2); an :class:`ExprAst` reuses its kernel.
-    A scan over many abscissae should call :func:`jet_rows`, which skips the
-    per-call checks and the :class:`TaylorJet` wrapper.
+    It runs the batch kernel of ``order`` on the one abscissa ``x0`` and
+    raises the :class:`DomainError` the kernel gives there. As in
+    :func:`evaluate`, a bare :data:`Node` is emitted again on every call (some
+    20-50 µs at order 2); an :class:`ExprAst` reuses its kernel. A scan over
+    many abscissae should call :func:`jet_rows`, which runs the kernel once
+    for the whole scan and skips the :class:`TaylorJet` wrapper.
     """
-    derivs = _derivs(_jet_kernel(ast, order, cap), x0)
-    return TaylorJet(center=x0, order=order, derivs=derivs)
+    (row,) = _jet_kernel(ast, order, cap)((x0,))
+    if isinstance(row, DomainError):
+        raise row
+    return TaylorJet(center=x0, order=order, derivs=row)
 
 
 def jet_rows(
@@ -799,16 +837,11 @@ def jet_rows(
     """``jet(ast, x, order).derivs`` for each x of ``xs``, None where that
     raises :class:`DomainError`.
 
-    One kernel lookup and one loop for the whole batch; each row is the same
-    bits :func:`jet` returns. Order and cap errors are raised up front, as
-    :func:`jet` raises them. A caller that needs the message of a failed
-    point gets it from one :func:`jet` call there.
+    One call of the batch kernel of ``order``, which loops over ``xs``
+    itself; each row is the same bits :func:`jet` returns. Order and cap
+    errors are raised up front, as :func:`jet` raises them. A caller that
+    needs the message of a failed point gets it from one :func:`jet` call
+    there.
     """
-    kernel = _jet_kernel(ast, order, cap)
-    rows: list[tuple[float, ...] | None] = []
-    for x in xs:
-        try:
-            rows.append(_derivs(kernel, x))
-        except DomainError:
-            rows.append(None)
-    return rows
+    rows = _jet_kernel(ast, order, cap)(xs)
+    return [None if isinstance(row, DomainError) else row for row in rows]

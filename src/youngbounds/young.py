@@ -127,32 +127,42 @@ class DerivativeProfile:
 
     A jet kernel's coefficient k depends only on coefficients <= k of its
     operands, so when ``jet(x, m)`` succeeds its derivatives 0..k are those of
-    ``jet(x, k)``, bit for bit. The profile keeps, per abscissa, the longest
-    derivative tuple computed there and serves every lower order from it. A
-    miss computes exactly the order asked for, and a jet that fails is never
-    kept, so every read returns or raises what ``inst.deriv`` and
-    ``jet(inst.ast, x, order)`` would. ``column`` reads many abscissae at
-    once and computes all its misses in one :func:`jet_rows` batch;
-    ``deriv`` and ``derivs`` read one. ``memo`` keeps values derived from
-    the derivatives (the catalog's sampled gates, extrema and exact r = 1
-    norms), or the typed error of a computation that failed, under keys its
-    caller chooses; keys that name an interval make the profile valid for
-    any anchors.
+    ``jet(x, k)``, bit for bit, and the profile serves every lower order from
+    the highest order it computed. It keeps two kinds of rows:
+
+    - grid rows: ``column`` reads ``interior_grid(lo, hi, n)`` at once. Per
+      grid, the profile keeps the rows of one :func:`jet_rows` batch at the
+      highest order computed there, None where that jet fails; a higher
+      order computes the grid again and replaces the entry. The catalog's
+      gates and extremum scans read these.
+    - point rows: ``deriv`` and ``derivs`` read one abscissa (anchors,
+      extremum endpoints, golden-section refinement, midpoints). Per
+      abscissa, the profile keeps the longest derivative tuple computed
+      there; a miss computes exactly the order asked for, and a jet that
+      fails is not kept.
+
+    Every read returns or raises what ``inst.deriv`` and
+    ``jet(inst.ast, x, order)`` would. ``memo`` keeps values derived from the
+    derivatives (the catalog's sampled gates, extrema and exact r = 1 norms),
+    or the typed error of a computation that failed, under keys its caller
+    chooses; keys that name an interval make the profile valid for any
+    anchors.
 
     Only point reads, gates and scans read the profile, so it keeps a few
-    thousand abscissae per distinct interval; quadrature integrands call
+    thousand rows per distinct interval; quadrature integrands call
     ``inst.deriv`` and leave nothing behind.
 
-    Entries only ever equal what a recomputation would give or raise, so
-    threads share a profile without a lock: a race at worst computes an entry
-    twice.
+    Entries only ever equal what a recomputation would give or raise, and a
+    grid entry is replaced, never changed in place, so threads share a
+    profile without a lock: a race at worst computes an entry twice.
     """
 
-    __slots__ = ("inst", "_jets", "_memo")
+    __slots__ = ("inst", "_jets", "_grids", "_memo")
 
     def __init__(self, inst: ProblemInstance) -> None:
         self.inst = inst
         self._jets: dict = {}
+        self._grids: dict = {}
         self._memo: dict = {}
 
     def _row(self, x: float, order: int) -> tuple[float, ...]:
@@ -165,31 +175,34 @@ class DerivativeProfile:
                 self._jets[key] = cached
         return cached
 
-    def column(self, xs, k: int) -> list[float | None]:
-        """h^(k) at each x of the sequence ``xs``: what ``deriv`` returns, or
-        None where it raises DomainError. The misses at k > 0 are computed in
-        one batch, and only the rows that succeed are kept."""
+    def column(
+        self, lo: float, hi: float, n: int, k: int, fill: int = 0
+    ) -> list[float | None]:
+        """h^(k) at each x of ``interior_grid(lo, hi, n)``: what ``deriv``
+        returns, or None where it raises DomainError.
+
+        A grid with no entry, or one kept below order k, is computed in one
+        batch at order max(k, ``fill``), which replaces its entry; a ``fill``
+        above k lets a later read of that order share the batch. Where the
+        kept order is above k and its jet failed, the point is computed again
+        at k, in one more batch that is not kept."""
         if k == 0:
-            return [_value_or_none(self.inst.h, x) for x in xs]
-        jets = self._jets
-        values: list[float | None] = []
-        misses: list[int] = []
-        for x in xs:
-            row = jets.get(x if x else repr(x))  # 0.0 and -0.0 are equal dict keys
-            if row is not None and 0 < k < len(row):
-                values.append(row[k])
-            else:
-                misses.append(len(values))
-                values.append(None)
-        if misses:
-            rows = jet_rows(self.inst.ast, [xs[i] for i in misses], k)
-            for i, row in zip(misses, rows):
-                if row is not None:
-                    x = xs[i]
-                    key = x if x else repr(x)
-                    if len(row) > len(jets.get(key, ())):
-                        jets[key] = row
-                    values[i] = row[k]
+            return [_value_or_none(self.inst.h, x) for x in interior_grid(lo, hi, n)]
+        key = (lo, hi, n)  # the grid of -0.0 is that of 0.0, as in a memo key
+        entry = self._grids.get(key)
+        if entry is None or not 0 < k <= entry[0]:
+            order = max(k, fill) if k > 0 else k  # a bad k raises as deriv's does
+            xs = interior_grid(lo, hi, n)
+            entry = self._grids[key] = (order, xs, jet_rows(self.inst.ast, xs, order))
+        order, xs, rows = entry
+        values = [None if row is None else row[k] for row in rows]
+        if order > k:
+            misses = [i for i, row in enumerate(rows) if row is None]
+            if misses:
+                redone = jet_rows(self.inst.ast, [xs[i] for i in misses], k)
+                for i, row in zip(misses, redone):
+                    if row is not None:
+                        values[i] = row[k]
         return values
 
     def derivs(self, x: float, order: int) -> tuple[float, ...]:

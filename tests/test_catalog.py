@@ -8,7 +8,7 @@ import math
 import random
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -20,8 +20,10 @@ from youngbounds.errors import (
     InvalidTError,
     OrderCapError,
     ParseError,
+    YoungBoundsError,
 )
 from youngbounds.expr import evaluate, jet, parse_expr
+from youngbounds.numerics import EXTREMUM_SCAN_POINTS
 from youngbounds.young import Anchors, Options, anchors, make_problem, oracle
 
 INF = math.inf
@@ -124,8 +126,8 @@ def test_cubic_taylor_product_hh(cubic):
 def test_cubic_polya_first(cubic):
     inst, anch, orc = cubic
     r = cat.bound_polya_first(inst, anch)
-    assert r.extra("L") == pytest.approx(3.0, rel=1e-12)
-    assert r.extra("U") == pytest.approx(6.75, rel=1e-12)
+    assert dict(r.extras)["L"] == pytest.approx(3.0, rel=1e-12)
+    assert dict(r.extras)["U"] == pytest.approx(6.75, rel=1e-12)
     assert r.lower == pytest.approx(7.328125 / 7.5, abs=1e-12)
     assert r.upper == pytest.approx(9.078125 / 7.5, abs=1e-12)
     shifted = r.target.native_of_sum(orc.sum)
@@ -162,7 +164,7 @@ def test_cubic_lp_remainder(cubic):
     lhs = r.target.native_of_sum(orc.sum)
     assert lhs == pytest.approx(0.0390625, abs=1e-12)
     assert lhs <= r.upper
-    assert r.extra("coarse_upper") >= r.upper
+    assert dict(r.extras)["coarse_upper"] >= r.upper
 
 
 def test_cubic_holder_norm(cubic):
@@ -192,8 +194,8 @@ def test_holder_finite_conjugate_pair(cubic):
     r = cat.bound_holder_norm(inst, anch, lower_pair=(0.5, -1.0), upper_pair=(2.0, 2.0))
     assert r.lower <= orc.gap <= r.upper
     # both pairings are reported
-    assert r.extra("statement_upper") == r.upper
-    assert r.extra("proof_upper") >= orc.gap - 1e-12
+    assert dict(r.extras)["statement_upper"] == r.upper
+    assert dict(r.extras)["proof_upper"] >= orc.gap - 1e-12
 
 
 def test_holder_invalid_pairs_raise(cubic):
@@ -288,7 +290,7 @@ def test_lp_remainder_sup_norm_reuses_the_polya_scan(monkeypatch):
     assert calls == [] and kernel_evaluations == before, kernel_evaluations - before
     # the same bits as a scan of |h''| itself
     _, (_, sup_abs) = numerics.extremum(lambda x: abs(inst.deriv(x, 2)), anch.alpha, anch.beta)
-    assert res.extra("norm") == sup_abs
+    assert dict(res.extras)["norm"] == sup_abs
 
 
 def _patch_everywhere(monkeypatch, name: str, replacement) -> None:
@@ -325,9 +327,10 @@ def test_sweep_output_does_not_depend_on_the_scan_column(monkeypatch, sweep_repr
 
 
 # Kernel evaluations by jet order (None: evaluate) of make_problem, anchors,
-# all 13 methods and the sweep's two REDUCTION re-runs on the quartic. Batched
-# scans call the kernels differently, not more or less often.
-_QUARTIC_KERNEL_EVALUATIONS = {None: 16, 1: 1382, 2: 1634, 3: 514, 4: 257}
+# all 13 methods and the sweep's two REDUCTION re-runs on the quartic. The h'
+# extremum scan reads the 1,023 order-2 rows of the h'' scan, so order 1
+# counts validation's 257-point scan and point reads alone.
+_QUARTIC_KERNEL_EVALUATIONS = {None: 16, 1: 361, 2: 1637, 3: 514, 4: 257}
 # The point reads left to jet (anchor reads, Newton slopes, extremum endpoints
 # and golden-section refinement) number 201; one 257-point gate, 257-point
 # validation scan or 1023-point extremum scan read point by point exceeds this.
@@ -336,7 +339,7 @@ _QUARTIC_JET_CALL_BOUND = 250
 
 def _count_kernel_evaluations(monkeypatch) -> Counter:
     """Kernel evaluations by jet order (None: evaluate) of kernels compiled
-    from here on."""
+    from here on: one per evaluate call, one per abscissa of a jet batch."""
     kernel_evaluations: Counter = Counter()
     compile_kernel = expr._compile
 
@@ -344,7 +347,7 @@ def _count_kernel_evaluations(monkeypatch) -> Counter:
         kernel = compile_kernel(root, order)
 
         def counted(x):
-            kernel_evaluations[order] += 1
+            kernel_evaluations[order] += 1 if order is None else len(x)
             return kernel(x)
 
         return counted
@@ -375,8 +378,10 @@ def test_work_count_gate(monkeypatch):
 
 def test_a_failed_scan_point_is_evaluated_once(monkeypatch):
     # h' has no jet at x0, the 300th interior point of polya-first's scan of
-    # [0.5, 1.5]: the batch's None stands and x0 is not read again. 1,144 =
-    # 1,023 interior points + 2 endpoints + 119 golden-section reads.
+    # [0.5, 1.5]. The scan's batch runs at order 2, and x0, where that jet
+    # fails, is read once more at order 1; the None stands and x0 is not read
+    # again. 1,023 order-2 interior points; 122 = x0 + 2 endpoints + 119
+    # golden-section reads at order 1.
     x0 = 0.79296875
     kernel_evaluations = _count_kernel_evaluations(monkeypatch)
     ast = parse_expr(f"x + 0.1*(((x-{x0})^2)^(2/3) - {x0}^(4/3))")
@@ -386,7 +391,55 @@ def test_a_failed_scan_point_is_evaluated_once(monkeypatch):
         inst.deriv(x0, 1)
     before = Counter(kernel_evaluations)
     cat.bound_polya_first(inst, anch)
-    assert (kernel_evaluations - before) == {1: 1144}
+    assert (kernel_evaluations - before) == {1: 122, 2: 1023}
+
+
+def _kernel_abscissae(monkeypatch) -> dict:
+    """The abscissae, in call order, at which each jet order's kernels
+    compiled from here on run."""
+    seen: dict = defaultdict(list)
+    compile_kernel = expr._compile
+
+    def recorded_compile(root, order):
+        kernel = compile_kernel(root, order)
+        if order is None:
+            return kernel
+
+        def recorded(xs):
+            seen[order].extend(xs)
+            return kernel(xs)
+
+        return recorded
+
+    monkeypatch.setattr(expr, "_compile", recorded_compile)
+    return seen
+
+
+@pytest.mark.parametrize("text,a,b,anch,failed", [
+    ("(x^4+1)^(1/4)-1", 3.0, 2.0, None, 0),
+    # h'' of exp(-1/x) is not finite below about 5.6e-103, where 1/x^3
+    # overflows, but h' is: 140 grid points of [1e-103, 1e-102]
+    ("x+exp(-1/x)", 1e-102, 1e-103,
+     Anchors(h_inv_b=1e-103, alpha=1e-103, beta=1e-102, h_a=1e-102, orientation=1), 140),
+], ids=["quartic", "order-2-fails"])
+def test_h_prime_scan_reads_the_h_second_rows(monkeypatch, text, a, b, anch, failed):
+    # every method on one instance: the h' extremum scan of [alpha, beta]
+    # evaluates order-1 jets on its grid only where the order-2 jet fails
+    seen = _kernel_abscissae(monkeypatch)
+    inst = make_problem(text, a, b, 3.0 if anch is None else 1.0)
+    anch = anch or anchors(inst)
+    seen.clear()
+    for name in cat.METHODS:
+        try:
+            cat.run_method(inst, anch, name)
+        except YoungBoundsError:  # taylor-lagrange and others at 1e-103
+            pass
+    assert len(seen[1]) > 0 and len(seen[2]) >= EXTREMUM_SCAN_POINTS - 2
+    grid = numerics.interior_grid(anch.alpha, anch.beta, EXTREMUM_SCAN_POINTS - 2)
+    order_2_fails = [x for x, row in zip(grid, expr.jet_rows(inst.ast, grid, 2)) if row is None]
+    on_grid = set(grid)
+    assert [x for x in seen[1] if x in on_grid] == order_2_fails
+    assert len(order_2_fails) == failed
 
 
 def test_taylor_holder_extras_need_no_quadrature():
@@ -499,6 +552,16 @@ _ORDER_ESTIMATORS = (
     cat.bound_taylor_jensen, cat.bound_taylor_product_hh, cat.bound_polya_higher,
     cat.bound_lp_remainder,
 )
+
+
+@pytest.mark.parametrize("order", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("estimator", _ORDER_ESTIMATORS, ids=lambda f: f.__name__)
+def test_non_integer_order_raises_a_typed_error(estimator, order):
+    # as for Options.taylor_order: 1.0 raised an untyped TypeError, and True
+    # ran as order 1
+    inst = make_problem("x^3", 1.5, 1.0, 2.0)
+    with pytest.raises(OrderCapError, match="nonnegative integer"):
+        estimator(inst, anchors(inst), order)
 
 
 @pytest.mark.parametrize("b", [1.0, 3.375], ids=["no-tie", "tie"])
@@ -768,7 +831,7 @@ def test_lp_tight_below_coarse_on_random_family():
         count += 1
         for p in (1.0, 2.0, INF):
             r = cat.bound_lp_remainder(inst, anch, 1, p)
-            assert r.upper <= r.extra("coarse_upper") + 1e-12, (p, a, b)
+            assert r.upper <= dict(r.extras)["coarse_upper"] + 1e-12, (p, a, b)
 
 
 # ---------------------------------------------------------------------------

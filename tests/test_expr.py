@@ -507,6 +507,44 @@ def test_jet_rows_order_errors_match_jet(order, cap, xs):
     assert _outcome(jet_rows, ast, xs, order, cap) == want
 
 
+# Batches that mix successes with every way a jet fails: ln of nonpositive
+# values and math.pow overflowing (x^2.5 at 1e200); derivatives at a zero
+# base; fsum meeting inf - inf (at 700) and exp overflowing, which the kernel
+# raises from inside an except clause (at 800); non-finite derivatives of
+# order 1 (at 1e-20) and 0 (at 1e20); and 0.0 next to -0.0.
+_MIXED_BATCHES = [
+    ("ln(x)+x^2.5", 1, [0.5, 0.0, -0.0, 1e200, -1.0, 2.0]),
+    ("x^2.5", 2, [1.0, 0.0, 0.25]),
+    ("(exp(x)*1e10)*exp(-x)", 1, [1.0, 700.0, 800.0, -0.0]),
+    ("sqrt(x)*1e300", 1, [1.0, 1e-20, 1e20]),
+    ("x", 2, [0.0, -0.0, math.inf, 1.0]),
+]
+
+
+@pytest.mark.parametrize("text,order,xs", _MIXED_BATCHES, ids=[c[0] for c in _MIXED_BATCHES])
+def test_batch_kernel_rows_match_jet_point_by_point(text, order, xs):
+    # each row of one batch is what jet returns or raises at its abscissa,
+    # message included, and what the reference walkers give; a stored error
+    # keeps no traceback and no context
+    ast = parse_expr(text)
+    batch = expr._kernel(ast, order)(xs)
+    rows = jet_rows(ast, xs, order)
+    assert len(batch) == len(rows) == len(xs)
+    assert any(isinstance(r, DomainError) for r in batch)
+    assert not all(isinstance(r, DomainError) for r in batch)
+    for x, got, row in zip(xs, batch, rows):
+        want = _outcome(jet, ast, x, order)
+        ref = _outcome(_reference_jet, ast, x, order)
+        if isinstance(got, DomainError):
+            assert row is None and want == (DomainError, str(got)), x
+            assert got.__traceback__ is None and got.__context__ is None, x
+            if ref[0] in (OverflowError, ValueError):  # jet names x in the walkers' bare errors
+                ref = (DomainError, f"{ref[1]} at x={x!r}")
+            assert ref == want, x
+        else:
+            assert want == ref == ("value", repr(got)) == ("value", repr(row)), x
+
+
 def test_huge_integer_power_compiles_in_bounded_time():
     # x^1e300 has a 997-bit exponent; its squaring chain is not unrolled
     ast = parse_expr("x^1e300")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from youngbounds.errors import DomainError, ValidationError
 from youngbounds.expr import evaluate, jet, parse_expr
-from youngbounds.numerics import integrate
+from youngbounds.numerics import integrate, interior_grid
 from youngbounds.young import (
     Options,
     ProblemInstance,
@@ -225,40 +225,57 @@ def test_profile_reads_match_unshared_reads(text, reads):
         assert got == want, (text, x, k, whole)
 
 
+_PROFILE_BOUNDS = st.sampled_from(_PROFILE_POINTS) | st.floats(min_value=-0.5, max_value=3.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=st.sampled_from(_PROFILE_FUNCTIONS),
-       reads=st.lists(st.tuples(st.lists(st.sampled_from(_PROFILE_POINTS)
-                                         | st.floats(min_value=-0.5, max_value=3.0),
-                                         max_size=6),
+       reads=st.lists(st.tuples(_PROFILE_BOUNDS, _PROFILE_BOUNDS,
+                                st.integers(min_value=1, max_value=6),
+                                st.integers(min_value=0, max_value=6),
                                 st.integers(min_value=0, max_value=6)),
                       min_size=1, max_size=12))
-@example(text="x", reads=[([0.0, -0.0], 2), ([-0.0, 0.0], 1)])
+@example(text="x", reads=[(-0.0, 0.0, 2, 2, 0), (0.0, -0.0, 2, 1, 0)])
+# the order-2 jet of exp(-1/x) fails at 1e-120 and 2e-120 (1/x^3 overflows),
+# the order-1 jet does not
+@example(text="exp(-1/x)", reads=[(0.0, 3e-120, 2, 1, 2), (0.0, 3e-120, 2, 2, 0),
+                                  (0.0, 3e-120, 2, 1, 0), (0.0, 3e-120, 2, 3, 0)])
 def test_profile_column_reads_match_unshared_reads(text, reads):
-    # a column is deriv at each abscissa, None where it raises DomainError,
-    # and later point reads still match the instance
+    # a grid column is deriv at each abscissa of the grid, None where it
+    # raises DomainError, whatever order the grid's rows were kept at, and
+    # later point reads still match the instance
     inst = ProblemInstance(parse_expr(text), a=1.0, b=0.5, c=2.0)
     prof = inst.profile
-    for xs, k in reads:
+    for lo, hi, n, k, fill in reads:
+        xs = interior_grid(lo, hi, n)
         want = [_outcome(inst.deriv, x, k) for x in xs]
-        got = prof.column(xs, k)
+        got = prof.column(lo, hi, n, k, fill)
         assert [("value", repr(v)) if v is not None else DomainError for v in got] == [
-            w if w[0] == "value" else w[0] for w in want], (text, xs, k)
+            w if w[0] == "value" else w[0] for w in want], (text, lo, hi, n, k, fill)
         for x in xs:
             assert _outcome(prof.derivs, x, k) == _outcome(
                 lambda x, k: jet(inst.ast, x, k).derivs, x, k), (text, x, k)
 
 
 def test_failed_column_miss_leaves_no_entry():
+    # a grid read keeps no point row; a point read where the grid's jet
+    # failed raises what the instance raises
     inst = ProblemInstance(parse_expr("x^2.5"), a=1.0, b=0.5, c=2.0)
     prof = inst.profile
-    assert prof.column([0.0, 0.5, -0.0], 2) == [None, inst.deriv(0.5, 2), None]
-    assert list(prof._jets) == [0.5]
+    assert prof.column(-1.0, 1.0, 3, 2) == [None, None, inst.deriv(0.5, 2)]  # -0.5, 0, 0.5
+    assert prof._jets == {}
     with pytest.raises(DomainError) as got:
         prof.deriv(0.0, 2)
     with pytest.raises(DomainError) as want:
         inst.deriv(0.0, 2)
     assert str(got.value) == str(want.value)
-    assert list(prof._jets) == [0.5]
+    assert prof._jets == {}
+    # a point read again at a lower order is not kept: the grid keeps the
+    # rows of its one batch, at its one order
+    prof = ProblemInstance(parse_expr("exp(-1/x)"), a=1.0, b=0.5, c=2.0).profile
+    assert prof.column(0.0, 3e-120, 2, 1, fill=2) == [0.0, 0.0]
+    assert prof._grids == {(0.0, 3e-120, 2): (2, interior_grid(0.0, 3e-120, 2), [None, None])}
+    assert prof._jets == {}
 
 
 def test_memo_remembers_a_typed_failure():
@@ -290,10 +307,12 @@ def test_memo_remembers_a_typed_failure():
 
 
 def test_column_orders_fail_as_deriv_does():
+    # the grid [0.5] kept at order 3 serves no bad order, with or without fill
     prof = ProblemInstance(parse_expr("x^3"), a=1.0, b=0.5, c=2.0).profile
-    prof.column([0.5], 3)
-    assert _outcome(prof.column, [0.5], -1) == _outcome(prof.deriv, 0.5, -1)
-    assert _outcome(prof.column, [0.5], 17) == _outcome(prof.deriv, 0.5, 17)
+    prof.column(0.0, 1.0, 1, 3)
+    for fill in (0, 2):
+        for k in (-1, 17):
+            assert _outcome(prof.column, 0.0, 1.0, 1, k, fill) == _outcome(prof.deriv, 0.5, k)
 
 
 # ---------------------------------------------------------------------------

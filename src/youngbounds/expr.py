@@ -481,19 +481,52 @@ def _jet_int_pow(u: list[float], c: int) -> list[float]:
 #
 # Each kernel's body is straight-line code, emitted by a post-order walk of
 # the tree: ``evaluate``, and the jet of each requested order, whose body runs
-# in a loop over a batch of abscissae. Every value goes through the same float
-# operations, in the same order, as in the reference walkers (``fsum`` over a
-# tuple of the same terms, the same unrolled squarings), so the kernels return
-# the same bits. Constants and exponents reach the source only as names bound
-# in the kernel's namespace; operators and functions come from fixed sets.
+# in a loop over a batch of abscissae. Every value comes out as the same bits
+# as in the reference walkers (the same unrolled squarings, the same products,
+# the value or the error of ``fsum`` over the same terms). Constants and
+# exponents reach the source only as names bound in the kernel's namespace;
+# operators and functions come from fixed sets.
+#
+# Jets fold the literals 0.0, -0.0 and 1.0 (the coefficients of x and of
+# constants) and the factor 1 at emit time, on their text alone, never on
+# the value of a bound constant, so same-shape expressions still share one
+# source: the sum or difference of two literals is a literal, a product
+# drops its factors 1 (one of literals only is 0.0 or 1.0), and ``a - 0.0``,
+# ``a + -0.0``, ``a / 1`` and the scalings by 0! and 1! are ``a``. Each
+# Taylor coefficient's fsum over products is a sum site. A product with a
+# factor 0.0 is a zero multiple: dropped when it has no other factor, and
+# otherwise ±0 whenever r, the product of its other factors, is finite.
+# With m live terms (the others) and zero multiples r1..rj, a site is
+#
+#   m <= 2, no zero multiple, every live term 1.0:  the literal m.0
+#   m = 1, no zero multiple:   s = l + 0.0
+#   other m <= 2:              s = l1 + l2 + (r1 + ... + rj) * 0.0 + 0.0
+#                              if s - s: s = fsum((<every term>,))
+#   m >= 3:                    s = fsum((<live terms, zero multiples>,))
+#
+# This is fsum, bit for bit. For finite terms a + b is the correctly
+# rounded sum, which fsum returns, and ``+ 0.0`` turns -0.0 into 0.0, as
+# fsum does; so does ``l + 0.0`` for any l, inf and nan included. A finite s
+# has finite l1, l2 and r, so its zero multiples are ±0, which fsum ignores.
+# Any other s is inf or nan, and the guard runs the site's fsum, which
+# returns or raises what it always did. Three or more live terms keep their
+# zero multiples in the fsum: a nan among the terms moves where fsum can
+# overflow, and a guard after the call could not undo an overflow raised.
 # ---------------------------------------------------------------------------
 
 # Integer powers up to 2^8 - 1 are unrolled; larger ones call _jet_int_pow.
 _UNROLLED_POW_BITS = 8
 
 
-def _fsum(terms: list[str]) -> str:
-    return f"fsum(({', '.join(terms)},))" if terms else "0.0"
+def _fsum(terms) -> str:
+    return f"fsum(({', '.join(terms)},))"
+
+
+# The literals the jet emitter folds on, by their text: the zeros and ones
+# that the jets of x and of constants hold, and the integer factor 1. Every
+# other value, a name or another number, is kept as text.
+_LITERALS = {"0.0": 0.0, "-0.0": -0.0, "1.0": 1.0, "1": 1}
+_LITERAL_TEXTS = frozenset(_LITERALS)
 
 
 def _raise(message: str) -> str:
@@ -602,9 +635,9 @@ class _Emitter:
         if kind == "x":
             return (["x", "1.0"] + ["0.0"] * n)[:n]
         if kind == "neg":
-            return [self.let(f"-{c}") for c in args[0]]
+            return [self.neg(c) for c in args[0]]
         if kind in ("+", "-"):
-            return [self.let(f"{a} {kind} {b}") for a, b in zip(*args)]
+            return [self.add(kind, a, b) for a, b in zip(*args)]
         if kind == "*":
             return self.mul(*args)
         if kind == "/":
@@ -617,32 +650,82 @@ class _Emitter:
             return self.ln(args[0])
         return self.pow(args[0], 0.5)
 
+    def neg(self, a: str) -> str:
+        value = _LITERALS.get(a)
+        return self.let(f"-{a}") if value is None else repr(-float(value))
+
+    def add(self, op: str, a: str, b: str) -> str:
+        """``a + b`` or ``a - b``: folded for two literals, ``a`` for a - 0.0
+        and a + -0.0."""
+        left, right = _LITERALS.get(a), _LITERALS.get(b)
+        if right is not None:
+            if left is not None:
+                return repr(float(left + right if op == "+" else left - right))
+            if b == ("-0.0" if op == "+" else "0.0"):
+                return a
+        return self.let(f"{a} {op} {b}")
+
+    def quotient(self, a: str, b: str) -> str:
+        """``a / b`` for a divisor checked nonzero, ``a`` for a divisor 1."""
+        return a if _LITERALS.get(b) == 1 else self.let(f"{a} / {b}")
+
+    def sum_site(self, terms: list[tuple[str, ...]]) -> str:
+        """The value of ``fsum`` over the products ``terms``, by the sum-site
+        rule of the comment above."""
+        products = [" * ".join(factors) for factors in terms]
+        live: list[str] = []  # live products, "1.0" for one of literals only
+        zeros: list[str] = []  # r of each zero multiple
+        zero_products: list[str] = []
+        for factors, product in zip(terms, products):
+            if _LITERAL_TEXTS.isdisjoint(factors):
+                live.append(product)
+                continue
+            rest = [f for f in factors if f not in _LITERAL_TEXTS]
+            if "0.0" not in factors and "-0.0" not in factors:
+                live.append(" * ".join(rest) if rest else "1.0")
+            elif rest:
+                zeros.append(" * ".join(rest))
+                zero_products.append(product)
+        if len(live) > 2:
+            return self.let(_fsum(live + zero_products))
+        if not zeros:
+            if live.count("1.0") == len(live):
+                return f"{len(live)}.0"
+            if len(live) == 1:
+                return self.let(f"{live[0]} + 0.0")
+        if len(zeros) == 1:
+            live.append(f"{zeros[0]} * 0.0")
+        elif zeros:
+            live.append(f"({' + '.join(zeros)}) * 0.0")
+        s = self.let(" + ".join(live) + " + 0.0")
+        self.lines.append(f"if {s} - {s}: {s} = {_fsum(products)}")
+        return s
+
     def mul(self, u: list[str], v: list[str]) -> list[str]:
-        return [self.let(_fsum([f"{u[j]} * {v[k - j]}" for j in range(k + 1)]))
+        return [self.sum_site([(u[j], v[k - j]) for j in range(k + 1)])
                 for k in range(len(u))]
 
     def div(self, u: list[str], v: list[str]) -> list[str]:
         self.check(f"{v[0]} == 0.0", "division by zero")
         q: list[str] = []
         for k in range(len(u)):
-            acc = _fsum([f"{v[j]} * {q[k - j]}" for j in range(1, k + 1)])
-            q.append(self.let(f"({u[k]} - {acc}) / {v[0]}"))
+            acc = self.sum_site([(v[j], q[k - j]) for j in range(1, k + 1)])
+            q.append(self.quotient(self.add("-", u[k], acc), v[0]))
         return q
 
     def exp(self, u: list[str]) -> list[str]:
         w = [self.checked_exp(u[0])]
         for k in range(1, len(u)):
-            w.append(self.let(
-                f"{_fsum([f'{j} * {u[j]} * {w[k - j]}' for j in range(1, k + 1)])} / {k}"
-            ))
+            acc = self.sum_site([(str(j), u[j], w[k - j]) for j in range(1, k + 1)])
+            w.append(self.quotient(acc, str(k)))
         return w
 
     def ln(self, u: list[str]) -> list[str]:
         self.check(f"{u[0]} <= 0.0", f"ln of nonpositive value {{{u[0]}!r}}")
         w = [self.let(f"log({u[0]})")]
         for k in range(1, len(u)):
-            acc = _fsum([f"{j} * {w[j]} * {u[k - j]}" for j in range(1, k)])
-            w.append(self.let(f"({u[k]} - {acc} / {k}) / {u[0]}"))
+            acc = self.sum_site([(str(j), w[j], u[k - j]) for j in range(1, k)])
+            w.append(self.quotient(self.add("-", u[k], self.quotient(acc, str(k))), u[0]))
         return w
 
     def int_pow(self, u: list[str], c: int) -> list[str]:
@@ -681,9 +764,9 @@ class _Emitter:
                    f"derivatives of {{{u[0]}!r}}^{{{p}!r}} are singular at a zero base")
         w = [self.let(f"pow({u[0]}, {p})")]
         for k in range(1, n):
-            terms = [f"{self.bind((c + 1.0) * j - k)} * {u[j]} * {w[k - j]}"
-                     for j in range(1, k + 1)]
-            w.append(self.let(f"{_fsum(terms)} / ({k} * {u[0]})"))
+            acc = self.sum_site([(self.bind((c + 1.0) * j - k), u[j], w[k - j])
+                                 for j in range(1, k + 1)])
+            w.append(self.let(f"{acc} / ({k} * {u[0]})" if k > 1 else f"{acc} / {u[0]}"))
         return w
 
 
@@ -766,7 +849,8 @@ def _compile(root: Node, order: int | None):
         names = [f"d{k}" for k in range(len(result))]
         source = _BATCH_KERNEL.format(
             body="".join(f"            {line}\n" for line in emitter.lines or ["pass"]),
-            derivs="".join(f"        {d} = {c} * {math.factorial(k)}\n"
+            derivs="".join(f"        {d} = {c} * {math.factorial(k)}\n" if k > 1
+                           else f"        {d} = {c}\n"
                            for k, (d, c) in enumerate(zip(names, result))),
             finite=" + ".join(f"{d} - {d}" for d in names),
             names=", ".join(names),
@@ -821,7 +905,7 @@ def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP
     It runs the batch kernel of ``order`` on the one abscissa ``x0`` and
     raises the :class:`DomainError` the kernel gives there. As in
     :func:`evaluate`, a bare :data:`Node` is emitted again on every call (some
-    20-50 µs at order 2); an :class:`ExprAst` reuses its kernel. A scan over
+    25-80 µs at order 2); an :class:`ExprAst` reuses its kernel. A scan over
     many abscissae should call :func:`jet_rows`, which runs the kernel once
     for the whole scan and skips the :class:`TaylorJet` wrapper.
     """

@@ -269,12 +269,13 @@ class OracleResult:
 # Construction and validation
 # ---------------------------------------------------------------------------
 
-def _h_inverse(ast: ExprAst, y: float, c: float, rel_tol: float) -> float:
-    if y == 0.0:
+def _h_inverse(inst: ProblemInstance) -> float:
+    """h^{-1}(b) on [0, c], sampling h through ``inst.h`` and its h(0+) = 0
+    rule."""
+    if inst.b == 0.0:
         return 0.0
-    deriv1 = lambda x: jet(ast, x, 1).derivs[1]
-    h = lambda x: evaluate(ast, x)
-    return invert(h, y, 0.0, c, rel_tol=rel_tol, dh=deriv1)
+    deriv1 = lambda x: jet(inst.ast, x, 1).derivs[1]
+    return invert(inst.h, inst.b, 0.0, inst.c, rel_tol=inst.options.quad_rel_tol, dh=deriv1)
 
 
 def make_problem(
@@ -315,7 +316,9 @@ def make_problem(
             hi *= 2.0
         else:
             raise ValidationError("c", f"could not bracket h^-1({b!r})")
-        c = max(a, _h_inverse(ast, b, hi, options.quad_rel_tol)) if b > 0 else a
+        # an unvalidated instance on [0, hi], only to sample h by its rule
+        bracket = ProblemInstance(ast=ast, a=float(a), b=float(b), c=hi, options=options)
+        c = max(a, _h_inverse(bracket)) if b > 0 else a
     if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
         raise ValidationError("c", f"must be a finite number > 0, got {c!r}")
     if a > c * (1.0 + 1e-12):
@@ -382,7 +385,7 @@ def _validate(inst: ProblemInstance) -> None:
 
 def anchors(inst: ProblemInstance) -> Anchors:
     """h^{-1}(b), alpha = min{a, h^{-1}(b)}, beta = max{a, h^{-1}(b)}."""
-    h_inv_b = _h_inverse(inst.ast, inst.b, inst.c, inst.options.quad_rel_tol)
+    h_inv_b = _h_inverse(inst)
     d = inst.a - h_inv_b
     return Anchors(
         h_inv_b=h_inv_b,

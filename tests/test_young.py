@@ -179,6 +179,15 @@ def test_anchors_b_zero():
     assert anch.h_inv_b == 0.0 and anch.orientation == 1
 
 
+def test_inverse_samples_h_by_its_limit_at_zero():
+    # x + exp(-1/x) is undefined at 0; the inversion reads h(0) = 0, as
+    # inst.h does, instead of nudging the endpoint to 1e-9*c, where h = 2e-9
+    # already exceeds b
+    inst = make_problem("x+exp(-1/x)", 1.0, 1e-10, 2.0)
+    assert anchors(inst).h_inv_b == 1e-10
+    assert make_problem("x+exp(-1/x)", 1e-10, 1e-10).c == 1e-10
+
+
 def test_profile_is_not_part_of_the_instance_value():
     first = make_problem("x^2", 1.0, 0.5, 1.0)
     second = dataclasses.replace(first)

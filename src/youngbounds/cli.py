@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 invariant or golden failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,7 +26,10 @@ from .report import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later one: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="young-bounds",
         description="Two-sided bounds for the Young integral functional of a "

@@ -21,7 +21,8 @@ one loop over its abscissae around the same straight-line body, which gives
 one row per abscissa, the derivatives or the :class:`DomainError` that
 ``jet`` raises there. ``jet`` runs a batch of one and ``jet_rows`` a whole
 scan. Kernels are emitted once per expression (and per jet order) and cached
-on the :class:`ExprAst`. A kernel's source holds no constant, so expressions
+on the :class:`ExprAst`, and ``parse_expr`` returns the same ExprAst for a
+text parsed again. A kernel's source holds no constant, so expressions
 of one shape share its compiled code through a bounded, locked table, and
 each distinct source is compiled once per process. The recursive evaluation
 walker stays below, for constant folding and as a reference; the jet walkers
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -110,6 +112,8 @@ class ExprAst:
 
     ``_kernels`` caches the compiled ``evaluate`` kernel (key None) and one
     jet kernel per order; it takes no part in equality, hashing or repr.
+    ``parse_expr`` shares one ExprAst, and so its kernels, among the callers
+    that parse one text again.
     """
 
     root: Node
@@ -329,15 +333,72 @@ def _fold_constant(node: Node) -> float:
     return value
 
 
+# Bound on the texts the parse table keeps, and on those it remembers seeing.
+_PARSE_TABLE_SIZE = 256
+
+
+class _ParseTable:
+    """Parsed expressions by text, for :func:`parse_expr`.
+
+    A text is kept from its second parse on: the first leaves only a weak
+    reference to its tree, which a second parse reuses, and keeps, while the
+    tree is still in use. A tree and its kernels are some 20-30 objects that
+    the garbage collector tracks, and keeping those of texts parsed only
+    once (every ``sweep`` instance) moved them all into the oldest
+    generation and doubled its full collections.
+
+    Both maps are LRUs of :data:`_PARSE_TABLE_SIZE` texts under one lock;
+    parsing runs outside it, so a race at worst parses a text twice. A text
+    that fails to parse leaves no entry.
+    """
+
+    def __init__(self) -> None:
+        self._kept: OrderedDict[str, ExprAst] = OrderedDict()
+        self._seen: OrderedDict[str, weakref.ref] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def parse(self, text: str) -> ExprAst:
+        with self._lock:
+            ast = self._kept.get(text)
+            if ast is not None:
+                self._kept.move_to_end(text)
+                return ast
+            seen = self._seen.pop(text, None)
+        ast = seen() if seen is not None else None
+        if ast is None:
+            ast = ExprAst(_Parser(_tokenize(text)).parse(), text)
+        with self._lock:
+            if seen is None:
+                table, entry = self._seen, weakref.ref(ast)
+            else:
+                table, entry = self._kept, ast
+            table[text] = entry
+            table.move_to_end(text)
+            if len(table) > _PARSE_TABLE_SIZE:
+                table.popitem(last=False)
+        return ast
+
+
+_parse_table = _ParseTable()
+
+
 def parse_expr(text: str) -> ExprAst:
     """Parse ``text`` into an :class:`ExprAst`.
 
     Raises :class:`ExprSyntaxError` (with the offending offset) on malformed
     input and :class:`UnsupportedFeatureError` for exponents containing x.
+
+    The result is shared: a bounded, thread-safe table keeps the tree of each
+    of the last :data:`_PARSE_TABLE_SIZE` texts parsed more than once, so such
+    a text returns the same :class:`ExprAst`, and the kernels cached on it
+    are emitted once. A second parse also returns the first tree while that
+    is still in use. The text is the key, not the tree, since trees that
+    differ only in the sign of a zero constant are equal. A text that fails
+    to parse is not kept; it raises again on every call.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return ExprAst(_Parser(_tokenize(text)).parse(), text)
+    return _parse_table.parse(text)
 
 
 # ---------------------------------------------------------------------------

@@ -344,24 +344,31 @@ def _validate(inst: ProblemInstance) -> None:
     # genuinely positive slope somewhere. Interior points (never 0 or c) keep
     # expressions like exp(-1/x) evaluable; its derivative underflows to 0 for
     # tiny x, which is why exact zeros are tolerated pointwise.
+    # A row that succeeded is finite, so when every row did, the least slope
+    # alone passes or fails the floor test, and the greatest the positive
+    # one; otherwise the scan walks the points in order to name the first
+    # that fails.
     n = SCAN_POINTS
-    seen_positive = False
     floor = -1e-12
     xs = interior_grid(0.0, c, n)
-    for x, row in zip(xs, jet_rows(inst.ast, xs, 1)):
-        try:
-            # a failed row's message comes from one jet at its abscissa
-            d1 = row[1] if row is not None else inst.deriv(x, 1)
-        except DomainError as exc:
-            raise ValidationError("function", f"h' not evaluable at x={x!r}: {exc}")
-        if d1 < floor * max(1.0, abs(d1)):
-            raise ValidationError(
-                "function", f"h'({x!r}) = {d1!r} < 0: h is not increasing on [0, c]"
-            )
-        if d1 > 0.0:
-            seen_positive = True
-    if not seen_positive:
-        raise ValidationError("function", "h' vanishes at every scan point")
+    rows = jet_rows(inst.ast, xs, 1)
+    d1s = [row[1] for row in rows if row is not None]
+    if len(d1s) < n or min(d1s) < floor or max(d1s) <= 0.0:
+        seen_positive = False
+        for x, row in zip(xs, rows):
+            try:
+                # a failed row's message comes from one jet at its abscissa
+                d1 = row[1] if row is not None else inst.deriv(x, 1)
+            except DomainError as exc:
+                raise ValidationError("function", f"h' not evaluable at x={x!r}: {exc}")
+            if d1 < floor * max(1.0, abs(d1)):
+                raise ValidationError(
+                    "function", f"h'({x!r}) = {d1!r} < 0: h is not increasing on [0, c]"
+                )
+            if d1 > 0.0:
+                seen_positive = True
+        if not seen_positive:
+            raise ValidationError("function", "h' vanishes at every scan point")
 
     # h(0+) = 0 within 1e-8, sampled as a one-sided limit at 1e-6, 1e-8, 1e-10.
     samples = [s for s in (1e-6, 1e-8, 1e-10) if s < c / 2]

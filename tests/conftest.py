@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from youngbounds import report
+from youngbounds import expr, report
 from youngbounds.errors import YoungBoundsError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +23,24 @@ def record_acceptance(number: int, description: str, ok: bool) -> None:
 @pytest.fixture(scope="session")
 def golden_dir() -> Path:
     return GOLDEN_DIR
+
+
+@pytest.fixture
+def code_table(monkeypatch):
+    """An empty code table in place of the process-wide one."""
+    table = expr._CodeTable()
+    monkeypatch.setattr(expr, "_code_table", table)
+    return table
+
+
+@pytest.fixture
+def parse_table(monkeypatch):
+    """An empty parse table in place of the process-wide one, so a text's
+    first parse in the test builds a fresh ExprAst and its kernels anew, and
+    no ExprAst built under a test's patches outlives the test."""
+    table = expr._ParseTable()
+    monkeypatch.setattr(expr, "_parse_table", table)
+    return table
 
 
 def _sweep_reprs(count: int) -> list[str]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import re
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+from youngbounds import cli
 from youngbounds.errors import ParseError, ValidationError
 from youngbounds.report import (
     MethodSpec,
@@ -449,6 +451,38 @@ def test_cli_sweep_json():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["violations"] == []
+
+
+@pytest.fixture
+def cli_parser():
+    """The CLI's parser built afresh on the next ``cli.main`` call, and again
+    after the test."""
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def test_cli_builds_its_parser_once_per_process(cli_parser, monkeypatch, capsys):
+    from conftest import REPO_ROOT
+    argv = ["run", str(REPO_ROOT / "problems" / "cubic.json"), "--format", "json"]
+    assert cli.main(argv) == 0
+    single = capsys.readouterr().out
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", argv[1], "--format", "xml"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == single
+    assert built.count("young-bounds") == 1
 
 
 def test_package_exports_every_name_readme_lists():

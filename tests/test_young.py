@@ -5,16 +5,20 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
+import threading
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from youngbounds import expr, young
 from youngbounds.errors import DomainError, ValidationError
 from youngbounds.expr import evaluate, jet, parse_expr
 from youngbounds.numerics import integrate, interior_grid
 from youngbounds.young import (
+    SCAN_POINTS,
     Options,
     ProblemInstance,
     anchors,
@@ -127,6 +131,148 @@ def test_decreasing_function_message():
         "function: h'(0.5023255813953488) = -0.0046511627906975495 < 0: "
         "h is not increasing on [0, c]"
     )
+
+
+def _reference_slope_scan(inst):
+    """Validation's h' scan as a walk over every point, in order: the
+    reference for the verdict ``_validate`` reads from the least and the
+    greatest slope."""
+    seen_positive = False
+    xs = interior_grid(0.0, inst.c, SCAN_POINTS)
+    for x, row in zip(xs, young.jet_rows(inst.ast, xs, 1)):
+        try:
+            d1 = row[1] if row is not None else inst.deriv(x, 1)
+        except DomainError as exc:
+            raise ValidationError("function", f"h' not evaluable at x={x!r}: {exc}")
+        if d1 < -1e-12 * max(1.0, abs(d1)):
+            raise ValidationError(
+                "function", f"h'({x!r}) = {d1!r} < 0: h is not increasing on [0, c]"
+            )
+        if d1 > 0.0:
+            seen_positive = True
+    if not seen_positive:
+        raise ValidationError("function", "h' vanishes at every scan point")
+
+
+_BELOW_FLOOR = math.nextafter(-1e-12, -math.inf)
+
+
+def _scan_outcomes(slopes):
+    """(``_validate``'s outcome, the reference scan's) for h = x on [0, 1]
+    with the h' scan's rows replaced: ``slopes`` gives h' at each scan point,
+    None for a point whose jet fails."""
+    assert len(slopes) == SCAN_POINTS
+    inst = make_problem("x", 0.5, 0.5, 1.0)
+
+    def rows(ast, xs, order):
+        return [None if d1 is None else (x, d1) for x, d1 in zip(xs, slopes)]
+
+    def no_jet(ast, x, order):
+        raise DomainError(f"no jet at x={x!r}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(young, "jet_rows", rows)
+        patch.setattr(young, "jet", no_jet)
+        return _outcome(young._validate, inst), _outcome(_reference_slope_scan, inst)
+
+
+def _slopes(base, changes):
+    slopes = [base] * SCAN_POINTS
+    for i, d1 in changes.items():
+        slopes[i] = d1
+    return slopes
+
+
+# (slope at every scan point, changed points, verdict): accepted, "vanishes",
+# or the index of the point the error names
+@pytest.mark.parametrize("base,changes,verdict", [
+    (1.0, {7: -1e-12}, "accepted"),
+    (1.0, {7: _BELOW_FLOOR}, 7),
+    (1.0, {7: -1e-12, 9: _BELOW_FLOOR}, 9),
+    (-0.0, {}, "vanishes"),
+    (-0.0, {200: 1e-300}, "accepted"),
+    (0.0, {}, "vanishes"),
+    (0.0, {3: -1e-12, 4: -0.0}, "vanishes"),
+    (1.0, {3: -1.5}, 3),
+    (1.0, {10: None, 20: -1.0}, 10),
+    (1.0, {10: -1.0, 20: None}, 10),
+    (0.0, {256: None}, 256),
+], ids=["floor", "below-floor", "floor-then-below", "negative-zeros", "one-tiny-slope",
+        "zeros", "zeros-and-floor", "steep", "failed-then-negative", "negative-then-failed",
+        "zeros-then-failed"])
+def test_validation_verdict_matches_the_point_by_point_scan(base, changes, verdict):
+    slopes = _slopes(base, changes)
+    got, want = _scan_outcomes(slopes)
+    assert got == want
+    if verdict == "accepted":
+        assert got == ("value", "None")
+        return
+    if verdict == "vanishes":
+        message = "h' vanishes at every scan point"
+    else:
+        x, d1 = interior_grid(0.0, 1.0, SCAN_POINTS)[verdict], slopes[verdict]
+        message = (f"h' not evaluable at x={x!r}: no jet at x={x!r}" if d1 is None
+                   else f"h'({x!r}) = {d1!r} < 0: h is not increasing on [0, c]")
+    assert got == (ValidationError, f"function: {message}")
+
+
+_SLOPES = [1.0, 1e-300, 0.0, -0.0, -1e-12, _BELOW_FLOOR, -5e-13, -1.0, -1e-300, 2e300, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from([1.0, 1e-300, 0.0, -0.0, -1e-12]),
+       changes=st.dictionaries(st.integers(min_value=0, max_value=SCAN_POINTS - 1),
+                               st.sampled_from(_SLOPES), max_size=4))
+def test_random_validation_verdicts_match_the_point_by_point_scan(base, changes):
+    got, want = _scan_outcomes(_slopes(base, changes))
+    assert got == want
+
+
+def test_make_problem_reuses_the_kernels_of_its_text(parse_table, monkeypatch):
+    # make_problem evaluates h and scans h' at order 1: two kernels, built by
+    # the first instance of the text and shared with every later one
+    compiled = []
+    compile_kernel = expr._compile
+
+    def counted(root, order):
+        compiled.append(order)
+        return compile_kernel(root, order)
+
+    monkeypatch.setattr(expr, "_compile", counted)
+    first = make_problem("x^3+x", 1.0, 0.5, 2.0)
+    for a, b in ((0.5, 1.0), (1.5, 1.5**3 + 1.5)):
+        assert make_problem("x^3+x", a, b, 2.0).ast is first.ast
+    assert sorted(compiled, key=str) == [1, None]
+
+
+def test_threads_building_one_text_get_identical_oracles(parse_table, monkeypatch):
+    # 8 threads parse one text, build its kernels on the shared ExprAst and run
+    # the oracle at once, switching every microsecond
+    text = "exp(0.7*x^1.3)-1"
+    want = repr(oracle(make_problem(text, 1.2, 0.9, 2.0)))
+    monkeypatch.setattr(expr, "_parse_table", expr._ParseTable())
+    start = threading.Barrier(8)
+    got: dict = {}
+
+    def build(i):
+        start.wait(timeout=60)
+        inst = make_problem(text, 1.2, 0.9, 2.0)
+        got[i] = (inst.ast, repr(oracle(inst)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r for _, r in got.values()] == [want] * 8
+    # a parse now returns the ExprAst of one of them
+    assert any(parse_expr(text) is ast for ast, _ in got.values())
 
 
 def test_limit_assumption_admits_exp_recip():

@@ -20,26 +20,22 @@ k-th derivative is the k-th coefficient rescaled by the exact integer k!.
 one loop over its abscissae around the same straight-line body, which gives
 one row per abscissa, the derivatives or the :class:`DomainError` that
 ``jet`` raises there. ``jet`` runs a batch of one and ``jet_rows`` a whole
-scan. Kernels are emitted once per expression (and per jet order) and cached
-on the :class:`ExprAst`, and ``parse_expr`` returns the same ExprAst for a
-text parsed again. A kernel's source holds no constant, so expressions
-of one shape share its compiled code through a bounded, locked table, and
-each distinct source is compiled once per process. The recursive evaluation
-walker stays below, for constant folding and as a reference; the jet walkers
-the kernels were generated from are in ``tests/reference_expr.py``, and the
-tests hold the kernels to both bit for bit.
+scan. A kernel's code holds no constant: it is emitted and compiled once
+per tree shape and order per process, as a factory that a bounded, locked
+table keeps, and each tree's kernel is one call of that factory with the
+tree's constants, cached on the :class:`ExprAst`. The recursive walkers the
+kernels were generated from are in ``tests/reference_expr.py``, and the
+tests hold the kernels to them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
-from types import CodeType
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, ExprSyntaxError, OrderCapError, UnsupportedFeatureError
 
@@ -110,10 +106,9 @@ Node = Union[Const, Var, Neg, BinOp, Pow, Call]
 class ExprAst:
     """A parsed expression. Structural equality ignores the source text.
 
-    ``_kernels`` caches the compiled ``evaluate`` kernel (key None) and one
-    jet kernel per order; it takes no part in equality, hashing or repr.
-    ``parse_expr`` shares one ExprAst, and so its kernels, among the callers
-    that parse one text again.
+    ``_kernels`` caches the ``evaluate`` kernel (key None) and one jet
+    kernel per order, each built by a shape walk and a factory call; it
+    takes no part in equality, hashing or repr.
     """
 
     root: Node
@@ -140,8 +135,7 @@ class TaylorJet:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num' | 'ident' | 'op' | 'end'
     text: str
     pos: int
@@ -272,14 +266,15 @@ class _Parser:
             pos = self._next().pos
             # right associative through the unary chain
             exponent, edepth = self._unary()
-            if _contains_var(exponent):
+            shape, params = _shape(exponent)
+            if "x" in shape:
                 raise UnsupportedFeatureError(
                     f"exponent must be a constant expression (offset {pos})"
                 )
             depth = (depth if depth > edepth else edepth) + 1
             if depth > MAX_DEPTH:
                 raise self._too_deep(pos)
-            return Pow(base, _fold_constant(exponent)), depth
+            return Pow(base, _fold_constant(shape, params)), depth
         return base, depth
 
     def _atom(self) -> tuple[Node, int]:
@@ -309,23 +304,11 @@ class _Parser:
         )
 
 
-def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Neg):
-        return _contains_var(node.child)
-    if isinstance(node, BinOp):
-        return _contains_var(node.left) or _contains_var(node.right)
-    if isinstance(node, Pow):
-        return _contains_var(node.base)
-    if isinstance(node, Call):
-        return _contains_var(node.arg)
-    return False
-
-
-def _fold_constant(node: Node) -> float:
+def _fold_constant(shape: tuple, params: list[float]) -> float:
+    """The value of a constant tree of ``shape`` and ``params``, computed by
+    its ``evaluate`` kernel (at x = 0, which it does not read)."""
     try:
-        value = _eval_node(node, 0.0)  # no Var inside by construction
+        value = params[0] if shape == ("c",) else _code_table.factory(shape, None)(*params)(0.0)
     except DomainError as exc:
         raise UnsupportedFeatureError(f"exponent is not a finite constant: {exc}") from None
     if not math.isfinite(value):
@@ -333,77 +316,25 @@ def _fold_constant(node: Node) -> float:
     return value
 
 
-# Bound on the texts the parse table keeps, and on those it remembers seeing.
-_PARSE_TABLE_SIZE = 256
-
-
-class _ParseTable:
-    """Parsed expressions by text, for :func:`parse_expr`.
-
-    A text is kept from its second parse on: the first leaves only a weak
-    reference to its tree, which a second parse reuses, and keeps, while the
-    tree is still in use. A tree and its kernels are some 20-30 objects that
-    the garbage collector tracks, and keeping those of texts parsed only
-    once (every ``sweep`` instance) moved them all into the oldest
-    generation and doubled its full collections.
-
-    Both maps are LRUs of :data:`_PARSE_TABLE_SIZE` texts under one lock;
-    parsing runs outside it, so a race at worst parses a text twice. A text
-    that fails to parse leaves no entry.
-    """
-
-    def __init__(self) -> None:
-        self._kept: OrderedDict[str, ExprAst] = OrderedDict()
-        self._seen: OrderedDict[str, weakref.ref] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def parse(self, text: str) -> ExprAst:
-        with self._lock:
-            ast = self._kept.get(text)
-            if ast is not None:
-                self._kept.move_to_end(text)
-                return ast
-            seen = self._seen.pop(text, None)
-        ast = seen() if seen is not None else None
-        if ast is None:
-            ast = ExprAst(_Parser(_tokenize(text)).parse(), text)
-        with self._lock:
-            if seen is None:
-                table, entry = self._seen, weakref.ref(ast)
-            else:
-                table, entry = self._kept, ast
-            table[text] = entry
-            table.move_to_end(text)
-            if len(table) > _PARSE_TABLE_SIZE:
-                table.popitem(last=False)
-        return ast
-
-
-_parse_table = _ParseTable()
-
-
 def parse_expr(text: str) -> ExprAst:
-    """Parse ``text`` into an :class:`ExprAst`.
+    """Parse ``text`` into a new :class:`ExprAst`.
 
     Raises :class:`ExprSyntaxError` (with the offending offset) on malformed
     input and :class:`UnsupportedFeatureError` for exponents containing x.
 
-    The result is shared: a bounded, thread-safe table keeps the tree of each
-    of the last :data:`_PARSE_TABLE_SIZE` texts parsed more than once, so such
-    a text returns the same :class:`ExprAst`, and the kernels cached on it
-    are emitted once. A second parse also returns the first tree while that
-    is still in use. The text is the key, not the tree, since trees that
-    differ only in the sign of a zero constant are equal. A text that fails
-    to parse is not kept; it raises again on every call.
+    Nothing is kept between calls: each parse builds a fresh tree. Its
+    kernels come from factories shared by every tree of its shape, so a
+    text parsed again, or another text of the same shape, emits and
+    compiles no kernel anew.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _parse_table.parse(text)
+    return ExprAst(_Parser(_tokenize(text)).parse(), text)
 
 
 # ---------------------------------------------------------------------------
-# Reference evaluation: a recursive tree walk. ``_fold_constant`` runs it at
-# parse time, and the tests hold the compiled kernels to it.
+# Real powers, as ``evaluate`` and the reference walker in
+# ``tests/reference_expr.py`` take them.
 # ---------------------------------------------------------------------------
 
 def _pow_real(base: float, c: float) -> float:
@@ -424,44 +355,6 @@ def _pow_real(base: float, c: float) -> float:
         except OverflowError:
             raise DomainError(f"overflow in {base!r}^{c!r}") from None
     raise DomainError(f"negative base {base!r} raised to non-integer power {c!r}")
-
-
-def _eval_node(node: Node, x: float) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_eval_node(node.child, x)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, x)
-        b = _eval_node(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0.0:
-            raise DomainError("division by zero")
-        return a / b
-    if isinstance(node, Pow):
-        return _pow_real(_eval_node(node.base, x), node.exponent)
-    if isinstance(node, Call):
-        v = _eval_node(node.arg, x)
-        if node.func == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise DomainError(f"overflow in exp({v!r})") from None
-        if node.func == "ln":
-            if v <= 0.0:
-                raise DomainError(f"ln of nonpositive value {v!r}")
-            return math.log(v)
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative value {v!r}")
-        return math.sqrt(v)
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +437,25 @@ def _jet_int_pow(u: list[float], c: int) -> list[float]:
 # the tree: ``evaluate``, and the jet of each requested order, whose body runs
 # in a loop over a batch of abscissae. Every value comes out as the same bits
 # as in the reference walkers (the same unrolled squarings, the same products,
-# the value or the error of ``fsum`` over the same terms). Constants and
-# exponents reach the source only as names bound in the kernel's namespace;
-# operators and functions come from fixed sets.
+# the value or the error of ``fsum`` over the same terms). Operators and
+# functions come from fixed sets.
+#
+# The code is emitted and compiled once per tree shape and order, as a
+# factory ``make(p0, p1, ...)`` that takes the tree's constants and
+# exponents in post-order and returns the kernel as a closure over them. A
+# shape is the tree with every constant and every fractional exponent
+# erased. It keeps each integer exponent, which the jets unroll, and the
+# sign of each fractional one, on which the order-0 jet branches; the
+# emitter branches on nothing else of a value. The power rule's factors
+# (c + 1.0) * j - k are computed in the factory from c's parameter, by the
+# same float operations as in the walkers.
 #
 # Jets fold the literals 0.0, -0.0 and 1.0 (the coefficients of x and of
 # constants) and the factor 1 at emit time, on their text alone, never on
-# the value of a bound constant, so same-shape expressions still share one
-# source: the sum or difference of two literals is a literal, a product
-# drops its factors 1 (one of literals only is 0.0 or 1.0), and ``a - 0.0``,
-# ``a + -0.0``, ``a / 1`` and the scalings by 0! and 1! are ``a``. Each
+# the value of a parameter: the sum or difference of two literals is a
+# literal, a product drops its factors 1 (one of literals only is 0.0 or
+# 1.0), and ``a - 0.0``, ``a + -0.0``, ``a / 1`` and the scalings by 0! and
+# 1! are ``a``. Each
 # Taylor coefficient's fsum over products is a sum site. A product with a
 # factor 0.0 is a zero multiple: dropped when it has no other factor, and
 # otherwise ±0 whenever r, the product of its other factors, is finite.
@@ -600,37 +502,57 @@ def _non_finite(derivs: tuple[float, ...], x: float) -> DomainError:
     return DomainError(f"non-finite derivative of order {k} at x={x!r}")
 
 
+# The globals of the kernel factories; each factory runs in its own copy.
+_KERNEL_GLOBALS = {
+    "fsum": math.fsum, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
+    "pow": math.pow, "_pow_real": _pow_real, "_jet_int_pow": _jet_int_pow,
+    "DomainError": DomainError, "_non_finite": _non_finite,
+}
+
+_SCALAR_FACTORY = """\
+def make({params}):
+{prelude}\
+    def kernel(x):
+{body}\
+        return {result}
+    return kernel
+"""
+
 # A jet kernel: the body at x in a loop over the batch xs, one row per x.
 # ``jet``'s error rule is part of it: the body's own DomainError, kept
 # without its traceback or context; math.pow overflowing, or fsum overflowing
 # or meeting inf - inf, as a DomainError naming x; and a non-finite
 # derivative, found by the sum of each d - d, which is 0.0 for a finite d and
 # nan otherwise (the partial sums alternate between 0.0 and one d, exactly).
-_BATCH_KERNEL = """\
-def kernel(xs):
-    rows = []
-    append = rows.append
-    for x in xs:
-        try:
+_BATCH_FACTORY = """\
+def make({params}):
+{prelude}\
+    def kernel(xs):
+        rows = []
+        append = rows.append
+        for x in xs:
+            try:
 {body}\
-        except DomainError as exc:
-            exc.__traceback__ = exc.__context__ = None
-            append(exc)
-            continue
-        except (OverflowError, ValueError) as exc:
-            append(DomainError(f"{{exc}} at x={{x!r}}"))
-            continue
+            except DomainError as exc:
+                exc.__traceback__ = exc.__context__ = None
+                append(exc)
+                continue
+            except (OverflowError, ValueError) as exc:
+                append(DomainError(f"{{exc}} at x={{x!r}}"))
+                continue
 {derivs}\
-        if {finite} == 0.0:
-            append(({names},))
-        else:
-            append(_non_finite(({names},), x))
-    return rows
+            if {finite} == 0.0:
+                append(({names},))
+            else:
+                append(_non_finite(({names},), x))
+        return rows
+    return kernel
 """
 
 
 class _Emitter:
-    """Body lines, at one abscissa ``x``, and namespace of one kernel.
+    """Body lines, at one abscissa ``x``, of one kernel, and the parameters
+    and prelude of its factory.
 
     A value is the source text of a name or a float literal, never of a
     compound expression, so operands need no parentheses.
@@ -638,15 +560,19 @@ class _Emitter:
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.namespace: dict[str, object] = {
-            "fsum": math.fsum, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-            "pow": math.pow, "_pow_real": _pow_real, "_jet_int_pow": _jet_int_pow,
-            "DomainError": DomainError, "_non_finite": _non_finite,
-        }
+        self.params: list[str] = []
+        self.prelude: list[str] = []
 
-    def bind(self, value: object) -> str:
-        name = f"k{len(self.namespace)}"
-        self.namespace[name] = value
+    def param(self) -> str:
+        """The next of the tree's constants and exponents, in post-order."""
+        name = f"p{len(self.params)}"
+        self.params.append(name)
+        return name
+
+    def derive(self, src: str) -> str:
+        """A value the factory computes once per kernel."""
+        name = f"k{len(self.prelude)}"
+        self.prelude.append(f"{name} = {src}")
         return name
 
     def let(self, src: str) -> str:
@@ -665,9 +591,9 @@ class _Emitter:
 
     # -- evaluate: one float per node -------------------------------------
 
-    def scalar(self, kind: str, param, *args: str) -> str:
-        if kind == "const":
-            return self.bind(param)
+    def scalar(self, kind, param, *args: str) -> str:
+        if kind == "c":
+            return param
         if kind == "x":
             return "x"
         if kind == "neg":
@@ -678,7 +604,7 @@ class _Emitter:
             self.check(f"{args[1]} == 0.0", "division by zero")
             return self.let(f"{args[0]} / {args[1]}")
         if kind == "pow":
-            return self.let(f"_pow_real({args[0]}, {self.bind(param)})")
+            return self.let(f"_pow_real({args[0]}, {param[0]})")
         v = args[0]
         if kind == "exp":
             return self.checked_exp(v)
@@ -690,9 +616,9 @@ class _Emitter:
 
     # -- jets: the n Taylor coefficients of each node, as in _jet_* ---------
 
-    def jet(self, kind: str, param, *args: list[str], n: int) -> list[str]:
-        if kind == "const":
-            return [self.bind(param)] + ["0.0"] * (n - 1)
+    def jet(self, kind, param, *args: list[str], n: int) -> list[str]:
+        if kind == "c":
+            return [param] + ["0.0"] * (n - 1)
         if kind == "x":
             return (["x", "1.0"] + ["0.0"] * n)[:n]
         if kind == "neg":
@@ -704,12 +630,12 @@ class _Emitter:
         if kind == "/":
             return self.div(*args)
         if kind == "pow":
-            return self.pow(args[0], param)
+            return self.pow(args[0], *param)
         if kind == "exp":
             return self.exp(args[0])
         if kind == "ln":
             return self.ln(args[0])
-        return self.pow(args[0], 0.5)
+        return self.pow(args[0], "0.5", "^+")
 
     def neg(self, a: str) -> str:
         value = _LITERALS.get(a)
@@ -794,9 +720,7 @@ class _Emitter:
             # Unrolled, the squaring chain of a huge exponent would cost far
             # more to compile than the reference loop costs to run.
             names = [f"t{len(self.lines)}_{k}" for k in range(len(u))]
-            self.lines.append(
-                f"{', '.join(names)}, = _jet_int_pow([{', '.join(u)}], {self.bind(c)})"
-            )
+            self.lines.append(f"{', '.join(names)}, = _jet_int_pow([{', '.join(u)}], {c})")
             return names
         result = ["1.0"] + ["0.0"] * (len(u) - 1)
         base = u
@@ -809,66 +733,147 @@ class _Emitter:
                 base = self.mul(base, base)
         return result
 
-    def pow(self, u: list[str], c: float) -> list[str]:
+    def pow(self, u: list[str], p: str, c) -> list[str]:
+        """``u`` to the power whose value is the text ``p`` and whose shape
+        token is ``c``: the exponent itself if an integer, else its sign."""
         n = len(u)
-        if float(c).is_integer():
-            ci = int(c)
-            if ci >= 0:
-                return self.int_pow(u, ci)
-            return self.div(["1.0"] + ["0.0"] * (n - 1), self.int_pow(u, -ci))
-        p = self.bind(c)
+        if isinstance(c, int):
+            if c >= 0:
+                return self.int_pow(u, c)
+            return self.div(["1.0"] + ["0.0"] * (n - 1), self.int_pow(u, -c))
         self.check(f"{u[0]} < 0.0",
                    f"negative base {{{u[0]}!r}} raised to non-integer power {{{p}!r}}")
-        if n == 1 and c > 0.0:
+        if n == 1 and c == "^+":
             return [self.let(f"0.0 if {u[0]} == 0.0 else pow({u[0]}, {p})")]
         self.check(f"{u[0]} == 0.0",
                    f"derivatives of {{{u[0]}!r}}^{{{p}!r}} are singular at a zero base")
         w = [self.let(f"pow({u[0]}, {p})")]
         for k in range(1, n):
-            acc = self.sum_site([(self.bind((c + 1.0) * j - k), u[j], w[k - j])
+            acc = self.sum_site([(self.derive(f"({p} + 1.0) * {j} - {k}"), u[j], w[k - j])
                                  for j in range(1, k + 1)])
             w.append(self.let(f"{acc} / ({k} * {u[0]})" if k > 1 else f"{acc} / {u[0]}"))
         return w
 
 
-# Bound on the total characters of the sources whose code the table keeps.
+def _shape(root: Node) -> tuple[tuple, list[float]]:
+    """The shape of ``root``, the key of its kernel factories, and their
+    arguments, the tree's constants and exponents, both in post-order.
+
+    The shape is the tree in postfix, one token per node, as the emitter
+    takes it: "c" for a constant, "x", an operator or a function, and for a
+    power, its exponent if an integer, else "^+" or "^-" by its sign. No
+    other token is a number, so none equals an integer exponent (by way of
+    ``1 == 1.0 == True``).
+    """
+    tokens: list = []
+    params: list[float] = []
+
+    def walk(node: Node) -> None:
+        if isinstance(node, Const):
+            params.append(node.value)
+            tokens.append("c")
+        elif isinstance(node, Var):
+            tokens.append("x")
+        elif isinstance(node, Neg):
+            walk(node.child)
+            tokens.append("neg")
+        elif isinstance(node, BinOp):
+            walk(node.left)
+            walk(node.right)
+            # as in the walkers, every operator other than + - * divides
+            tokens.append(node.op if node.op in ("+", "-", "*") else "/")
+        elif isinstance(node, Pow):
+            walk(node.base)
+            c = node.exponent
+            params.append(c)
+            tokens.append(int(c) if float(c).is_integer() else "^+" if c > 0.0 else "^-")
+        elif isinstance(node, Call):
+            walk(node.arg)
+            tokens.append(node.func if node.func in ("exp", "ln") else "sqrt")
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+
+    walk(root)
+    return tuple(tokens), params
+
+
+def _factory_source(shape: tuple, order: int | None) -> str:
+    """The source of the kernel factory of ``shape`` and ``order``."""
+    emitter = _Emitter()
+    emit = emitter.scalar if order is None else partial(emitter.jet, n=order + 1)
+    stack: list = []
+    for token in shape:
+        if token == "c":
+            stack.append(emit("c", emitter.param()))
+        elif token == "x":
+            stack.append(emit("x", None))
+        elif token in ("+", "-", "*", "/"):
+            right = stack.pop()
+            stack.append(emit(token, None, stack.pop(), right))
+        elif token in ("neg", "exp", "ln", "sqrt"):
+            stack.append(emit(token, None, stack.pop()))
+        else:
+            stack.append(emit("pow", (emitter.param(), token), stack.pop()))
+    (result,) = stack
+    params = ", ".join(emitter.params)
+    prelude = "".join(f"    {line}\n" for line in emitter.prelude)
+    if order is None:
+        body = "".join(f"        {line}\n" for line in emitter.lines)
+        return _SCALAR_FACTORY.format(params=params, prelude=prelude, body=body, result=result)
+    names = [f"d{k}" for k in range(len(result))]
+    return _BATCH_FACTORY.format(
+        params=params,
+        prelude=prelude,
+        body="".join(f"                {line}\n" for line in emitter.lines or ["pass"]),
+        derivs="".join(f"            {d} = {c} * {math.factorial(k)}\n" if k > 1
+                       else f"            {d} = {c}\n"
+                       for k, (d, c) in enumerate(zip(names, result))),
+        finite=" + ".join(f"{d} - {d}" for d in names),
+        names=", ".join(names),
+    )
+
+
+# Bound on the total characters of the sources whose factories the table keeps.
 _CODE_TABLE_CHARS = 1_000_000
 
 
 class _CodeTable:
-    """Compiled kernel code by source text, shared by every :class:`ExprAst`.
+    """Kernel factories by (shape, order), shared by every tree.
 
-    Constants reach a kernel only through its namespace, so expressions that
-    differ only in their constants emit the same source, and CPython's
-    ``compile`` of it, most of a kernel's build cost, runs once per process.
-    Each kernel still executes the shared code in its own namespace.
+    A factory's source is emitted and compiled, most of a kernel's build
+    cost, once per shape and order in a process; each tree's kernel is then
+    one call of the factory with the tree's constants and exponents.
 
     An LRU bounded by the total characters of the kept sources: an insert
     evicts the least recently used entries until the total is at most
     :data:`_CODE_TABLE_CHARS`, so a source longer than the bound is compiled,
-    used and dropped (with every older entry). ``compile`` runs outside the
-    lock; a race at worst compiles one source twice.
+    used and dropped (with every older entry). Emission and ``compile`` run
+    outside the lock; a race at worst builds one factory twice.
     """
 
     def __init__(self) -> None:
-        self._codes: OrderedDict[str, CodeType] = OrderedDict()
+        self._factories: OrderedDict[tuple, tuple[Callable, int]] = OrderedDict()
         self.chars = 0
         self._lock = threading.Lock()
 
-    def code(self, source: str) -> CodeType:
+    def factory(self, shape: tuple, order: int | None) -> Callable:
+        key = (shape, order)
         with self._lock:
-            code = self._codes.get(source)
-            if code is not None:
-                self._codes.move_to_end(source)
-                return code
-        code = compile(source, "<youngbounds kernel>", "exec")
+            entry = self._factories.get(key)
+            if entry is not None:
+                self._factories.move_to_end(key)
+                return entry[0]
+        source = _factory_source(shape, order)
+        namespace = dict(_KERNEL_GLOBALS)
+        exec(compile(source, "<youngbounds kernel>", "exec"), namespace)
+        make = namespace["make"]
         with self._lock:
-            if source not in self._codes:
-                self._codes[source] = code
+            if key not in self._factories:
+                self._factories[key] = make, len(source)
                 self.chars += len(source)
                 while self.chars > _CODE_TABLE_CHARS:
-                    self.chars -= len(self._codes.popitem(last=False)[0])
-        return code
+                    self.chars -= self._factories.popitem(last=False)[1][1]
+        return make
 
 
 _code_table = _CodeTable()
@@ -876,52 +881,18 @@ _code_table = _CodeTable()
 
 def _compile(root: Node, order: int | None):
     """The kernel of ``evaluate`` (``order`` None), ``kernel(x)``, or the batch
-    kernel of the jet of ``order``, ``kernel(xs)``.
+    kernel of the jet of ``order``, ``kernel(xs)``: a shape walk of ``root``
+    and one call of its factory.
 
     The batch kernel returns a list with, per abscissa, the derivatives (each
     coefficient times k!) or the :class:`DomainError` ``jet`` raises there.
     """
-    emitter = _Emitter()
-    emit = emitter.scalar if order is None else partial(emitter.jet, n=order + 1)
-
-    def visit(node: Node):
-        if isinstance(node, Const):
-            return emit("const", node.value)
-        if isinstance(node, Var):
-            return emit("x", None)
-        if isinstance(node, Neg):
-            return emit("neg", None, visit(node.child))
-        if isinstance(node, BinOp):
-            left = visit(node.left)
-            # as in the walkers, every operator other than + - * divides
-            op = node.op if node.op in ("+", "-", "*") else "/"
-            return emit(op, None, left, visit(node.right))
-        if isinstance(node, Pow):
-            return emit("pow", node.exponent, visit(node.base))
-        if isinstance(node, Call):
-            return emit(node.func if node.func in ("exp", "ln") else "sqrt", None, visit(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    result = visit(root)
-    if order is None:
-        source = "".join(f"    {line}\n" for line in emitter.lines)
-        source = f"def kernel(x):\n{source}    return {result}\n"
-    else:
-        names = [f"d{k}" for k in range(len(result))]
-        source = _BATCH_KERNEL.format(
-            body="".join(f"            {line}\n" for line in emitter.lines or ["pass"]),
-            derivs="".join(f"        {d} = {c} * {math.factorial(k)}\n" if k > 1
-                           else f"        {d} = {c}\n"
-                           for k, (d, c) in enumerate(zip(names, result))),
-            finite=" + ".join(f"{d} - {d}" for d in names),
-            names=", ".join(names),
-        )
-    exec(_code_table.code(source), emitter.namespace)
-    return emitter.namespace["kernel"]
+    shape, params = _shape(root)
+    return _code_table.factory(shape, order)(*params)
 
 
 def _kernel(ast: ExprAst | Node, order: int | None):
-    """The cached kernel of ``ast``; a bare Node is emitted on every call."""
+    """The cached kernel of ``ast``; a bare Node is built on every call."""
     if not isinstance(ast, ExprAst):
         return _compile(ast, order)
     kernel = ast._kernels.get(order)
@@ -938,10 +909,10 @@ def evaluate(ast: ExprAst | Node, x: float) -> float:
     """IEEE-double evaluation of the tree at ``x``.
 
     The kernel is cached on an :class:`ExprAst`. A bare :data:`Node` has no
-    cache and its kernel is emitted again on every call, some 10-20 µs
-    against under 1 µs for a cached kernel (and compiled too, some 50-120 µs
-    more, where the code table lacks its source), so wrap a node evaluated
-    often in an ExprAst once.
+    cache, and every call builds its kernel again by a shape walk and a
+    factory call, some 5-10 µs against under 1 µs for a cached kernel (the
+    first tree of a shape also emits and compiles its factory, some
+    0.1-0.2 ms), so wrap a node evaluated often in an ExprAst once.
     """
     value = _kernel(ast, None)(x)
     if not math.isfinite(value):
@@ -965,8 +936,8 @@ def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP
 
     It runs the batch kernel of ``order`` on the one abscissa ``x0`` and
     raises the :class:`DomainError` the kernel gives there. As in
-    :func:`evaluate`, a bare :data:`Node` is emitted again on every call (some
-    25-80 µs at order 2); an :class:`ExprAst` reuses its kernel. A scan over
+    :func:`evaluate`, a bare :data:`Node` builds its kernel again on every
+    call; an :class:`ExprAst` reuses its kernel. A scan over
     many abscissae should call :func:`jet_rows`, which runs the kernel once
     for the whole scan and skips the :class:`TaylorJet` wrapper.
     """

@@ -99,10 +99,17 @@ class ProblemFile:
     methods: tuple[MethodSpec, ...]
 
 
-def _number_option(key: str, value) -> float:
+def _number(what: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"option {key!r} must be a number, got {value!r}")
-    return float(value)
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ParseError(f"{what} is an integer too large for a float") from None
+
+
+def _number_option(key: str, value) -> float:
+    return _number(f"option {key!r}", value)
 
 
 def _integer_option(key: str, value) -> int:
@@ -154,15 +161,13 @@ def _problem_from_dict(data: dict) -> ProblemInstance:
         raise ParseError(f"unknown problem keys {sorted(unknown)!r}")
     try:
         function = data["function"]
-        a = float(data["a"])
-        b = float(data["b"])
+        a = _number("field 'a'", data["a"])
+        b = _number("field 'b'", data["b"])
     except KeyError as exc:
         raise ParseError(f"missing required key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad numeric field: {exc}") from None
     c = data.get("c")
     options = _options_from_dict(data.get("options", {}))
-    return make_problem(function, a, b, None if c is None else float(c), options)
+    return make_problem(function, a, b, None if c is None else _number("field 'c'", c), options)
 
 
 def _methods_from_field(value) -> tuple[MethodSpec, ...]:

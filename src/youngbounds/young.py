@@ -294,7 +294,7 @@ def make_problem(
     ast = parse_expr(function) if isinstance(function, str) else function
 
     for name, v in (("a", a), ("b", b)):
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _is_number(v) or not math.isfinite(v):
             raise ValidationError(name, f"must be a finite number, got {v!r}")
     if a < 0:
         raise ValidationError("a", f"must be >= 0, got {a!r}")
@@ -319,7 +319,7 @@ def make_problem(
         # an unvalidated instance on [0, hi], only to sample h by its rule
         bracket = ProblemInstance(ast=ast, a=float(a), b=float(b), c=hi, options=options)
         c = max(a, _h_inverse(bracket)) if b > 0 else a
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
+    if not (_is_number(c) and math.isfinite(c) and c > 0):
         raise ValidationError("c", f"must be a finite number > 0, got {c!r}")
     if a > c * (1.0 + 1e-12):
         raise ValidationError("a", f"must be <= c = {c!r}, got {a!r}")

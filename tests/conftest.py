@@ -27,19 +27,10 @@ def golden_dir() -> Path:
 
 @pytest.fixture
 def code_table(monkeypatch):
-    """An empty code table in place of the process-wide one."""
+    """An empty code table in place of the process-wide one, so every kernel
+    factory is emitted and compiled anew in the test."""
     table = expr._CodeTable()
     monkeypatch.setattr(expr, "_code_table", table)
-    return table
-
-
-@pytest.fixture
-def parse_table(monkeypatch):
-    """An empty parse table in place of the process-wide one, so a text's
-    first parse in the test builds a fresh ExprAst and its kernels anew, and
-    no ExprAst built under a test's patches outlives the test."""
-    table = expr._ParseTable()
-    monkeypatch.setattr(expr, "_parse_table", table)
     return table
 
 

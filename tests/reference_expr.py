@@ -1,9 +1,9 @@
-"""Reference jet (truncated Taylor) arithmetic: a recursive tree walk over
-coefficient lists.
+"""Reference evaluation and jet (truncated Taylor) arithmetic: recursive
+tree walks over floats and over coefficient lists.
 
-The compiled jet kernels in ``youngbounds.expr`` unroll these recurrences,
-and the tests hold them to this walk bit for bit. Products and integer powers
-come from ``youngbounds.expr``, whose kernels call them too.
+The compiled kernels in ``youngbounds.expr`` unroll these walks, and the
+tests hold them to the walks bit for bit. Real powers, products and integer
+powers come from ``youngbounds.expr``, whose kernels call them too.
 """
 
 from __future__ import annotations
@@ -11,7 +11,56 @@ from __future__ import annotations
 import math
 
 from youngbounds.errors import DomainError
-from youngbounds.expr import BinOp, Call, Const, Neg, Node, Pow, Var, _jet_int_pow, _jet_mul
+from youngbounds.expr import (
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    Node,
+    Pow,
+    Var,
+    _jet_int_pow,
+    _jet_mul,
+    _pow_real,
+)
+
+
+def _eval_node(node: Node, x: float) -> float:
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_eval_node(node.child, x)
+    if isinstance(node, BinOp):
+        a = _eval_node(node.left, x)
+        b = _eval_node(node.right, x)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if b == 0.0:
+            raise DomainError("division by zero")
+        return a / b
+    if isinstance(node, Pow):
+        return _pow_real(_eval_node(node.base, x), node.exponent)
+    if isinstance(node, Call):
+        v = _eval_node(node.arg, x)
+        if node.func == "exp":
+            try:
+                return math.exp(v)
+            except OverflowError:
+                raise DomainError(f"overflow in exp({v!r})") from None
+        if node.func == "ln":
+            if v <= 0.0:
+                raise DomainError(f"ln of nonpositive value {v!r}")
+            return math.log(v)
+        if v < 0.0:
+            raise DomainError(f"sqrt of negative value {v!r}")
+        return math.sqrt(v)
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _jet_div(u: list[float], v: list[float]) -> list[float]:

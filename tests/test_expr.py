@@ -7,12 +7,13 @@ import pickle
 import sys
 import threading
 import time
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_expr import _jet_node
+from reference_expr import _eval_node, _jet_node
 
 from youngbounds import expr, sweep
 from youngbounds.errors import (
@@ -169,31 +170,7 @@ def test_exponent_that_folds_badly_is_unsupported():
         parse_expr("x^ln(-1)")
 
 
-def test_parse_table_keeps_the_texts_parsed_again(parse_table):
-    # a text parsed once leaves only a weak reference to its tree: a second
-    # parse shares that tree while it is in use, and keeps the text
-    first = parse_expr("x+1")
-    assert "x+1" not in parse_table._kept
-    assert parse_expr("x+1") is first and parse_table._kept["x+1"] is first
-    parse_expr("x+2")  # dropped at once
-    second = parse_expr("x+2")
-    assert parse_expr("x+2") is second
-    assert parse_expr("x+1") is first  # now used after "x+2"
-    for k in range(expr._PARSE_TABLE_SIZE - 1):
-        parse_expr(f"x*{k}")
-        parse_expr(f"x*{k}")
-    # 257 texts kept: the one used longest ago is parsed again
-    assert len(parse_table._kept) == expr._PARSE_TABLE_SIZE
-    assert parse_expr("x+1") is first
-    again = parse_expr("x+2")
-    assert again is not second and again == second
-    # keyed by text: trees equal up to the sign of a zero stay apart
-    zeros = [parse_expr(text) for text in ("x^-0.0", "x^0.0", "x^-0.0", "x^0.0")]
-    assert zeros[0] == zeros[1] and zeros[2] is zeros[0] and zeros[3] is zeros[1]
-    assert [repr(ast.root.exponent) for ast in zeros] == ["-0.0", "0.0", "-0.0", "0.0"]
-
-
-def test_a_parse_error_is_raised_on_every_call(parse_table, monkeypatch):
+def test_a_parse_error_is_raised_on_every_call(monkeypatch):
     tokenized = []
     tokenize = expr._tokenize
 
@@ -210,8 +187,9 @@ def test_a_parse_error_is_raised_on_every_call(parse_table, monkeypatch):
         with pytest.raises(UnsupportedFeatureError):
             parse_expr("2^x")
         trees.append(parse_expr("x+1"))
-    assert tokenized == ["x+$", "2^x", "x+1"] + ["x+$", "2^x"] * 2
-    assert trees[0] is trees[1] is trees[2]
+    # nothing is kept between parses, a failure or a tree
+    assert tokenized == ["x+$", "2^x", "x+1"] * 3
+    assert trees[0] == trees[1] == trees[2] and trees[0] is not trees[1]
     assert len({id(e) for e in errors}) == 3
     assert {(str(e), e.offset) for e in errors} == {(str(errors[0]), 2)}
 
@@ -434,7 +412,7 @@ def test_jet_overflow_is_domain_error():
 # ---------------------------------------------------------------------------
 
 def _reference_evaluate(ast, x):
-    value = expr._eval_node(ast.root, x)
+    value = _eval_node(ast.root, x)
     if not math.isfinite(value):
         raise DomainError(f"non-finite result {value!r} at x={x!r}")
     return value
@@ -501,22 +479,29 @@ def _half_reciprocals():
     return st.one_of(trees, trees.map(lambda tree: Pow(tree, -1.0)))
 
 
+def _assert_runs_as_walkers(tree, xs, orders) -> None:
+    """The kernels of ``tree`` (order None: evaluate) give at each of ``xs``
+    what the walkers give."""
+    ast = ExprAst(tree, serialize(tree))
+    for x in xs:
+        for order in orders:
+            if order is None:
+                got, want = _outcome(evaluate, ast, x), _outcome(_reference_evaluate, ast, x)
+            else:
+                got, want = _outcome(jet, ast, x, order), _outcome(_reference_jet, ast, x, order)
+            if order is not None and want[0] in (OverflowError, ValueError):
+                # the jet walkers leak fsum's and math.pow's bare errors
+                assert got[0] is DomainError, (want, got)
+            else:
+                assert got == want, (serialize(tree), x, order)
+
+
 @settings(max_examples=300, deadline=None)
 @given(tree=_half_reciprocals(),
        xs=_half_non_finite(st.sampled_from(_EDGE_FLOATS + [-3.3, 100.0])
                            | st.floats(min_value=-5.0, max_value=5.0), 1, 2))
 def test_kernels_match_reference_walkers(tree, xs):
-    ast = ExprAst(tree, serialize(tree))
-    for x in xs:
-        assert _outcome(evaluate, ast, x) == _outcome(_reference_evaluate, ast, x)
-        for order in range(7):
-            got = _outcome(jet, ast, x, order)
-            want = _outcome(_reference_jet, ast, x, order)
-            if want[0] in (OverflowError, ValueError):
-                # the walkers leak fsum's and math.pow's bare errors
-                assert got[0] is DomainError, (want, got)
-            else:
-                assert got == want, (serialize(tree), x, order)
+    _assert_runs_as_walkers(tree, xs, (None, *range(7)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -663,7 +648,7 @@ def test_sweep_output_matches_reference_walkers(monkeypatch, sweep_reprs):
     assert sweep_reprs(10) == compiled
 
 
-def test_kernel_compiles_once_per_ast_and_order(parse_table, monkeypatch):
+def test_kernel_compiles_once_per_ast_and_order(monkeypatch):
     compiled = []
     original = expr._compile
 
@@ -678,7 +663,6 @@ def test_kernel_compiles_once_per_ast_and_order(parse_table, monkeypatch):
         for order in (1, 2, 4):
             jet(ast, 0.7, order)
     assert sorted(compiled, key=str) == [1, 2, 4, None]
-    assert parse_expr("exp(-1/x)") is ast  # the same text, the same kernels
     twin = ExprAst(ast.root, ast.source)  # equal, but its own cache
     jet(twin, 0.7, 1)
     assert compiled[-1] == 1 and len(compiled) == 5
@@ -688,6 +672,11 @@ def test_kernel_compiles_once_per_ast_and_order(parse_table, monkeypatch):
     assert twin._kernels[1].__code__ is ast._kernels[1].__code__
 
 
+def _free_value(kernel, name: str):
+    """The value of a kernel's free variable ``name``."""
+    return kernel.__closure__[kernel.__code__.co_freevars.index(name)].cell_contents
+
+
 def _kernel_outcomes(text, orders=(None, 1, 2, 4), evaluate=evaluate, jet=jet):
     """Outcomes of ``parse_expr(text)`` at a few points, each order."""
     ast = parse_expr(text)
@@ -695,13 +684,15 @@ def _kernel_outcomes(text, orders=(None, 1, 2, 4), evaluate=evaluate, jet=jet):
             for order in orders for x in (0.0, 0.25, 0.5, 1.0, 1.75)]
 
 
-def test_same_shape_kernels_share_code_but_not_constants(parse_table):
-    # the exponent reaches the kernel through its namespace, not its source
+def test_same_shape_kernels_share_code_but_not_constants():
+    # the exponent reaches the kernel as a parameter of its factory, not
+    # through its source
     low, high = parse_expr("x^2.5"), parse_expr("x^3.5")
     for order in (None, 1, 3):
         k_low, k_high = expr._kernel(low, order), expr._kernel(high, order)
         assert k_low.__code__ is k_high.__code__
-        assert k_low.__globals__ is not k_high.__globals__
+        assert k_low.__globals__ is k_high.__globals__
+        assert (_free_value(k_low, "p0"), _free_value(k_high, "p0")) == (2.5, 3.5)
     for ast in (low, high):
         assert _outcome(evaluate, ast, 0.7) == _outcome(_reference_evaluate, ast, 0.7)
         for order in (1, 3):
@@ -709,7 +700,7 @@ def test_same_shape_kernels_share_code_but_not_constants(parse_table):
     assert jet(low, 0.7, 3).derivs != jet(high, 0.7, 3).derivs
 
 
-def test_code_table_is_thread_safe(code_table, parse_table, monkeypatch):
+def test_code_table_is_thread_safe(code_table, monkeypatch):
     # 8 threads build and run same-shape kernels with different constants at
     # once, switching every microsecond, each on an empty table
     texts = [f"exp({lam}*x^{p})-1" for lam in (0.5, 0.3, 1.1, 2.0) for p in (1.5, 2.5)]
@@ -720,7 +711,6 @@ def test_code_table_is_thread_safe(code_table, parse_table, monkeypatch):
         for _ in range(3):
             table = expr._CodeTable()
             monkeypatch.setattr(expr, "_code_table", table)
-            monkeypatch.setattr(expr, "_parse_table", expr._ParseTable())
             start = threading.Barrier(len(texts))
             got: dict = {}
 
@@ -737,13 +727,17 @@ def test_code_table_is_thread_safe(code_table, parse_table, monkeypatch):
                 assert not thread.is_alive()
             for i in range(len(texts)):
                 assert got[i] == want[i:] + want[:i]
-            assert len(table._codes) == 4  # evaluate and three jet orders
-            assert table.chars == sum(map(len, table._codes))
+            assert len(table._factories) == 4  # one shape: evaluate and three jet orders
+            assert table.chars == _kept_chars(table)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_code_table_stays_within_its_character_bound(code_table, parse_table, monkeypatch):
+def _kept_chars(table) -> int:
+    return sum(size for _, size in table._factories.values())
+
+
+def test_code_table_stays_within_its_character_bound(code_table, monkeypatch):
     bound = 3000
     monkeypatch.setattr(expr, "_CODE_TABLE_CHARS", bound)
     texts = ["x^2.5", "exp(0.6*x^1.4)-1", "0.3*ln(1+x)+x^2", "exp(-1/x)", "x/(1+x^2)"]
@@ -751,21 +745,21 @@ def test_code_table_stays_within_its_character_bound(code_table, parse_table, mo
         for order in (None, 1, 2, 4):
             want = _kernel_outcomes(text, (order,), _reference_evaluate, _reference_jet)
             for _ in range(2):  # built, then rebuilt from the table or recompiled
-                monkeypatch.setattr(expr, "_parse_table", expr._ParseTable())
                 assert _kernel_outcomes(text, (order,)) == want
                 assert code_table.chars <= bound
-                assert code_table.chars == sum(map(len, code_table._codes))
+                assert code_table.chars == _kept_chars(code_table)
     # an order-6 jet of a 10-term sum emits a source far above the bound: it
     # is compiled, used and dropped, and evaluates as the walkers do
     big = parse_expr("+".join(f"exp({k}*x^1.5)" for k in range(1, 11)))
-    assert code_table._codes
+    assert code_table._factories
     assert _outcome(jet, big, 0.8, 6) == _outcome(_reference_jet, big, 0.8, 6)
-    assert code_table.chars == 0 and not code_table._codes
+    assert code_table.chars == 0 and not code_table._factories
 
 
-def test_sweep_compiles_each_kernel_source_once(code_table, parse_table, monkeypatch):
+def test_sweep_compiles_each_kernel_source_once(code_table, monkeypatch):
     # sweep(42, 10) parses 10 functions and builds 50 kernels, which share
-    # 15 distinct sources; without the table each kernel was compiled
+    # 15 shapes and orders, each compiled once; without the table each
+    # kernel was compiled
     sources = []
 
     def counted(source, *args):
@@ -778,22 +772,110 @@ def test_sweep_compiles_each_kernel_source_once(code_table, parse_table, monkeyp
     assert code_table.chars == sum(map(len, sources))
 
 
-def test_sweep_fsum_calls_are_pinned(parse_table, monkeypatch):
+@pytest.mark.parametrize("first,second", [("x^0", "x^-0.5"), ("x^1", "x^0.5")])
+def test_integer_and_fractional_exponents_key_apart(code_table, first, second):
+    # a fractional exponent keys its sign as a string, since a bool or a
+    # number would equal an integer exponent (0 == 0.0 == False, 1 == True)
+    # and run that exponent's kernels; from an empty table, each text builds
+    # its own, bit for bit what the walkers give
+    for text in (first, second):
+        ast = parse_expr(text)
+        for x in (0.0, 0.25, 1.0, 2.0, -1.0):
+            assert _outcome(evaluate, ast, x) == _outcome(_reference_evaluate, ast, x), text
+            for order in range(4):
+                want = _outcome(_reference_jet, ast, x, order)
+                assert _outcome(jet, ast, x, order) == want, (text, x, order)
+    # evaluate and orders 0-3, twice, beside the kernel that folded -0.5
+    assert len([shape for shape, _ in code_table._factories if "x" in shape]) == 2 * 5
+
+
+# values that take every branch of the kernels: signed zeros, huge and tiny
+_CONSTANTS = st.sampled_from(_EDGE_FLOATS + [-1e300, 1e-200]) | st.floats(-100.0, 100.0)
+
+
+def _fractional(c: float):
+    """Non-integer exponents of the sign of ``c``."""
+    magnitudes = st.sampled_from([0.5, 1 / 3, 1.5, 200.5]) | st.floats(1e-3, 300.0)
+    return magnitudes.filter(lambda v: not v.is_integer()).map(lambda v: v if c > 0.0 else -v)
+
+
+def _rebuilt(node, const, fractional):
+    """``node`` with each constant c as ``const(c)`` and each fractional
+    exponent c as ``fractional(c)``."""
+    if isinstance(node, Const):
+        return Const(const(node.value))
+    if isinstance(node, Neg):
+        return Neg(_rebuilt(node.child, const, fractional))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _rebuilt(node.left, const, fractional),
+                     _rebuilt(node.right, const, fractional))
+    if isinstance(node, Pow):
+        c = node.exponent
+        base = _rebuilt(node.base, const, fractional)
+        return Pow(base, c if float(c).is_integer() else fractional(c))
+    if isinstance(node, Call):
+        return Call(node.func, _rebuilt(node.arg, const, fractional))
+    return node
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_any_trees(), data=st.data(),
+       xs=st.lists(st.sampled_from(_EDGE_FLOATS + [-3.3]) | st.floats(-5.0, 5.0),
+                   min_size=1, max_size=2))
+def test_same_shape_trees_share_one_emission_per_order(tree, data, xs):
+    # a tree and two perturbations of its constants and fractional
+    # exponents, each sign kept, share one emission per order and each runs
+    # its own values as the walkers do; they run after the tree's integer
+    # twin, its fractional exponents made 1.0 or 0.0 by sign, the values a
+    # bool or numeric sign key would merge them with
+    twin = _rebuilt(tree, lambda v: v, lambda c: float(c > 0.0))
+    trees = [_rebuilt(tree, lambda v: data.draw(_CONSTANTS),
+                      lambda c: data.draw(_fractional(c))) for _ in range(2)]
+    orders = (None, 0, 1, 2, 4)
+    emitted = []
+    emit = expr._factory_source
+
+    def counted(shape, order):
+        emitted.append(order)
+        return emit(shape, order)
+
+    with mock.patch.object(expr, "_code_table", expr._CodeTable()), \
+            mock.patch.object(expr, "_factory_source", counted):
+        _assert_runs_as_walkers(twin, xs, orders)
+        emitted.clear()
+        for t in [tree] + trees:
+            _assert_runs_as_walkers(t, xs, orders)
+    assert len({expr._shape(t)[0] for t in [tree] + trees}) == 1
+    shared = expr._shape(twin)[0] == expr._shape(tree)[0]  # no fractional exponent
+    assert sorted(emitted, key=str) == ([] if shared else sorted(orders, key=str))
+
+
+def test_sweep_emits_each_kernel_shape_once(code_table, monkeypatch):
+    # the 50 kernels of sweep(42, 10) are 15 factory emissions, one per
+    # shape and order; keyed by tree, every kernel was emitted
+    emitted = []
+    emit = expr._factory_source
+
+    def counted(shape, order):
+        emitted.append((shape, order))
+        return emit(shape, order)
+
+    monkeypatch.setattr(expr, "_factory_source", counted)
+    sweep(42, 10)
+    assert len(emitted) == len(set(emitted)) == 15
+    assert len(code_table._factories) == 15
+
+
+def test_sweep_fsum_calls_are_pinned(code_table, monkeypatch):
     # jet kernels call fsum only at sums of three or more live terms and
     # where a plain sum is not finite: 3,084 calls in sweep(42, 10), against
     # 138,583 when every Taylor coefficient went through fsum
     calls = []
-    init = expr._Emitter.__init__
 
-    def counted_init(self):
-        init(self)
+    def fsum(terms):
+        calls.append(None)
+        return math.fsum(terms)
 
-        def fsum(terms):
-            calls.append(None)
-            return math.fsum(terms)
-
-        self.namespace["fsum"] = fsum
-
-    monkeypatch.setattr(expr._Emitter, "__init__", counted_init)
+    monkeypatch.setitem(expr._KERNEL_GLOBALS, "fsum", fsum)
     sweep(42, 10)
     assert len(calls) == 3084

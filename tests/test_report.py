@@ -116,6 +116,27 @@ def test_load_problem_rejects_mistyped_options(tmp_path, options):
         load_problem(p)
 
 
+# problem fields a float() cast used to coerce: a = 1.0 from true, 1.5 from
+# "1.5", and c = 0.0 from false, rejected later as "got 0.0"
+_MISTYPED_FIELDS = (
+    {"a": True},
+    {"a": "1.5"},
+    {"b": [1]},
+    {"c": False},
+    {"c": "2"},
+    {"a": 10 ** 400},
+)
+_MISTYPED_FIELD_IDS = ("bool-a", "string-a", "list-b", "bool-c", "string-c", "huge-integer-a")
+
+
+@pytest.mark.parametrize("fields", _MISTYPED_FIELDS, ids=_MISTYPED_FIELD_IDS)
+def test_load_problem_rejects_mistyped_fields(tmp_path, fields):
+    p = _write(tmp_path / "p.json", {"function": "x^3", "a": 1, "b": 1, **fields})
+    with pytest.raises(ParseError) as err:
+        load_problem(p)
+    assert f"field {next(iter(fields))!r}" in str(err.value)
+
+
 def test_load_problem_accepts_integral_float_options(tmp_path):
     p = _write(tmp_path / "p.json", {"function": "x^3", "a": 1, "b": 1,
                                      "options": {"t_grid": 11.0, "taylor_order": 2.0}})
@@ -407,7 +428,9 @@ def test_cli_run_rejects_bad_method_arguments(tmp_path, text):
     {"function": "x^3", "a": 1, "b": 1, "options": {"upper_exponent_pairs": []}},
     {"function": "x^3", "a": 1, "b": 1, "options": {"upper_exponent_pairs": [[1]]}},
     {"function": "x^3", "a": 1, "b": 1, "options": {"lower_exponent_pairs": 5}},
-], ids=["quad_rel_tol", "jet-overflow", "no-pairs", "short-pair", "pairs-not-a-list"])
+    *({"function": "x^3", "a": 1, "b": 1, **fields} for fields in _MISTYPED_FIELDS),
+], ids=["quad_rel_tol", "jet-overflow", "no-pairs", "short-pair", "pairs-not-a-list",
+        *_MISTYPED_FIELD_IDS])
 def test_cli_run_reports_invalid_input_without_traceback(tmp_path, payload):
     p = _write(tmp_path / "p.json", payload)
     proc = _cli("run", str(p))

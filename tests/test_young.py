@@ -38,6 +38,19 @@ def test_valid_identity_instance():
     assert (inst.a, inst.b, inst.c) == (1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("field,a,b,c", [
+    ("a", True, 1.0, 1.0),
+    ("b", 1.0, True, 1.0),
+    ("c", 1.0, 0.5, True),
+    ("a", "1.0", 1.0, 1.0),
+])
+def test_make_problem_rejects_non_numbers(field, a, b, c):
+    # a bool is an int to Python, but not a number of the problem
+    with pytest.raises(ValidationError) as err:
+        make_problem("x", a, b, c)
+    assert err.value.field == field
+
+
 def test_negative_a_rejected():
     with pytest.raises(ValidationError) as err:
         make_problem("x^2", -1.0, 0.0, 1.0)
@@ -228,36 +241,37 @@ def test_random_validation_verdicts_match_the_point_by_point_scan(base, changes)
     assert got == want
 
 
-def test_make_problem_reuses_the_kernels_of_its_text(parse_table, monkeypatch):
-    # make_problem evaluates h and scans h' at order 1: two kernels, built by
-    # the first instance of the text and shared with every later one
-    compiled = []
-    compile_kernel = expr._compile
+def test_make_problem_reuses_the_kernels_of_its_text(code_table, monkeypatch):
+    # make_problem evaluates h and scans h' at order 1: two kernels, emitted
+    # for the first instance of the text and called with the constants of
+    # every later one, of this text or another of its shape
+    emitted = []
+    emit = expr._factory_source
 
-    def counted(root, order):
-        compiled.append(order)
-        return compile_kernel(root, order)
+    def counted(shape, order):
+        emitted.append(order)
+        return emit(shape, order)
 
-    monkeypatch.setattr(expr, "_compile", counted)
-    first = make_problem("x^3+x", 1.0, 0.5, 2.0)
-    for a, b in ((0.5, 1.0), (1.5, 1.5**3 + 1.5)):
-        assert make_problem("x^3+x", a, b, 2.0).ast is first.ast
-    assert sorted(compiled, key=str) == [1, None]
+    monkeypatch.setattr(expr, "_factory_source", counted)
+    first = make_problem("x^3+0.5*x", 1.0, 0.5, 2.0)
+    for text, a, b in (("x^3+0.5*x", 0.5, 1.0), ("x^3+2*x", 1.5, 1.5**3 + 3.0)):
+        assert make_problem(text, a, b, 2.0).ast is not first.ast
+    assert sorted(emitted, key=str) == [1, None]
 
 
-def test_threads_building_one_text_get_identical_oracles(parse_table, monkeypatch):
-    # 8 threads parse one text, build its kernels on the shared ExprAst and run
-    # the oracle at once, switching every microsecond
+def test_threads_building_one_text_get_identical_oracles(monkeypatch):
+    # 8 threads parse one text, build its kernels from an empty code table
+    # and run the oracle at once, switching every microsecond
     text = "exp(0.7*x^1.3)-1"
     want = repr(oracle(make_problem(text, 1.2, 0.9, 2.0)))
-    monkeypatch.setattr(expr, "_parse_table", expr._ParseTable())
+    monkeypatch.setattr(expr, "_code_table", expr._CodeTable())
     start = threading.Barrier(8)
     got: dict = {}
 
     def build(i):
         start.wait(timeout=60)
         inst = make_problem(text, 1.2, 0.9, 2.0)
-        got[i] = (inst.ast, repr(oracle(inst)))
+        got[i] = repr(oracle(inst))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -270,9 +284,7 @@ def test_threads_building_one_text_get_identical_oracles(parse_table, monkeypatc
             assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert [r for _, r in got.values()] == [want] * 8
-    # a parse now returns the ExprAst of one of them
-    assert any(parse_expr(text) is ast for ast, _ in got.values())
+    assert list(got.values()) == [want] * 8
 
 
 def test_limit_assumption_admits_exp_recip():

@@ -767,34 +767,36 @@ def _shape(root: Node) -> tuple[tuple, list[float]]:
     """
     tokens: list = []
     params: list[float] = []
-
-    def walk(node: Node) -> None:
-        if isinstance(node, Const):
-            params.append(node.value)
-            tokens.append("c")
-        elif isinstance(node, Var):
-            tokens.append("x")
-        elif isinstance(node, Neg):
-            walk(node.child)
-            tokens.append("neg")
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-            # as in the walkers, every operator other than + - * divides
-            tokens.append(node.op if node.op in ("+", "-", "*") else "/")
-        elif isinstance(node, Pow):
-            walk(node.base)
-            c = node.exponent
-            params.append(c)
-            tokens.append(int(c) if float(c).is_integer() else "^+" if c > 0.0 else "^-")
-        elif isinstance(node, Call):
-            walk(node.arg)
-            tokens.append(node.func if node.func in ("exp", "ln") else "sqrt")
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-
-    walk(root)
+    _walk_shape(root, tokens, params)
     return tuple(tokens), params
+
+
+def _walk_shape(node: Node, tokens: list, params: list[float]) -> None:
+    # a module function, not a closure: a closure that calls itself is a
+    # reference cycle, which only the garbage collector frees
+    if isinstance(node, Const):
+        params.append(node.value)
+        tokens.append("c")
+    elif isinstance(node, Var):
+        tokens.append("x")
+    elif isinstance(node, Neg):
+        _walk_shape(node.child, tokens, params)
+        tokens.append("neg")
+    elif isinstance(node, BinOp):
+        _walk_shape(node.left, tokens, params)
+        _walk_shape(node.right, tokens, params)
+        # as in the walkers, every operator other than + - * divides
+        tokens.append(node.op if node.op in ("+", "-", "*") else "/")
+    elif isinstance(node, Pow):
+        _walk_shape(node.base, tokens, params)
+        c = node.exponent
+        params.append(c)
+        tokens.append(int(c) if float(c).is_integer() else "^+" if c > 0.0 else "^-")
+    elif isinstance(node, Call):
+        _walk_shape(node.arg, tokens, params)
+        tokens.append(node.func if node.func in ("exp", "ln") else "sqrt")
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
 
 
 def _factory_source(shape: tuple, order: int | None) -> str:

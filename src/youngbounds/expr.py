@@ -455,10 +455,10 @@ def _jet_int_pow(u: list[float], c: int) -> list[float]:
 # the value of a parameter: the sum or difference of two literals is a
 # literal, a product drops its factors 1 (one of literals only is 0.0 or
 # 1.0), and ``a - 0.0``, ``a + -0.0``, ``a / 1`` and the scalings by 0! and
-# 1! are ``a``. Each
-# Taylor coefficient's fsum over products is a sum site. A product with a
-# factor 0.0 is a zero multiple: dropped when it has no other factor, and
-# otherwise ±0 whenever r, the product of its other factors, is finite.
+# 1! are ``a``. Each Taylor coefficient's fsum over products is a sum
+# site. A product with a factor 0.0 is a zero multiple: dropped when it has
+# no other factor, and otherwise ±0 whenever r, the product of its other
+# factors, is finite.
 # With m live terms (the others) and zero multiples r1..rj, a site is
 #
 #   m <= 2, no zero multiple, every live term 1.0:  the literal m.0
@@ -591,7 +591,7 @@ class _Emitter:
 
     # -- evaluate: one float per node -------------------------------------
 
-    def scalar(self, kind, param, *args: str) -> str:
+    def scalar(self, kind: str, param, *args: str) -> str:
         if kind == "c":
             return param
         if kind == "x":
@@ -616,7 +616,7 @@ class _Emitter:
 
     # -- jets: the n Taylor coefficients of each node, as in _jet_* ---------
 
-    def jet(self, kind, param, *args: list[str], n: int) -> list[str]:
+    def jet(self, kind: str, param, *args: list[str], n: int) -> list[str]:
         if kind == "c":
             return [param] + ["0.0"] * (n - 1)
         if kind == "x":

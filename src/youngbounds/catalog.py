@@ -244,8 +244,9 @@ def _extrema_of_deriv(
     def scan() -> tuple[float, float]:
         (_, f_min), (_, f_max) = extremum(
             lambda x: prof.deriv(x, order), lo, hi,
-            # extremum's interior is interior_grid(lo, hi, len(xs)), lo <= hi
-            column=lambda xs: prof.column(lo, hi, len(xs), order, fill=2),
+            # extremum's interior is interior_grid(lo, hi, len(xs)), lo <= hi,
+            # and the profile keeps that list rather than build it again
+            column=lambda xs: prof.column(lo, hi, len(xs), order, fill=2, xs=xs),
         )
         return f_min, f_max
 

@@ -945,7 +945,10 @@ def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP
     """
     (row,) = _jet_kernel(ast, order, cap)((x0,))
     if isinstance(row, DomainError):
-        raise row
+        try:
+            raise row
+        finally:
+            row = None  # the frame of the traceback keeps no error
     return TaylorJet(center=x0, order=order, derivs=row)
 
 

@@ -333,36 +333,54 @@ def extremum(
 
     width = hi - lo
     xs = interior_grid(lo, hi, EXTREMUM_SCAN_POINTS - 2)
-    pts: list[tuple[float, float]] = []
-    # the endpoints are the grid formula at i = 0 and i = n + 1 (exact, as
-    # n + 1 = 1024): lo + 0.0 is +0.0 at lo = -0.0, and lo + width may differ
-    # from hi in the last bit
+    # the scan's abscissae and values, in order; the endpoints are the grid
+    # formula at i = 0 and i = n + 1 (exact, as n + 1 = 1024): lo + 0.0 is
+    # +0.0 at lo = -0.0, and lo + width may differ from hi in the last bit
+    px: list[float] = []
+    pv: list[float] = []
     try:
-        pts.append(_guarded(f, lo + 0.0, hi, width))
+        x, v = _guarded(f, lo + 0.0, hi, width)
+        px.append(x)
+        pv.append(v)
     except DomainError:
         pass
     values = column(xs) if column is not None else [_value_or_none(f, x) for x in xs]
-    pts.extend((x, v) for x, v in zip(xs, values) if v is not None)
+    kept = [v for v in values if v is not None]
+    if len(kept) < len(values):
+        xs = [x for x, v in zip(xs, values) if v is not None]
+    px += xs
+    pv += kept
     try:
-        pts.append(_guarded(f, lo + width, lo, width))
+        x, v = _guarded(f, lo + width, lo, width)
+        px.append(x)
+        pv.append(v)
     except DomainError:
         pass
-    if len(pts) < 2:
+    if len(pv) < 2:
         raise DomainError("fewer than 2 scan points evaluable")
 
     def refine(flip: float) -> tuple[float, float]:
         """Minimum of flip*f: the scan's best point, bracketed by its neighbours."""
         g = lambda x: flip * f(x)
-        best_i = min(range(len(pts)), key=lambda i: flip * pts[i][1])
-        bl = pts[best_i - 1][0] if best_i > 0 else pts[best_i][0]
-        br = pts[best_i + 1][0] if best_i + 1 < len(pts) else pts[best_i][0]
-        candidates = [(x, flip * fx) for x, fx in (pts[0], pts[-1], pts[best_i])]
+        best_i = _best_index(pv, flip)
+        bl = px[best_i - 1] if best_i > 0 else px[best_i]
+        br = px[best_i + 1] if best_i + 1 < len(px) else px[best_i]
+        candidates = [(px[i], flip * pv[i]) for i in (0, -1, best_i)]
         if br > bl:
             candidates.append(_golden_min(g, bl, br))
         xs, gs = min(candidates, key=lambda c: c[1])
         return xs, flip * gs
 
     return refine(1.0), refine(-1.0)
+
+
+def _best_index(values: list[float], flip: float) -> int:
+    """The index ``min(range(len(values)), key=lambda i: flip * values[i])``
+    picks, for flip = 1.0 or -1.0, with a key that runs no Python code: min
+    keeps the first index whose value is not beaten under ``<``, and the
+    negated values are beaten under ``<`` exactly where the values are under
+    ``>``, which max tests, so ties, -0.0 and nan pick the same index."""
+    return (min if flip > 0 else max)(range(len(values)), key=values.__getitem__)
 
 
 # ---------------------------------------------------------------------------

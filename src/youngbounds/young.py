@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, ValidationError, YoungBoundsError
-from .expr import DEFAULT_ORDER_CAP, ExprAst, evaluate, jet, jet_rows, parse_expr
+from .expr import DEFAULT_ORDER_CAP, ExprAst, _jet_kernel, evaluate, jet, jet_rows, parse_expr
 from .numerics import _value_or_none, integrate, interior_grid, invert
 
 __all__ = [
@@ -91,9 +91,10 @@ def _is_integer(v: object) -> bool:
 class ProblemInstance:
     """Validated (h, c, a, b) plus options. Immutable; all methods are pure.
 
-    ``profile`` is the instance's :class:`DerivativeProfile`, which every
-    estimator run on it shares; like ``ExprAst._kernels`` it takes no part in
-    equality, hashing or repr.
+    ``profile`` is the :class:`DerivativeProfile` of the instance's tree,
+    which every estimator run on it shares; like ``ExprAst._kernels`` it takes
+    no part in equality, hashing or repr, and it does not refer back to the
+    instance.
     """
 
     ast: ExprAst
@@ -104,11 +105,13 @@ class ProblemInstance:
     profile: DerivativeProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "profile", DerivativeProfile(self))
+        object.__setattr__(self, "profile", DerivativeProfile(self.ast))
 
     def h(self, x: float) -> float:
         """h(x); at x = 0 the validated limit h(0+) = 0 stands in when the
-        expression itself is undefined there (e.g. exp(-1/x))."""
+        expression itself is undefined there (e.g. exp(-1/x)). It reads only
+        ``self.ast``, and :class:`DerivativeProfile` binds this same function
+        as its ``h``."""
         try:
             return evaluate(self.ast, x)
         except DomainError:
@@ -123,7 +126,7 @@ class ProblemInstance:
 
 
 class DerivativeProfile:
-    """The derivatives of one instance, each jet computed once and shared.
+    """The derivatives of one instance's tree, each jet computed once and shared.
 
     A jet kernel's coefficient k depends only on coefficients <= k of its
     operands, so when ``jet(x, m)`` succeeds its derivatives 0..k are those of
@@ -138,8 +141,8 @@ class DerivativeProfile:
     - point rows: ``deriv`` and ``derivs`` read one abscissa (anchors,
       extremum endpoints, golden-section refinement, midpoints). Per
       abscissa, the profile keeps the longest derivative tuple computed
-      there; a miss computes exactly the order asked for, and a jet that
-      fails is not kept.
+      there; a miss runs the jet kernel of exactly the order asked for, and
+      a jet that fails is not kept.
 
     Every read returns or raises what ``inst.deriv`` and
     ``jet(inst.ast, x, order)`` would. ``memo`` keeps values derived from the
@@ -147,6 +150,11 @@ class DerivativeProfile:
     or the typed error of a computation that failed, under keys its caller
     chooses; keys that name an interval make the profile valid for any
     anchors.
+
+    The profile holds the tree, never its instance, and nothing it keeps
+    refers back to the instance: an instance, its profile, rows, tree and
+    kernels are freed by reference counting as soon as the caller drops the
+    instance, without waiting for the cyclic garbage collector.
 
     Only point reads, gates and scans read the profile, so it keeps a few
     thousand rows per distinct interval; quadrature integrands call
@@ -157,29 +165,40 @@ class DerivativeProfile:
     profile without a lock: a race at worst computes an entry twice.
     """
 
-    __slots__ = ("inst", "_jets", "_grids", "_memo")
+    __slots__ = ("ast", "_jets", "_grids", "_memo")
 
-    def __init__(self, inst: ProblemInstance) -> None:
-        self.inst = inst
+    def __init__(self, ast: ExprAst) -> None:
+        self.ast = ast
         self._jets: dict = {}
         self._grids: dict = {}
         self._memo: dict = {}
+
+    # the instance's h, with its h(0+) = 0 rule: the function reads only ``ast``
+    h = ProblemInstance.h
 
     def _row(self, x: float, order: int) -> tuple[float, ...]:
         """A derivative tuple at x of length > order (the longest cached)."""
         key = x if x else repr(x)  # 0.0 and -0.0 are equal dict keys
         cached = self._jets.get(key)
         if cached is None or not 0 <= order < len(cached):
-            cached = jet(self.inst.ast, x, order).derivs
+            # jet's kernel and order checks, without its TaylorJet wrapper
+            (cached,) = _jet_kernel(self.ast, order, DEFAULT_ORDER_CAP)((x,))
+            if isinstance(cached, DomainError):
+                try:
+                    raise cached
+                finally:
+                    cached = None  # the frame of the traceback keeps no error
             if len(cached) > len(self._jets.get(key, ())):
                 self._jets[key] = cached
         return cached
 
     def column(
-        self, lo: float, hi: float, n: int, k: int, fill: int = 0
+        self, lo: float, hi: float, n: int, k: int, fill: int = 0,
+        xs: list[float] | None = None,
     ) -> list[float | None]:
         """h^(k) at each x of ``interior_grid(lo, hi, n)``: what ``deriv``
-        returns, or None where it raises DomainError.
+        returns, or None where it raises DomainError. A caller that has built
+        that grid already passes it as ``xs``, and it is not built again.
 
         A grid with no entry, or one kept below order k, is computed in one
         batch at order max(k, ``fill``), which replaces its entry; a ``fill``
@@ -187,19 +206,20 @@ class DerivativeProfile:
         kept order is above k and its jet failed, the point is computed again
         at k, in one more batch that is not kept."""
         if k == 0:
-            return [_value_or_none(self.inst.h, x) for x in interior_grid(lo, hi, n)]
+            return [_value_or_none(self.h, x) for x in xs or interior_grid(lo, hi, n)]
         key = (lo, hi, n)  # the grid of -0.0 is that of 0.0, as in a memo key
         entry = self._grids.get(key)
         if entry is None or not 0 < k <= entry[0]:
             order = max(k, fill) if k > 0 else k  # a bad k raises as deriv's does
-            xs = interior_grid(lo, hi, n)
-            entry = self._grids[key] = (order, xs, jet_rows(self.inst.ast, xs, order))
+            if xs is None:
+                xs = interior_grid(lo, hi, n)
+            entry = self._grids[key] = (order, xs, jet_rows(self.ast, xs, order))
         order, xs, rows = entry
         values = [None if row is None else row[k] for row in rows]
         if order > k:
             misses = [i for i, row in enumerate(rows) if row is None]
             if misses:
-                redone = jet_rows(self.inst.ast, [xs[i] for i in misses], k)
+                redone = jet_rows(self.ast, [xs[i] for i in misses], k)
                 for i, row in zip(misses, redone):
                     if row is not None:
                         values[i] = row[k]
@@ -212,7 +232,7 @@ class DerivativeProfile:
     def deriv(self, x: float, k: int) -> float:
         """h^(k)(x), as ``inst.deriv``: h itself (not a jet) at k = 0."""
         if k == 0:
-            return self.inst.h(x)
+            return self.h(x)
         return self._row(x, k)[k]
 
     def memo(self, key: tuple, compute):
@@ -291,7 +311,14 @@ def make_problem(
     only ever needs [0, c] to contain both anchor abscissae.
     """
     options = options or Options()
-    ast = parse_expr(function) if isinstance(function, str) else function
+    if isinstance(function, str):
+        ast = parse_expr(function)
+    elif isinstance(function, ExprAst):
+        ast = function
+    else:
+        raise ValidationError(
+            "function", f"must be an expression string or ExprAst, got {function!r}"
+        )
 
     for name, v in (("a", a), ("b", b)):
         if not _is_number(v) or not math.isfinite(v):

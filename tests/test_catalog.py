@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import inspect
 import math
 import random
 import sys
 import time
+import weakref
 from collections import Counter, defaultdict
 
 import pytest
 
 from youngbounds import catalog as cat
-from youngbounds import expr, numerics
+from youngbounds import expr, numerics, young
 from youngbounds.errors import (
     DomainError,
     ExponentDomainError,
@@ -24,6 +26,7 @@ from youngbounds.errors import (
 )
 from youngbounds.expr import evaluate, jet, parse_expr
 from youngbounds.numerics import EXTREMUM_SCAN_POINTS
+from youngbounds.report import sweep
 from youngbounds.young import Anchors, Options, anchors, make_problem, oracle
 
 INF = math.inf
@@ -262,6 +265,64 @@ def _count_extremum_calls(monkeypatch) -> list:
 
         monkeypatch.setattr(module, "extremum", counted)
     return calls
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_an_extremum_scan_builds_its_grid_once(quartic, monkeypatch, order):
+    # extremum builds the scan's interior grid and the profile keeps that
+    # list, so a fresh interval's grid is built once per scan
+    inst, anch = quartic
+    inst = dataclasses.replace(inst)  # an empty profile
+    grids: Counter = Counter()
+    for module in (numerics, young):
+        original = module.interior_grid
+
+        def counted(lo, hi, n, _original=original):
+            grids[lo, hi, n] += 1
+            return _original(lo, hi, n)
+
+        monkeypatch.setattr(module, "interior_grid", counted)
+    cat._extrema_of_deriv(inst, order, anch.alpha, anch.beta)
+    assert grids == {(anch.alpha, anch.beta, EXTREMUM_SCAN_POINTS - 2): 1}
+
+
+def test_instances_are_freed_without_the_collector():
+    # an instance, its profile, rows, tree and kernels hold no reference
+    # cycle, nor does a failed read, so dropping the instance frees them by
+    # reference counting, and a sweep leaves nothing for the cyclic collector
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    runs = [(name, ()) for name in cat.METHODS]
+    runs += [("taylor-lagrange", (0.0,)), ("taylor-holder", (0.0,))]
+    try:
+        # the quartic's reads all succeed; the jets of x^1.5 fail at a = 0,
+        # and so do nine of its methods
+        for problem in (("(x^4+1)^(1/4)-1", 3.0, 2.0, 3.0), ("x^1.5", 0.0, 0.5)):
+            inst = make_problem(*problem)
+            anch = anchors(inst)
+            oracle(inst, anch)
+            for name, args in runs:
+                try:
+                    cat.run_method(inst, anch, name, args)
+                except YoungBoundsError:
+                    pass
+            try:
+                inst.deriv(0.0, 2)  # jet itself, which fails at 0 for x^1.5
+            except DomainError:
+                pass
+            ref = weakref.ref(inst)
+            del inst
+            assert ref() is None, problem
+        sweep(42, 5)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def test_one_extremum_scan_per_derivative_range_across_methods(quartic, monkeypatch):

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from youngbounds.errors import (
     DomainError,
@@ -17,6 +19,7 @@ from youngbounds.expr import evaluate, jet, parse_expr
 from youngbounds.numerics import (
     EXTREMUM_SCAN_POINTS,
     NormSpec,
+    _best_index,
     _gk15,
     extremum,
     integrate,
@@ -273,6 +276,26 @@ def test_extremum_column_matches_pointwise_reads():
     assert extremum(f, 0.0, 1.0, column=column) == pointwise
     assert columns == [EXTREMUM_SCAN_POINTS - 2]
     assert pointwise_reads - len(reads) == EXTREMUM_SCAN_POINTS - 2
+
+
+# Small values give ties, the specials give -0.0 against 0.0 and the order
+# edges; one- and two-point scans are drawn too.
+_SCAN_VALUES = st.lists(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan)) | st.floats(),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=_SCAN_VALUES, flip=st.sampled_from((1.0, -1.0)))
+@example(values=[0.0, -0.0], flip=1.0)
+@example(values=[-0.0, 0.0], flip=-1.0)
+@example(values=[1.0, 1.0, 0.5, 0.5], flip=1.0)
+@example(values=[1.0], flip=-1.0)
+def test_best_index_is_the_flipped_key_minimum(values, flip):
+    # the refine bracket's point, chosen with no Python key, is the one the
+    # per-index key picks
+    assert _best_index(values, flip) == min(range(len(values)), key=lambda i: flip * values[i])
 
 
 def test_interior_grid():

@@ -429,8 +429,11 @@ def test_cli_run_rejects_bad_method_arguments(tmp_path, text):
     {"function": "x^3", "a": 1, "b": 1, "options": {"upper_exponent_pairs": [[1]]}},
     {"function": "x^3", "a": 1, "b": 1, "options": {"lower_exponent_pairs": 5}},
     *({"function": "x^3", "a": 1, "b": 1, **fields} for fields in _MISTYPED_FIELDS),
+    {"function": 5, "a": 1, "b": 1},
+    {"function": ["x"], "a": 1, "b": 1},
+    {"function": None, "a": 1, "b": 1},
 ], ids=["quad_rel_tol", "jet-overflow", "no-pairs", "short-pair", "pairs-not-a-list",
-        *_MISTYPED_FIELD_IDS])
+        *_MISTYPED_FIELD_IDS, "function-number", "function-list", "function-null"])
 def test_cli_run_reports_invalid_input_without_traceback(tmp_path, payload):
     p = _write(tmp_path / "p.json", payload)
     proc = _cli("run", str(p))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import random
 import sys
@@ -38,16 +39,21 @@ def test_valid_identity_instance():
     assert (inst.a, inst.b, inst.c) == (1.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("field,a,b,c", [
-    ("a", True, 1.0, 1.0),
-    ("b", 1.0, True, 1.0),
-    ("c", 1.0, 0.5, True),
-    ("a", "1.0", 1.0, 1.0),
-])
-def test_make_problem_rejects_non_numbers(field, a, b, c):
-    # a bool is an int to Python, but not a number of the problem
+@pytest.mark.parametrize("field,args", [
+    ("a", ("x", True, 1.0, 1.0)),
+    ("b", ("x", 1.0, True, 1.0)),
+    ("c", ("x", 1.0, 0.5, True)),
+    ("a", ("x", "1.0", 1.0, 1.0)),
+    ("function", (5, 1.0, 1.0)),
+    ("function", (["x"], 1.0, 1.0)),
+    ("function", (None, 1.0, 1.0)),
+], ids=["a-True-1.0-1.0", "b-1.0-True-1.0", "c-1.0-0.5-True", "a-1.0-1.0-1.0",
+        "function-number", "function-list", "function-None"])
+def test_make_problem_rejects_non_numbers(field, args):
+    # a bool is an int to Python, but not a number of the problem; a function
+    # that is neither text nor a parsed tree is no expression
     with pytest.raises(ValidationError) as err:
-        make_problem("x", a, b, c)
+        make_problem(*args)
     assert err.value.field == field
 
 
@@ -349,8 +355,10 @@ def test_inverse_samples_h_by_its_limit_at_zero():
 def test_profile_is_not_part_of_the_instance_value():
     first = make_problem("x^2", 1.0, 0.5, 1.0)
     second = dataclasses.replace(first)
-    assert first.profile is not second.profile and first.profile.inst is first
-    assert second.profile.inst is second
+    assert first.profile is not second.profile
+    # the profile shares its instance's tree and does not refer back to it
+    assert first not in gc.get_referents(first.profile)
+    assert first.profile.ast is first.ast and second.profile.ast is second.ast
     assert first == second and hash(first) == hash(second)
     assert "profile" not in repr(first)
 

@@ -29,6 +29,7 @@ Target quantities (native value + offset = SUM):
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (
@@ -37,8 +38,10 @@ from .errors import (
     InvalidTError,
     OrderCapError,
     ParseError,
+    ValidationError,
     YoungBoundsError,
 )
+from .expr import DEFAULT_ORDER_CAP
 from .numerics import NormSpec, extremum, interior_grid, norm_r
 from .young import (
     DEFAULT_LOWER_PAIR,
@@ -56,7 +59,7 @@ __all__ = [
     "bound_taylor_cebysev", "bound_taylor_jensen", "bound_taylor_product_hh",
     "bound_polya_first", "bound_polya_second", "bound_polya_higher",
     "bound_lp_remainder",
-    "METHODS", "check_method_args", "run_method",
+    "METHODS", "check_method_args", "run_method", "fill_gate_grids",
 ]
 
 _INF = math.inf
@@ -237,17 +240,25 @@ def _extrema_of_deriv(
 ) -> tuple[float, float]:
     """(inf, sup) of h^(order) over [lo, hi] from one scan per instance, whose
     interior is one profile column. The column is filled at order >= 2, so
-    the h' and h'' scans of one interval share one batch; a point where the
-    order-2 jet fails is read at ``order``."""
+    the h' and h'' scans of one interval share one batch and one list of
+    abscissae; a point where the order-2 jet fails is read at ``order``.
+    The scan's endpoints are kept in the profile, as the anchor reads share
+    them; its golden-section points, strictly between the endpoints, are
+    read once and kept nowhere."""
     prof = inst.profile
+    top = lo + (hi - lo)  # extremum's right endpoint, which may round below hi
+
+    def f(x: float) -> float:
+        if lo < x < top:
+            return prof.deriv_unkept(x, order)
+        return prof.deriv(x, order)
+
+    def interior(n: int) -> tuple[list[float], list[float | None]]:
+        values = prof.column(lo, hi, n, order, fill=2)  # lo <= hi
+        return prof.abscissae(lo, hi, n), values
 
     def scan() -> tuple[float, float]:
-        (_, f_min), (_, f_max) = extremum(
-            lambda x: prof.deriv(x, order), lo, hi,
-            # extremum's interior is interior_grid(lo, hi, len(xs)), lo <= hi,
-            # and the profile keeps that list rather than build it again
-            column=lambda xs: prof.column(lo, hi, len(xs), order, fill=2, xs=xs),
-        )
+        (_, f_min), (_, f_max) = extremum(f, lo, hi, column=interior)
         return f_min, f_max
 
     return prof.memo(("extrema", order, lo, hi), scan)
@@ -657,7 +668,15 @@ def _derivative_range(
     U: float | None,
 ) -> tuple[float, float, HypothesisCheck]:
     """Default L, U to the sharp extrema of h^(order) over [alpha, beta];
-    accept any user range that contains the observed one."""
+    accept any user range that contains the observed one. A user L or U
+    that is not finite, or L > U, raises ValidationError: with an infinite
+    end the closed forms are no bound, and U - L cannot tell a degenerate
+    range."""
+    for field, value in (("L", L), ("U", U)):
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(field, f"must be a finite number, got {value!r}")
+    if L is not None and U is not None and L > U:
+        raise ValidationError("L", f"must be <= U = {U!r}, got {L!r}")
     obs_lo, obs_hi = _extrema_of_deriv(inst, order, anch.alpha, anch.beta)
     Lv = obs_lo if L is None else L
     Uv = obs_hi if U is None else U
@@ -672,6 +691,16 @@ def _derivative_range(
         assumed=f"deriv_range_{order}" in inst.options.assume,
     )
     return Lv, Uv, check
+
+
+def _reject_overflow(
+    method: str, lower: float | None, upper: float | None, L: float, U: float
+) -> None:
+    """Raise DomainError where a closed form came out nan or infinite, as a
+    huge user range overflows: such a side is no bound, and sorting an
+    infinite pair would pass off the overflow as roundoff."""
+    if any(v is not None and not math.isfinite(v) for v in (lower, upper)):
+        raise DomainError(f"{method} closed form overflows at L={L!r}, U={U!r}")
 
 
 def bound_polya_first(
@@ -702,6 +731,7 @@ def bound_polya_first(
     sq = (ha - b) ** 2
     lower = (L * U * d * d - 2.0 * d * (L * ha - U * b) + sq) / (2.0 * (U - L))
     upper = -(L * U * d * d - 2.0 * d * (U * ha - L * b) + sq) / (2.0 * (U - L))
+    _reject_overflow("polya-first", lower, upper, L, U)
     notes: tuple[str, ...] = ()
     if lower > upper:
         lower, upper = upper, lower
@@ -766,6 +796,7 @@ def bound_polya_second(
         return W * cubic + num * num / (2.0 * den)
 
     lower, upper = side(L), side(U)
+    _reject_overflow("polya-second", lower, upper, L, U)
     notes: tuple[str, ...] = ()
     if anch.orientation < 0:
         lower, upper = upper, lower
@@ -999,6 +1030,22 @@ METHODS = {
 }
 
 
+# method name -> its sampled sign gates, each (order - n, interval) with n
+# the method's order (0 for a method that takes none) and the interval
+# "c" for (0, c) or "ab" for [alpha, beta]; each gate reads its interval's
+# SCAN_POINTS grid through _check
+_GATES = {
+    "hoorfar-qi": ((2, "c"),),
+    "hh-cebysev": ((2, "ab"),),
+    "jensen-first": ((3, "ab"),),
+    "taylor-lagrange": ((2, "c"),),
+    "taylor-holder": ((1, "ab"),),
+    "taylor-cebysev": ((2, "ab"),),
+    "taylor-jensen": ((3, "ab"),),
+    "taylor-product-hh": ((1, "ab"), (3, "ab")),
+}
+
+
 def check_method_args(name: str, args: tuple[float, ...]) -> None:
     """Raise ParseError unless ``name`` is a registered method, ``args`` are
     no more than the names ``METHODS[name]`` lists, and any order n is a
@@ -1027,9 +1074,43 @@ def run_method(
     fn, arg_names = METHODS[name]
     kwargs = dict(zip(arg_names, args))
     if "n" in arg_names:
-        kwargs["n"] = int(kwargs.get("n", inst.options.taylor_order))
+        kwargs["n"] = _order(inst, kwargs)
     if name in ("holder-norm", "taylor-holder"):
         p, q = inst.options.upper_exponent_pairs[0]
         kwargs["upper_pair"] = (kwargs.pop("p", p), kwargs.pop("q", q))
         kwargs["lower_pair"] = inst.options.lower_exponent_pairs[0]
     return fn(inst, anch, **kwargs)
+
+
+def _order(inst: ProblemInstance, kwargs: dict) -> int:
+    """The order n of a method's named arguments, ``options.taylor_order``
+    where none is given."""
+    return int(kwargs.get("n", inst.options.taylor_order))
+
+
+def fill_gate_grids(
+    inst: ProblemInstance, anch: Anchors, runs: Iterable[tuple[str, tuple[float, ...]]]
+) -> None:
+    """Compute each gate grid that ``runs``, (name, args) pairs as
+    :func:`run_method` takes them, read on ``inst`` once, at the highest
+    order any of them reads there. Each of their gates is then a prefix of
+    one batch (``DerivativeProfile.column``), not a new batch at each higher
+    order, and every result keeps its bits.
+
+    A run that ``check_method_args`` rejects, and an order above the jet
+    cap, are left to ``run_method``, which raises the run's own error."""
+    spans = {"c": (0.0, inst.c), "ab": (anch.alpha, anch.beta)}
+    orders: dict = {}
+    for name, args in runs:
+        try:
+            check_method_args(name, args)
+        except ParseError:
+            continue
+        arg_names = METHODS[name][1]
+        n = _order(inst, dict(zip(arg_names, args))) if "n" in arg_names else 0
+        for offset, span in _GATES.get(name, ()):
+            if offset + n <= DEFAULT_ORDER_CAP:
+                grid = spans[span]  # (0, c) and [alpha, beta] may be one grid
+                orders[grid] = max(orders.get(grid, 0), offset + n)
+    for (lo, hi), order in orders.items():
+        inst.profile.column(lo, hi, SCAN_POINTS, order)

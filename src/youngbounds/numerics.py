@@ -311,19 +311,23 @@ def extremum(
     f: Func,
     lo: float,
     hi: float,
-    column: Callable[[list[float]], list[float | None]] | None = None,
+    column: Callable[[int], tuple[list[float], list[float | None]]] | None = None,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Global minimum and maximum of f over [lo, hi] as ((x_min, f_min),
     (x_max, f_max)): one dense scan, then a golden-section refinement per side.
 
-    The scan reads the endpoints and ``EXTREMUM_SCAN_POINTS - 2`` interior
-    points of :func:`interior_grid`; ``column(xs)`` supplies the interior
-    values in one call, a value per point or None where f raises
-    :class:`DomainError` (by default f is called at each point). Endpoint
-    candidates enter via one-sided limits: when f raises :class:`DomainError`
-    at an endpoint it is re-sampled at a distance of 1e-9 times the interval
-    width. Raises :class:`DomainError` when fewer than two scan points are
-    evaluable.
+    The scan reads the endpoints and the n = ``EXTREMUM_SCAN_POINTS - 2``
+    interior points ``interior_grid(lo, hi, n)``, with lo <= hi.
+    ``column(n)`` supplies that interior in one call: the grid, which the
+    caller may have kept from an earlier scan and which is not changed, and
+    a value per point or None where f raises :class:`DomainError`. By
+    default the grid is built here and f is called at each point. With a
+    column, f is read only at the endpoints, or just inside one where f
+    raises there, and at the refinement's points between the scan's points.
+    Endpoint candidates enter via one-sided limits: when f
+    raises :class:`DomainError` at an endpoint it is re-sampled at a
+    distance of 1e-9 times the interval width. Raises :class:`DomainError`
+    when fewer than two scan points are evaluable.
     """
     if hi < lo:
         lo, hi = hi, lo
@@ -332,7 +336,7 @@ def extremum(
         return (lo, v), (lo, v)
 
     width = hi - lo
-    xs = interior_grid(lo, hi, EXTREMUM_SCAN_POINTS - 2)
+    n = EXTREMUM_SCAN_POINTS - 2
     # the scan's abscissae and values, in order; the endpoints are the grid
     # formula at i = 0 and i = n + 1 (exact, as n + 1 = 1024): lo + 0.0 is
     # +0.0 at lo = -0.0, and lo + width may differ from hi in the last bit
@@ -344,7 +348,11 @@ def extremum(
         pv.append(v)
     except DomainError:
         pass
-    values = column(xs) if column is not None else [_value_or_none(f, x) for x in xs]
+    if column is None:
+        xs = interior_grid(lo, hi, n)
+        values = [_value_or_none(f, x) for x in xs]
+    else:
+        xs, values = column(n)
     kept = [v for v in values if v is not None]
     if len(kept) < len(values):
         xs = [x for x, v in zip(xs, values) if v is not None]

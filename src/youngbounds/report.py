@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import METHODS, BoundResult, check_method_args, run_method
+from .catalog import METHODS, BoundResult, check_method_args, fill_gate_grids, run_method
 from .errors import InvariantViolation, ParseError, YoungBoundsError
 from .expr import evaluate, parse_expr, serialize
 from .young import Anchors, Options, OracleResult, ProblemInstance, anchors, make_problem, oracle
@@ -247,6 +247,7 @@ def run_report(inst: ProblemInstance, methods: tuple[MethodSpec, ...]) -> Report
     """Evaluate every requested estimator; per-row errors never abort the rest."""
     anch = anchors(inst)
     orc = oracle(inst, anch)
+    fill_gate_grids(inst, anch, [(spec.name, spec.args) for spec in methods])
     rows = []
     for spec in methods:
         label = str(spec)
@@ -510,6 +511,7 @@ def sweep(seed: int, count: int, strict: bool = False) -> SweepSummary:
         anch = anchors(inst)
         orc = oracle(inst, anch)
 
+        fill_gate_grids(inst, anch, [(nm, ()) for nm in METHODS])
         results: dict[str, BoundResult] = {}
         for nm in METHODS:
             try:

@@ -134,15 +134,18 @@ class DerivativeProfile:
     the highest order it computed. It keeps two kinds of rows:
 
     - grid rows: ``column`` reads ``interior_grid(lo, hi, n)`` at once. Per
-      grid, the profile keeps the rows of one :func:`jet_rows` batch at the
-      highest order computed there, None where that jet fails; a higher
-      order computes the grid again and replaces the entry. The catalog's
-      gates and extremum scans read these.
+      grid, the profile keeps its abscissae and the rows of one
+      :func:`jet_rows` batch at the highest order computed there, None where
+      that jet fails; a higher order computes the rows again on the same
+      abscissae and replaces the entry. The catalog's gates and extremum
+      scans read these, and ``catalog.fill_gate_grids`` fills each gate grid
+      once, at the highest order a report's methods read there.
     - point rows: ``deriv`` and ``derivs`` read one abscissa (anchors,
-      extremum endpoints, golden-section refinement, midpoints). Per
-      abscissa, the profile keeps the longest derivative tuple computed
-      there; a miss runs the jet kernel of exactly the order asked for, and
-      a jet that fails is not kept.
+      extremum endpoints, midpoints). Per abscissa, the profile keeps the
+      longest derivative tuple computed there; a miss runs the jet kernel of
+      exactly the order asked for, and a jet that fails is not kept.
+      ``deriv_unkept`` reads a point that is read once, such as a
+      golden-section step, and keeps nothing.
 
     Every read returns or raises what ``inst.deriv`` and
     ``jet(inst.ast, x, order)`` would. ``memo`` keeps values derived from the
@@ -176,43 +179,50 @@ class DerivativeProfile:
     # the instance's h, with its h(0+) = 0 rule: the function reads only ``ast``
     h = ProblemInstance.h
 
+    def _jet_row(self, x: float, order: int) -> tuple[float, ...]:
+        """``jet(ast, x, order).derivs``: jet's kernel, order checks and
+        DomainError, without its TaylorJet wrapper."""
+        (row,) = _jet_kernel(self.ast, order, DEFAULT_ORDER_CAP)((x,))
+        if isinstance(row, DomainError):
+            try:
+                raise row
+            finally:
+                row = None  # the frame of the traceback keeps no error
+        return row
+
     def _row(self, x: float, order: int) -> tuple[float, ...]:
         """A derivative tuple at x of length > order (the longest cached)."""
         key = x if x else repr(x)  # 0.0 and -0.0 are equal dict keys
         cached = self._jets.get(key)
         if cached is None or not 0 <= order < len(cached):
-            # jet's kernel and order checks, without its TaylorJet wrapper
-            (cached,) = _jet_kernel(self.ast, order, DEFAULT_ORDER_CAP)((x,))
-            if isinstance(cached, DomainError):
-                try:
-                    raise cached
-                finally:
-                    cached = None  # the frame of the traceback keeps no error
+            cached = self._jet_row(x, order)
             if len(cached) > len(self._jets.get(key, ())):
                 self._jets[key] = cached
         return cached
 
-    def column(
-        self, lo: float, hi: float, n: int, k: int, fill: int = 0,
-        xs: list[float] | None = None,
-    ) -> list[float | None]:
+    def abscissae(self, lo: float, hi: float, n: int) -> list[float]:
+        """``interior_grid(lo, hi, n)``: the list the grid's entry keeps, or a
+        new one for a grid with no entry."""
+        entry = self._grids.get((lo, hi, n))
+        return interior_grid(lo, hi, n) if entry is None else entry[1]
+
+    def column(self, lo: float, hi: float, n: int, k: int, fill: int = 0) -> list[float | None]:
         """h^(k) at each x of ``interior_grid(lo, hi, n)``: what ``deriv``
-        returns, or None where it raises DomainError. A caller that has built
-        that grid already passes it as ``xs``, and it is not built again.
+        returns, or None where it raises DomainError.
 
         A grid with no entry, or one kept below order k, is computed in one
-        batch at order max(k, ``fill``), which replaces its entry; a ``fill``
-        above k lets a later read of that order share the batch. Where the
-        kept order is above k and its jet failed, the point is computed again
-        at k, in one more batch that is not kept."""
+        batch at order max(k, ``fill``), on the abscissae the entry keeps if
+        it has one, and replaces its entry; a ``fill`` above k lets a later
+        read of that order share the batch. Where the kept order is above k
+        and its jet failed, the point is computed again at k, in one more
+        batch that is not kept."""
         if k == 0:
-            return [_value_or_none(self.h, x) for x in xs or interior_grid(lo, hi, n)]
+            return [_value_or_none(self.h, x) for x in self.abscissae(lo, hi, n)]
         key = (lo, hi, n)  # the grid of -0.0 is that of 0.0, as in a memo key
         entry = self._grids.get(key)
         if entry is None or not 0 < k <= entry[0]:
             order = max(k, fill) if k > 0 else k  # a bad k raises as deriv's does
-            if xs is None:
-                xs = interior_grid(lo, hi, n)
+            xs = self.abscissae(lo, hi, n)
             entry = self._grids[key] = (order, xs, jet_rows(self.ast, xs, order))
         order, xs, rows = entry
         values = [None if row is None else row[k] for row in rows]
@@ -234,6 +244,13 @@ class DerivativeProfile:
         if k == 0:
             return self.h(x)
         return self._row(x, k)[k]
+
+    def deriv_unkept(self, x: float, k: int) -> float:
+        """``deriv(x, k)``, computed afresh and kept nowhere: for a point that
+        is read once, as a golden-section step is."""
+        if k == 0:
+            return self.h(x)
+        return self._jet_row(x, k)[k]
 
     def memo(self, key: tuple, compute):
         """``compute()`` (never None), once per key. A call that raises a

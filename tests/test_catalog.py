@@ -267,6 +267,20 @@ def _count_extremum_calls(monkeypatch) -> list:
     return calls
 
 
+def _count_grids(monkeypatch) -> Counter:
+    """``interior_grid`` calls by (lo, hi, n) in every module that binds it."""
+    grids: Counter = Counter()
+    for module in (numerics, young, cat):
+        original = module.interior_grid
+
+        def counted(lo, hi, n, _original=original):
+            grids[lo, hi, n] += 1
+            return _original(lo, hi, n)
+
+        monkeypatch.setattr(module, "interior_grid", counted)
+    return grids
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_an_extremum_scan_builds_its_grid_once(quartic, monkeypatch, order):
     # extremum builds the scan's interior grid and the profile keeps that
@@ -284,6 +298,19 @@ def test_an_extremum_scan_builds_its_grid_once(quartic, monkeypatch, order):
         monkeypatch.setattr(module, "interior_grid", counted)
     cat._extrema_of_deriv(inst, order, anch.alpha, anch.beta)
     assert grids == {(anch.alpha, anch.beta, EXTREMUM_SCAN_POINTS - 2): 1}
+
+
+def test_the_h_second_scan_reads_the_h_prime_grid_and_keeps_no_golden_point(quartic, monkeypatch):
+    # the h' and h'' scans of [alpha, beta] share one list of abscissae, and
+    # the profile keeps their endpoints, which the anchor reads share, but
+    # none of their golden-section points
+    inst, anch = quartic
+    inst = dataclasses.replace(inst)  # an empty profile
+    grids = _count_grids(monkeypatch)
+    cat._extrema_of_deriv(inst, 1, anch.alpha, anch.beta)
+    cat._extrema_of_deriv(inst, 2, anch.alpha, anch.beta)
+    assert grids == {(anch.alpha, anch.beta, EXTREMUM_SCAN_POINTS - 2): 1}
+    assert set(inst.profile._jets) == {anch.alpha, anch.beta}
 
 
 def test_instances_are_freed_without_the_collector():
@@ -435,6 +462,55 @@ def test_work_count_gate(monkeypatch):
     cat.run_method(inst, anch, "taylor-holder", (0.0,))
     assert dict(kernel_evaluations) == _QUARTIC_KERNEL_EVALUATIONS
     assert len(jet_calls) <= _QUARTIC_JET_CALL_BOUND, Counter(jet_calls)
+
+
+def test_sweep_fills_each_gate_grid_once(monkeypatch):
+    # sweep fills each gate grid once per instance, at the highest order its
+    # methods read there, and builds each grid's abscissae once: in
+    # sweep(42, 10), one batch per grid and instance, 40 (70 when each higher
+    # order filled a grid again), and 50 interior_grid calls (90 when an
+    # upgrade and the h'' scan built their grids again)
+    kernel_evaluations = _count_kernel_evaluations(monkeypatch)
+    batches: Counter = Counter()
+    jet_rows = expr.jet_rows
+
+    def counted_rows(ast, xs, order, *args):
+        batches[order, len(xs)] += 1
+        return jet_rows(ast, xs, order, *args)
+
+    _patch_everywhere(monkeypatch, "jet_rows", counted_rows)
+    grids = _count_grids(monkeypatch)
+    sweep(42, 10)
+    assert batches == {(1, 257): 10, (2, 1023): 10, (3, 257): 10, (4, 257): 10}
+    sizes: Counter = Counter()
+    for (_, _, n), calls in grids.items():
+        sizes[n] += calls
+    assert sizes == {257: 30, 1023: 10, 33: 10}
+    assert dict(kernel_evaluations) == {None: 2064, 1: 3804, 2: 11420, 3: 2570, 4: 2570}
+
+
+def test_the_gate_table_matches_the_estimators(quartic, monkeypatch):
+    # each method alone on a fresh instance reads the SCAN_POINTS grids of
+    # (0, c) and [alpha, beta] at exactly the orders its _GATES entry lists;
+    # a method the table leaves out reads none
+    inst, anch = quartic
+    reads = []
+    column = young.DerivativeProfile.column
+
+    def recorded(self, lo, hi, n, k, fill=0):
+        if n == young.SCAN_POINTS:
+            reads.append(((lo, hi), k))
+        return column(self, lo, hi, n, k, fill)
+
+    monkeypatch.setattr(young.DerivativeProfile, "column", recorded)
+    spans = {"c": (0.0, inst.c), "ab": (anch.alpha, anch.beta)}
+    assert spans["c"] != spans["ab"]
+    for name, (_, arg_names) in cat.METHODS.items():
+        for n in range(4) if "n" in arg_names else (0,):
+            reads.clear()
+            cat.run_method(dataclasses.replace(inst), anch, name, (n,) if "n" in arg_names else ())
+            gates = [(spans[span], offset + n) for offset, span in cat._GATES.get(name, ())]
+            assert sorted(reads) == sorted(gates), (name, n)
 
 
 def test_a_failed_scan_point_is_evaluated_once(monkeypatch):

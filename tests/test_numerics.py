@@ -256,17 +256,19 @@ def test_extremum_guarded_endpoints():
 
 
 def test_extremum_column_matches_pointwise_reads():
-    # the interior values arrive in one column call, None where f raises;
-    # f itself is then read only at the endpoints and in the refinement
+    # the interior grid and its values arrive in one column call, None where
+    # f raises; f itself is then read only at the endpoints and in the
+    # refinement
     def f(t):
         reads.append(t)
         if t == 0.0 or 0.3 < t < 0.4:
             raise DomainError("hole")
         return math.sin(7.0 * t) * t
 
-    def column(xs):
-        columns.append(len(xs))
-        return [None if t == 0.0 or 0.3 < t < 0.4 else math.sin(7.0 * t) * t for t in xs]
+    def column(n):
+        columns.append(n)
+        xs = interior_grid(0.0, 1.0, n)
+        return xs, [None if t == 0.0 or 0.3 < t < 0.4 else math.sin(7.0 * t) * t for t in xs]
 
     reads: list[float] = []
     columns: list[int] = []

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import itertools
 import json
 import re
 import shutil
@@ -12,8 +14,10 @@ import sys
 
 import pytest
 
-from youngbounds import cli
+from youngbounds import catalog as cat
+from youngbounds import cli, expr, report
 from youngbounds.errors import ParseError, ValidationError
+from youngbounds.numerics import interior_grid
 from youngbounds.report import (
     MethodSpec,
     load_problem,
@@ -24,6 +28,7 @@ from youngbounds.report import (
     sweep,
     verify_golden,
 )
+from youngbounds.young import SCAN_POINTS, Options, anchors, make_problem, oracle
 
 
 def _write(path, payload):
@@ -258,6 +263,80 @@ def test_report_renderers():
     parsed = json.loads(blob)
     assert parsed["rows"][0]["method"] == "polya-first"
     assert parsed["oracle"]["sum"] == pytest.approx(2.015625, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec,error", [
+    ("polya-first(0,inf)", "ValidationError: U: must be a finite number, got inf"),
+    ("polya-first(-inf,inf)", "ValidationError: L: must be a finite number, got -inf"),
+    ("polya-second(-inf,inf)", "ValidationError: L: must be a finite number, got -inf"),
+    ("polya-first(1e308,-1e308)", "ValidationError: L: must be <= U = -1e+308, got 1e+308"),
+    ("polya-first(-1e308,1e308)",
+     "DomainError: polya-first closed form overflows at L=-1e+308, U=1e+308"),
+    ("polya-second(-1e308,1e308)",
+     "DomainError: polya-second closed form overflows at L=-1e+308, U=1e+308"),
+])
+def test_a_user_polya_range_that_bounds_nothing_is_a_row_error(spec, error):
+    # on x^3+x with a = 1 and b = 0.5 (SUM 0.8640321639046968) these ranges
+    # gave applicable rows: an infinite end made U - L <= eps read inf <= inf,
+    # the "constant derivative" branch, whose polya-first value 0.93210965...
+    # misses SUM; L > U passed as a degenerate range; 1e308 ends overflow the
+    # closed forms to nan (polya-first) or to +inf against -inf (polya-second)
+    rep = run_report(make_problem("x^3+x", 1.0, 0.5), (parse_method_spec(spec),))
+    (row,) = rep.rows
+    assert (row.error, row.applicable) == (error, False)
+
+
+# The quartic, one member of each sweep family, and h = x plus a spike some
+# 1e-80 wide and 1e-10 high at x0, the 101st interior point of (0, 2); with
+# a = c and b = 0, [alpha, beta] is (0, c), so both gate intervals share
+# that grid, and at x0 the jet fails from order 4 up while orders 1-3 succeed.
+_SPIKE_X0 = interior_grid(0.0, 2.0, SCAN_POINTS)[100]
+_FILL_PROBLEMS = {
+    "quartic": ("(x^4+1)^(1/4)-1", 3.0, 2.0, 3.0),
+    "power": ("x^2.7", 1.2, 0.5, 1.5),
+    "exp": ("exp(1.1*x)-1", 1.0, 0.7, 1.4),
+    "logquad": ("0.9*ln(1+x)+x^2", 0.9, 1.2, 1.6),
+    "comp": ("exp(0.6*x^1.4)-1", 1.3, 0.4, 1.5),
+    "spike": (f"x + 1e-170/((x-{_SPIKE_X0!r})^2+1e-160)", 2.0, 0.0, 2.0),
+}
+
+
+def test_the_spike_jet_fails_on_its_gate_grid_from_order_4():
+    ast = make_problem(*_FILL_PROBLEMS["spike"]).ast
+    rows = [expr.jet_rows(ast, [_SPIKE_X0], k)[0] for k in range(1, 7)]
+    assert [row is None for row in rows] == [False] * 3 + [True] * 3
+
+
+@pytest.mark.parametrize("problem", list(_FILL_PROBLEMS))
+def test_the_gate_fill_changes_no_bits(monkeypatch, problem):
+    # run_report fills each gate grid once, at the highest order its methods
+    # read there. Every subset of the gate methods, at each taylor_order,
+    # must report the bits it reports without the fill. Without the fill a
+    # row does not depend on the other rows, so a subset's rows are those of
+    # the whole set; the whole set runs both ways in three method orders.
+    text, a, b, c = _FILL_PROBLEMS[problem]
+    fill = report.fill_gate_grids
+    gated = tuple(cat._GATES)
+    for order in range(4):
+        inst = make_problem(text, a, b, c, Options(taylor_order=order))
+        anch = anchors(inst)
+        orc = oracle(inst, anch)
+        # computed once per instance: the rows are what the fill could change
+        monkeypatch.setattr(report, "anchors", lambda _: anch)
+        monkeypatch.setattr(report, "oracle", lambda *_: orc)
+
+        def reported(names, filled):
+            monkeypatch.setattr(report, "fill_gate_grids", fill if filled else lambda *_: None)
+            specs = tuple(MethodSpec(name) for name in names)
+            return report_to_dict(run_report(dataclasses.replace(inst), specs))
+
+        for names in (gated, gated[::-1], gated[5:] + gated[:5]):
+            assert repr(reported(names, True)) == repr(reported(names, False)), (order, names)
+        unfilled = reported(gated, False)["rows"]
+        for size in range(1, len(gated)):
+            for names in itertools.combinations(gated, size):
+                want = [row for row in unfilled if row["method"] in names]
+                assert repr(reported(names, True)["rows"]) == repr(want), (order, names)
 
 
 # ---------------------------------------------------------------------------

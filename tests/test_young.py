@@ -432,6 +432,22 @@ def test_profile_column_reads_match_unshared_reads(text, reads):
                 lambda x, k: jet(inst.ast, x, k).derivs, x, k), (text, x, k)
 
 
+def test_an_order_upgrade_keeps_the_abscissae(monkeypatch):
+    # a grid read again at a higher order computes its rows again on the
+    # abscissae its entry keeps, and a lower order reads them too
+    calls = []
+
+    def counted(lo, hi, n):
+        calls.append((lo, hi, n))
+        return interior_grid(lo, hi, n)
+
+    monkeypatch.setattr(young, "interior_grid", counted)
+    prof = ProblemInstance(parse_expr("exp(x)-1"), a=1.0, b=0.5, c=2.0).profile
+    for k in (1, 3, 2, 5, 0):
+        prof.column(0.0, 2.0, SCAN_POINTS, k)
+    assert calls == [(0.0, 2.0, SCAN_POINTS)]
+
+
 def test_failed_column_miss_leaves_no_entry():
     # a grid read keeps no point row; a point read where the grid's jet
     # failed raises what the instance raises

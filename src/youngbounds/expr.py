@@ -835,46 +835,68 @@ def _factory_source(shape: tuple, order: int | None) -> str:
     )
 
 
+class _LruTable:
+    """A least-recently-used map shared by threads, bounded by the total size
+    of its entries.
+
+    ``put`` states each entry's size, and an insert evicts the least recently
+    used entries until the total ``chars`` is at most ``bound``; an entry
+    larger than the bound is not kept, and evicts nothing. Callers build
+    values outside the lock; a race at worst builds one twice, and the first
+    ``put`` of a key is kept.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self._entries: OrderedDict[object, tuple[object, int]] = OrderedDict()
+        self.chars = 0
+        self._bound = bound
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        """The value kept under ``key``, or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, value, size: int) -> None:
+        with self._lock:
+            if key not in self._entries and size <= self._bound:
+                self._entries[key] = value, size
+                self.chars += size
+                while self.chars > self._bound:
+                    self.chars -= self._entries.popitem(last=False)[1][1]
+
+
 # Bound on the total characters of the sources whose factories the table keeps.
 _CODE_TABLE_CHARS = 1_000_000
 
 
-class _CodeTable:
+class _CodeTable(_LruTable):
     """Kernel factories by (shape, order), shared by every tree.
 
     A factory's source is emitted and compiled, most of a kernel's build
     cost, once per shape and order in a process; each tree's kernel is then
-    one call of the factory with the tree's constants and exponents.
-
-    An LRU bounded by the total characters of the kept sources: an insert
-    evicts the least recently used entries until the total is at most
-    :data:`_CODE_TABLE_CHARS`, so a source longer than the bound is compiled,
-    used and dropped (with every older entry). Emission and ``compile`` run
-    outside the lock; a race at worst builds one factory twice.
+    one call of the factory with the tree's constants and exponents. The
+    table is bounded by the characters of the kept sources,
+    :data:`_CODE_TABLE_CHARS` by default, so a source longer than the bound
+    is compiled and used but not kept.
     """
 
-    def __init__(self) -> None:
-        self._factories: OrderedDict[tuple, tuple[Callable, int]] = OrderedDict()
-        self.chars = 0
-        self._lock = threading.Lock()
+    def __init__(self, bound: int = _CODE_TABLE_CHARS) -> None:
+        super().__init__(bound)
 
     def factory(self, shape: tuple, order: int | None) -> Callable:
         key = (shape, order)
-        with self._lock:
-            entry = self._factories.get(key)
-            if entry is not None:
-                self._factories.move_to_end(key)
-                return entry[0]
-        source = _factory_source(shape, order)
-        namespace = dict(_KERNEL_GLOBALS)
-        exec(compile(source, "<youngbounds kernel>", "exec"), namespace)
-        make = namespace["make"]
-        with self._lock:
-            if key not in self._factories:
-                self._factories[key] = make, len(source)
-                self.chars += len(source)
-                while self.chars > _CODE_TABLE_CHARS:
-                    self.chars -= self._factories.popitem(last=False)[1][1]
+        make = self.get(key)
+        if make is None:
+            source = _factory_source(shape, order)
+            namespace = dict(_KERNEL_GLOBALS)
+            exec(compile(source, "<youngbounds kernel>", "exec"), namespace)
+            make = namespace["make"]
+            self.put(key, make, len(source))
         return make
 
 

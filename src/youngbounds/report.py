@@ -62,9 +62,11 @@ class MethodSpec:
 
 
 def _fmt_arg(a: float) -> str:
+    """``2`` for 2.0, and ``repr`` from 2**53 up, where a float's integer
+    digits stop being exact and a label would grow to 309 digits."""
     if math.isinf(a):
         return "inf" if a > 0 else "-inf"
-    if float(a).is_integer():
+    if float(a).is_integer() and abs(a) < 2**53:
         return str(int(a))
     return repr(a)
 

@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, ValidationError, YoungBoundsError
-from .expr import DEFAULT_ORDER_CAP, ExprAst, _jet_kernel, evaluate, jet, jet_rows, parse_expr
+from .expr import (
+    DEFAULT_ORDER_CAP, ExprAst, _jet_kernel, _LruTable, evaluate, jet, jet_rows, parse_expr,
+)
 from .numerics import _value_or_none, integrate, interior_grid, invert
 
 __all__ = [
@@ -315,6 +317,17 @@ def _h_inverse(inst: ProblemInstance) -> float:
     return invert(inst.h, inst.b, 0.0, inst.c, rel_tol=inst.options.quad_rel_tol, dh=deriv1)
 
 
+# Bound on the total characters of the texts the domain table keeps. Each
+# entry counts its text and _ENTRY_CHARS more, for the key, the tree's root
+# and h(c), so that many short texts hold no more than a few long ones.
+_DOMAIN_TABLE_CHARS = 100_000
+_ENTRY_CHARS = 32
+
+# (text, c) -> (parsed root, h(c)) of every text that passed validation on
+# [0, c]: a later make_problem of the pair skips the parse and the domain check.
+_domain_table = _LruTable(_DOMAIN_TABLE_CHARS)
+
+
 def make_problem(
     function: str | ExprAst,
     a: float,
@@ -326,10 +339,24 @@ def make_problem(
 
     When ``c`` is omitted it defaults to max(a, h^{-1}(b)): the bound catalog
     only ever needs [0, c] to contain both anchor abscissae.
+
+    Validation has two parts. The domain check reads only h and c: h(c),
+    the h' scan of (0, c) and h(0+). The b test, b <= h(c), reads b too.
+    For a text ``function``, a process-wide table keeps the parsed tree and
+    h(c) of each (text, c) that passed validation, bounded by the
+    characters of its texts. A later call with that pair builds a fresh
+    :class:`ExprAst` on the kept tree, whose kernels come from the shared
+    factories, and runs only the b test. Outcomes do not depend on the
+    table: a miss runs the whole validation, b test first, and keeps the
+    pair only if it passed. An :class:`ExprAst` ``function`` never reads
+    the table.
     """
     options = options or Options()
+    kept = None
     if isinstance(function, str):
-        ast = parse_expr(function)
+        if _is_number(c):  # a c of another type fails its check below
+            kept = _domain_table.get((function, c))
+        ast = parse_expr(function) if kept is None else ExprAst(kept[0], function)
     elif isinstance(function, ExprAst):
         ast = function
     else:
@@ -369,20 +396,43 @@ def make_problem(
         raise ValidationError("a", f"must be <= c = {c!r}, got {a!r}")
 
     inst = ProblemInstance(ast=ast, a=float(a), b=float(b), c=float(c), options=options)
-    _validate(inst)
+    if kept is None:
+        hc = _validate(inst)
+        if isinstance(function, str):
+            _domain_table.put((function, inst.c), (ast.root, hc), len(function) + _ENTRY_CHARS)
+    else:
+        _check_b(inst, kept[1])
     return inst
 
 
-def _validate(inst: ProblemInstance) -> None:
-    c = inst.c
+def _validate(inst: ProblemInstance) -> float:
+    """Every check, in the order that names the first failure: the b test,
+    then the domain check. Returns h(c), which bounds b."""
+    hc = _h_at_c(inst)
+    _check_b(inst, hc)
+    _check_domain(inst)
+    return hc
 
-    # b <= h(c), evaluated numerically (guarded just inside if c is singular).
+
+def _h_at_c(inst: ProblemInstance) -> float:
+    """h(c), evaluated numerically (guarded just inside if c is singular)."""
     try:
-        hc = inst.h(c)
+        return inst.h(inst.c)
     except DomainError:
-        hc = inst.h(c * (1.0 - 1e-9))
-    if inst.b > hc * (1.0 + 1e-9) + 1e-12:
+        return inst.h(inst.c * (1.0 - 1e-9))
+
+
+def _check_b(inst: ProblemInstance, hc: float) -> None:
+    """b <= h(c), up to a relative 1e-9: no absolute floor, so the verdict
+    does not change when h and b are scaled together."""
+    if inst.b > hc * (1.0 + 1e-9):
         raise ValidationError("b", f"must be <= h(c) = {hc!r}, got {inst.b!r}")
+
+
+def _check_domain(inst: ProblemInstance) -> None:
+    """The checks that read only the tree and c: h increases on [0, c] from
+    h(0+) = 0."""
+    c = inst.c
 
     # Numerically strictly increasing: h' >= 0 at interior scan points, with a
     # genuinely positive slope somewhere. Interior points (never 0 or c) keep

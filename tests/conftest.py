@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from youngbounds import expr, report
+from youngbounds import expr, report, young
 from youngbounds.errors import YoungBoundsError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +31,15 @@ def code_table(monkeypatch):
     factory is emitted and compiled anew in the test."""
     table = expr._CodeTable()
     monkeypatch.setattr(expr, "_code_table", table)
+    return table
+
+
+@pytest.fixture
+def domain_table(monkeypatch):
+    """An empty domain table in place of the process-wide one, so every
+    ``make_problem`` of a text parses it and runs the domain check anew."""
+    table = expr._LruTable(young._DOMAIN_TABLE_CHARS)
+    monkeypatch.setattr(young, "_domain_table", table)
     return table
 
 

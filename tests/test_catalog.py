@@ -366,7 +366,7 @@ def test_one_extremum_scan_per_derivative_range_across_methods(quartic, monkeypa
     assert len(calls) == 2, calls
 
 
-def test_lp_remainder_sup_norm_reuses_the_polya_scan(monkeypatch):
+def test_lp_remainder_sup_norm_reuses_the_polya_scan(domain_table, monkeypatch):
     # sup |h''| is max(|inf h''|, |sup h''|) from polya-second's scan
     kernel_evaluations = _count_kernel_evaluations(monkeypatch)
     inst = make_problem("(x^4+1)^(1/4)-1", 3.0, 2.0, 3.0)  # kernels compiled from here on
@@ -444,7 +444,7 @@ def _count_kernel_evaluations(monkeypatch) -> Counter:
     return kernel_evaluations
 
 
-def test_work_count_gate(monkeypatch):
+def test_work_count_gate(domain_table, monkeypatch):
     jet_calls = []
     jet = expr.jet
 
@@ -559,7 +559,8 @@ def _kernel_abscissae(monkeypatch) -> dict:
     ("x+exp(-1/x)", 1e-102, 1e-103,
      Anchors(h_inv_b=1e-103, alpha=1e-103, beta=1e-102, h_a=1e-102, orientation=1), 140),
 ], ids=["quartic", "order-2-fails"])
-def test_h_prime_scan_reads_the_h_second_rows(monkeypatch, text, a, b, anch, failed):
+def test_h_prime_scan_reads_the_h_second_rows(domain_table, monkeypatch, text, a, b, anch,
+                                             failed):
     # every method on one instance: the h' extremum scan of [alpha, beta]
     # evaluates order-1 jets on its grid only where the order-2 jet fails
     seen = _kernel_abscissae(monkeypatch)

@@ -727,19 +727,20 @@ def test_code_table_is_thread_safe(code_table, monkeypatch):
                 assert not thread.is_alive()
             for i in range(len(texts)):
                 assert got[i] == want[i:] + want[:i]
-            assert len(table._factories) == 4  # one shape: evaluate and three jet orders
+            assert len(table._entries) == 4  # one shape: evaluate and three jet orders
             assert table.chars == _kept_chars(table)
     finally:
         sys.setswitchinterval(interval)
 
 
 def _kept_chars(table) -> int:
-    return sum(size for _, size in table._factories.values())
+    return sum(size for _, size in table._entries.values())
 
 
-def test_code_table_stays_within_its_character_bound(code_table, monkeypatch):
+def test_code_table_stays_within_its_character_bound(monkeypatch):
     bound = 3000
-    monkeypatch.setattr(expr, "_CODE_TABLE_CHARS", bound)
+    code_table = expr._CodeTable(bound)
+    monkeypatch.setattr(expr, "_code_table", code_table)
     texts = ["x^2.5", "exp(0.6*x^1.4)-1", "0.3*ln(1+x)+x^2", "exp(-1/x)", "x/(1+x^2)"]
     for text in texts:
         for order in (None, 1, 2, 4):
@@ -749,11 +750,13 @@ def test_code_table_stays_within_its_character_bound(code_table, monkeypatch):
                 assert code_table.chars <= bound
                 assert code_table.chars == _kept_chars(code_table)
     # an order-6 jet of a 10-term sum emits a source far above the bound: it
-    # is compiled, used and dropped, and evaluates as the walkers do
+    # is compiled and used but not kept, evicts nothing, and evaluates as the
+    # walkers do
     big = parse_expr("+".join(f"exp({k}*x^1.5)" for k in range(1, 11)))
-    assert code_table._factories
+    kept, chars = dict(code_table._entries), code_table.chars
+    assert kept
     assert _outcome(jet, big, 0.8, 6) == _outcome(_reference_jet, big, 0.8, 6)
-    assert code_table.chars == 0 and not code_table._factories
+    assert code_table._entries == kept and code_table.chars == chars
 
 
 def test_sweep_compiles_each_kernel_source_once(code_table, monkeypatch):
@@ -786,7 +789,7 @@ def test_integer_and_fractional_exponents_key_apart(code_table, first, second):
                 want = _outcome(_reference_jet, ast, x, order)
                 assert _outcome(jet, ast, x, order) == want, (text, x, order)
     # evaluate and orders 0-3, twice, beside the kernel that folded -0.5
-    assert len([shape for shape, _ in code_table._factories if "x" in shape]) == 2 * 5
+    assert len([shape for shape, _ in code_table._entries if "x" in shape]) == 2 * 5
 
 
 # values that take every branch of the kernels: signed zeros, huge and tiny
@@ -863,7 +866,7 @@ def test_sweep_emits_each_kernel_shape_once(code_table, monkeypatch):
     monkeypatch.setattr(expr, "_factory_source", counted)
     sweep(42, 10)
     assert len(emitted) == len(set(emitted)) == 15
-    assert len(code_table._factories) == 15
+    assert len(code_table._entries) == 15
 
 
 def test_sweep_fsum_calls_are_pinned(code_table, monkeypatch):

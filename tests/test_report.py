@@ -174,6 +174,22 @@ def test_parse_method_spec_args():
         parse_method_spec("taylor-jensen(oops)")
 
 
+@pytest.mark.parametrize("text,label", [
+    ("taylor-lagrange(2)", "taylor-lagrange(2)"),
+    ("taylor-lagrange(2.0)", "taylor-lagrange(2)"),
+    ("lp-remainder(1,inf,1.25)", "lp-remainder(1,inf,1.25)"),
+    ("polya-first(-3,9007199254740991)", "polya-first(-3,9007199254740991)"),
+    ("polya-first(-1e308,1e308)", "polya-first(-1e+308,1e+308)"),
+    ("polya-first(0,9007199254740992)", "polya-first(0,9007199254740992.0)"),
+], ids=["order", "float-order", "fraction", "below-2^53", "1e308", "2^53"])
+def test_a_label_reads_back_as_its_spec(text, label):
+    # integral arguments print as integers below 2**53 and by repr from
+    # there on, so no label grows to 309 digits
+    spec = parse_method_spec(text)
+    assert str(spec) == label
+    assert parse_method_spec(label) == spec
+
+
 # too many arguments, a negative order, a fractional order
 _BAD_ARGUMENT_SPECS = ("hoorfar-qi(1)", "taylor-jensen(-1)", "taylor-jensen(1.5)")
 

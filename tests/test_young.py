@@ -8,6 +8,9 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import mpmath
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from youngbounds import expr, young
-from youngbounds.errors import DomainError, ValidationError
+from youngbounds.errors import DomainError, ValidationError, YoungBoundsError
 from youngbounds.expr import evaluate, jet, parse_expr
 from youngbounds.numerics import integrate, interior_grid
 from youngbounds.young import (
@@ -154,7 +157,7 @@ def test_decreasing_function_message():
 
 def _reference_slope_scan(inst):
     """Validation's h' scan as a walk over every point, in order: the
-    reference for the verdict ``_validate`` reads from the least and the
+    reference for the verdict ``_check_domain`` reads from the least and the
     greatest slope."""
     seen_positive = False
     xs = interior_grid(0.0, inst.c, SCAN_POINTS)
@@ -177,7 +180,7 @@ _BELOW_FLOOR = math.nextafter(-1e-12, -math.inf)
 
 
 def _scan_outcomes(slopes):
-    """(``_validate``'s outcome, the reference scan's) for h = x on [0, 1]
+    """(``_check_domain``'s outcome, the reference scan's) for h = x on [0, 1]
     with the h' scan's rows replaced: ``slopes`` gives h' at each scan point,
     None for a point whose jet fails."""
     assert len(slopes) == SCAN_POINTS
@@ -192,7 +195,7 @@ def _scan_outcomes(slopes):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(young, "jet_rows", rows)
         patch.setattr(young, "jet", no_jet)
-        return _outcome(young._validate, inst), _outcome(_reference_slope_scan, inst)
+        return _outcome(young._check_domain, inst), _outcome(_reference_slope_scan, inst)
 
 
 def _slopes(base, changes):
@@ -247,7 +250,7 @@ def test_random_validation_verdicts_match_the_point_by_point_scan(base, changes)
     assert got == want
 
 
-def test_make_problem_reuses_the_kernels_of_its_text(code_table, monkeypatch):
+def test_make_problem_reuses_the_kernels_of_its_text(code_table, domain_table, monkeypatch):
     # make_problem evaluates h and scans h' at order 1: two kernels, emitted
     # for the first instance of the text and called with the constants of
     # every later one, of this text or another of its shape
@@ -265,11 +268,11 @@ def test_make_problem_reuses_the_kernels_of_its_text(code_table, monkeypatch):
     assert sorted(emitted, key=str) == [1, None]
 
 
-def test_threads_building_one_text_get_identical_oracles(monkeypatch):
+def test_threads_building_one_text_get_identical_oracles(domain_table, monkeypatch):
     # 8 threads parse one text, build its kernels from an empty code table
     # and run the oracle at once, switching every microsecond
     text = "exp(0.7*x^1.3)-1"
-    want = repr(oracle(make_problem(text, 1.2, 0.9, 2.0)))
+    want = repr(oracle(make_problem(parse_expr(text), 1.2, 0.9, 2.0)))
     monkeypatch.setattr(expr, "_code_table", expr._CodeTable())
     start = threading.Barrier(8)
     got: dict = {}
@@ -291,6 +294,173 @@ def test_threads_building_one_text_get_identical_oracles(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert list(got.values()) == [want] * 8
+
+
+def _count_work(monkeypatch) -> Counter:
+    """Tokenizations (key "tokenize") and kernel evaluations by jet order
+    (None: evaluate) of kernels compiled from here on."""
+    work: Counter = Counter()
+    tokenize, compile_kernel = expr._tokenize, expr._compile
+
+    def counted_tokenize(text):
+        work["tokenize"] += 1
+        return tokenize(text)
+
+    def counted_compile(root, order):
+        kernel = compile_kernel(root, order)
+
+        def counted(x):
+            work[order] += 1 if order is None else len(x)
+            return kernel(x)
+
+        return counted
+
+    monkeypatch.setattr(expr, "_tokenize", counted_tokenize)
+    monkeypatch.setattr(expr, "_compile", counted_compile)
+    return work
+
+
+def test_a_second_instance_of_a_text_and_c_skips_the_parse_and_the_domain_check(
+        domain_table, monkeypatch):
+    # the first make_problem of (text, c) parses the text and scans h' at 257
+    # points; later ones, at any a and b, an int c included, build a fresh
+    # tree on the kept root and only compare b with the kept h(c)
+    text = "x^3+0.5*x"
+    work = _count_work(monkeypatch)
+    first = make_problem(text, 1.0, 0.5, 2.0)
+    assert work["tokenize"] == 1 and work[1] == SCAN_POINTS
+    assert domain_table.get((text, 2.0)) == (first.ast.root, 9.0)
+    assert domain_table.chars == len(text) + young._ENTRY_CHARS
+    tree = parse_expr(text)
+    work.clear()
+    for a, b, c in ((0.5, 1.0, 2.0), (1.5, 9.0, 2)):
+        inst = make_problem(text, a, b, c)
+        assert inst == ProblemInstance(tree, float(a), float(b), 2.0)
+        assert inst.ast is not first.ast and inst.ast.root is first.ast.root
+        assert inst.ast.source == text and inst.ast._kernels == {}
+    assert work == {}
+    # a b above the kept h(c) fails as a cold b test does
+    with pytest.raises(ValidationError, match=r"^b: must be <= h\(c\) = 9.0, got 9.5$"):
+        make_problem(text, 1.0, 9.5, 2.0)
+    assert work == {}
+
+
+def test_b_above_h_of_c_is_rejected_at_any_scale():
+    # b = 500 h(c): an absolute 1e-12 slack in the b test admitted it, and
+    # the report then read a collapsed "b = h(a)" row
+    with pytest.raises(ValidationError) as err:
+        make_problem("1e-15*x", 1.0, 5e-13, 1.0)
+    assert str(err.value) == "b: must be <= h(c) = 1e-15, got 5e-13"
+    make_problem("1e-15*x", 1.0, 1e-15 * (1.0 + 1e-9), 1.0)
+
+
+@pytest.mark.parametrize("text", ["x^2+1", "x-x^2"])
+def test_the_b_test_fails_first(domain_table, text):
+    # b and the domain check both fail: the error names b, as validation in
+    # its order does, and nothing is kept
+    for _ in range(2):
+        with pytest.raises(ValidationError) as err:
+            make_problem(text, 0.5, 5.0, 1.0)
+        assert err.value.field == "b"
+    assert not domain_table._entries
+
+
+# Texts for the table: a member of each sweep family with drawn parameters,
+# and texts that fail to parse, at 0, in the h' scan or only on some c.
+_FAMILY_TEXTS = (
+    st.floats(1.2, 5.0).map(lambda p: f"x^{p!r}"),
+    st.floats(0.4, 1.6).map(lambda lam: f"exp({lam!r}*x)-1"),
+    st.floats(0.3, 1.8).map(lambda lam: f"{lam!r}*ln(1+x)+x^2"),
+    st.tuples(st.floats(0.4, 0.9), st.floats(1.1, 1.8)).map(
+        lambda lp: f"exp({lp[0]!r}*x^{lp[1]!r})-1"),
+)
+_INVALID_TEXTS = ("x+$", "2^x", "x^2+1", "x-x^2", "ln(x)", "1-exp(-x)-x^3", "0*x",
+                  "1e-15*x", "exp(-1/x)", "x+0.1*((x-1)^2)^(2/3)", "sqrt(x)-x")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.one_of(*_FAMILY_TEXTS, st.sampled_from(_INVALID_TEXTS)),
+       c=st.sampled_from([0.5, 1, 2.0, 1.5, 0.0, -1.0, None]) | st.floats(1e-3, 5.0),
+       a_share=st.sampled_from([0.0, 1.0, 1.5]) | st.floats(0.0, 1.2),
+       b_share=st.sampled_from([0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 500.0]) | st.floats(0.0, 2.0))
+def test_outcomes_do_not_depend_on_the_domain_table(text, c, a_share, b_share):
+    # make_problem(text, a, b, c) with an empty table and with one that has
+    # seen (text, c) at a = b = 0 and at (a, b) itself: the same instance, or
+    # the same error class and message, b-test failures on a kept pair too
+    scale = 1.0 if c is None else c
+    try:
+        hc = young._h_at_c(ProblemInstance(parse_expr(text), 0.0, 0.0, float(scale)))
+    except YoungBoundsError:
+        hc = 1.0
+    args = (text, a_share * scale, b_share * hc, c)
+    table = lambda: expr._LruTable(young._DOMAIN_TABLE_CHARS)
+    with mock.patch.object(young, "_domain_table", table()):
+        cold = _outcome(make_problem, *args)
+    with mock.patch.object(young, "_domain_table", table()) as warm:
+        valid = _outcome(make_problem, text, 0.0, 0.0, c)[0] == "value"
+        _outcome(make_problem, *args)
+        assert _outcome(make_problem, *args) == cold
+    if valid and c is not None:
+        assert warm.get((text, c)) is not None  # so the last call read the table
+
+
+def test_threads_sharing_the_domain_table_get_identical_oracles(code_table, domain_table):
+    # 8 threads build instances of one (text, c) at once from empty tables,
+    # switching every microsecond: the first of each thread races the others
+    # to parse and keep the pair, the rest read what is kept
+    text, c = "exp(0.7*x^1.3)-1", 2.0
+    queries = [(1.2, 0.9), (0.4, 2.5), (1.9, 0.1)]
+    ast = parse_expr(text)
+    want = [repr(oracle(make_problem(ast, a, b, c))) for a, b in queries]
+    start = threading.Barrier(8)
+    got: dict = {}
+
+    def build(i):
+        start.wait(timeout=60)
+        got[i] = [repr(oracle(make_problem(text, a, b, c))) for a, b in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(got.values()) == [want] * 8
+    assert len(domain_table._entries) == 1
+
+
+def test_the_domain_table_stays_within_its_character_bound(domain_table, monkeypatch):
+    # 100k distinct texts, kept as make_problem keeps them: the table keeps
+    # the most recent ones within the bound, and holds under 4 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(100_000):
+            text = f"{k}*x"
+            domain_table.put((text, 1.5), (parse_expr(text).root, 1.5 * k),
+                             len(text) + young._ENTRY_CHARS)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert young._DOMAIN_TABLE_CHARS - 40 <= domain_table.chars <= young._DOMAIN_TABLE_CHARS
+    assert domain_table.chars == sum(size for _, size in domain_table._entries.values())
+    assert held < 4_000_000, held
+    # an entry larger than the bound is not kept and evicts nothing, and an
+    # instance of its text is built and validated as any other
+    small = expr._LruTable(200)
+    monkeypatch.setattr(young, "_domain_table", small)
+    make_problem("x^2", 0.5, 0.1, 1.0)
+    kept = dict(small._entries)
+    assert list(kept) == [("x^2", 1.0)] and small.chars == 3 + young._ENTRY_CHARS
+    long_text = "x" + "+0.5*x" * 40
+    inst = make_problem(long_text, 1.0, 1.0, 1.0)
+    assert inst.ast == parse_expr(long_text) and inst.h(1.0) == 21.0
+    assert small._entries == kept and small.chars == 3 + young._ENTRY_CHARS
 
 
 def test_limit_assumption_admits_exp_recip():

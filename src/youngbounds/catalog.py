@@ -5,6 +5,9 @@ Every estimator consumes a validated :class:`ProblemInstance` plus its
 quantity. Hypothesis checks are numerical (derivative signs sampled on a
 dense scan); failing a check never aborts an estimator, it only flags the
 result as not applicable, with the observations recorded in the diagnostics.
+Each estimator's sign gates are rows of one table, ``_GATES``, which the
+estimators and :func:`fill_gate_grids` both read, and every result is built
+by ``_result``, which sets ``applicable`` and sorts sides that crossed.
 
 Every derivative read outside a quadrature goes through the instance's
 :class:`DerivativeProfile`, so estimators run on the same instance share each
@@ -217,6 +220,56 @@ def _check(
     return HypothesisCheck(name, required, observed, cls in passes, assumed), cls, values
 
 
+_ONE_SIGN = ("nonnegative", "nonpositive", "flat")
+_NONNEG = ("nonnegative", "flat")
+
+# method name -> its hypotheses, each a sampled sign gate (order - n,
+# interval, check name, requirement, passing sign classes) with n the
+# method's order (0 for a method that takes none), the interval "c" for
+# (0, c) or "ab" for [alpha, beta], and {k} in the requirement the gate's
+# order; each gate reads its interval's SCAN_POINTS grid through _check
+_GATES = {
+    "hoorfar-qi": ((2, "c", "h_prime_monotone_global", "h'' of one sign on (0, c)", _ONE_SIGN),),
+    "hh-cebysev": (
+        (2, "ab", "h_prime_monotone_local", "h'' of one sign on [alpha, beta]", _ONE_SIGN),
+    ),
+    "jensen-first": (
+        (3, "ab", "h_prime_convexity", "h''' of one sign on [alpha, beta]", _ONE_SIGN),
+    ),
+    "taylor-lagrange": (
+        (2, "c", "deriv_monotone_global", "h^({k}) of one sign on (0, c)", _ONE_SIGN),
+    ),
+    "taylor-holder": ((1, "ab", "deriv_nonneg", "h^({k}) >= 0 on [alpha, beta]", _NONNEG),),
+    "taylor-cebysev": (
+        (2, "ab", "deriv_monotone_local", "h^({k}) of one sign on [alpha, beta]", _ONE_SIGN),
+    ),
+    "taylor-jensen": (
+        (3, "ab", "deriv_convexity", "h^({k}) of one sign on [alpha, beta]", _ONE_SIGN),
+    ),
+    "taylor-product-hh": (
+        (1, "ab", "deriv_nonneg", "h^({k}) >= 0 on [alpha, beta]", _NONNEG),
+        (3, "ab", "deriv_convexity", "h^({k}) >= 0 on [alpha, beta]", _NONNEG),
+    ),
+}
+
+
+def _spans(inst: ProblemInstance, anch: Anchors) -> dict[str, tuple[float, float]]:
+    """The intervals a ``_GATES`` entry names, as (lo, hi)."""
+    return {"c": (0.0, inst.c), "ab": (anch.alpha, anch.beta)}
+
+
+def _gates(
+    inst: ProblemInstance, anch: Anchors, name: str, n: int = 0
+) -> list[tuple[HypothesisCheck, str, tuple[float, ...]]]:
+    """The (check, sign class, samples) of each gate of method ``name`` at
+    order n, in ``_GATES`` order."""
+    spans = _spans(inst, anch)
+    return [
+        _check(inst, check, required.format(k=offset + n), offset + n, *spans[span], passes)
+        for offset, span, check, required, passes in _GATES[name]
+    ]
+
+
 def _sorted_pair(x: float, y: float) -> tuple[float, float]:
     return (x, y) if x <= y else (y, x)
 
@@ -228,10 +281,27 @@ def _check_order(n: int) -> None:
         raise OrderCapError(f"order must be a nonnegative integer, got {n!r}")
 
 
-def _zero_width_result(method: str, target: TargetQuantity) -> BoundResult:
+def _result(
+    method: str, target: TargetQuantity, lower: float | None, upper: float | None,
+    checks: Iterable[HypothesisCheck] = (), notes: Iterable[str] = (),
+    extras: Iterable[tuple[str, float]] = (),
+) -> BoundResult:
+    """Every estimator's BoundResult: applicable when each check passed or is
+    assumed. Two sides that crossed, which happens only at floating-point
+    boundaries of an equality case, are sorted, with a note after the others."""
+    checks, notes = tuple(checks), tuple(notes)
+    if lower is not None and upper is not None and lower > upper:
+        lower, upper = upper, lower
+        notes += ("sides crossed within roundoff; sorted",)
     return BoundResult(
-        method, target, 0.0, 0.0, True,
-        notes=("b = h(a): anchors coincide, bounds collapse to 0",),
+        method, target, lower, upper, all(c.ok for c in checks),
+        checks, notes, tuple(extras),
+    )
+
+
+def _zero_width_result(method: str, target: TargetQuantity) -> BoundResult:
+    return _result(
+        method, target, 0.0, 0.0, notes=("b = h(a): anchors coincide, bounds collapse to 0",)
     )
 
 
@@ -275,18 +345,14 @@ def bound_hoorfar_qi(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     of h'(a), h'(h^{-1}(b)).
     """
     target = _gap_target(inst)
-    check, _, _ = _check(
-        inst, "h_prime_monotone_global", "h'' of one sign on (0, c)",
-        2, 0.0, inst.c, ("nonnegative", "nonpositive", "flat"),
-    )
+    ((check, _, _),) = _gates(inst, anch, "hoorfar-qi")
     if anch.width == 0.0:
         return _zero_width_result("hoorfar-qi", target)
     prof = inst.profile
     d = inst.a - anch.h_inv_b
     m, M = _sorted_pair(prof.deriv(inst.a, 1), prof.deriv(anch.h_inv_b, 1))
-    return BoundResult(
-        "hoorfar-qi", target, m / 2.0 * d * d, M / 2.0 * d * d,
-        applicable=check.ok, diagnostics=(check,),
+    return _result(
+        "hoorfar-qi", target, m / 2.0 * d * d, M / 2.0 * d * d, (check,),
         extras=(("m", m), ("M", M)),
     )
 
@@ -299,10 +365,7 @@ def bound_hh_cebysev(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     (h' increasing, b < h(a)) and (h' decreasing, b > h(a)).
     """
     target = _gap_target(inst)
-    check, cls, _ = _check(
-        inst, "h_prime_monotone_local", "h'' of one sign on [alpha, beta]",
-        2, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
-    )
+    ((check, cls, _),) = _gates(inst, anch, "hh-cebysev")
     if anch.width == 0.0:
         return _zero_width_result("hh-cebysev", target)
     d = inst.a - anch.h_inv_b
@@ -316,12 +379,8 @@ def bound_hh_cebysev(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     )
     lower, upper = (up0, low0) if reversed_case else (low0, up0)
     notes = (f"h' {direction}; " + ("reversed case" if reversed_case else "direct case"),)
-    if lower > upper:  # only at floating-point boundaries of an equality case
-        lower, upper = upper, lower
-        notes += ("sides crossed within roundoff; sorted",)
-    return BoundResult(
-        "hh-cebysev", target, lower, upper,
-        applicable=check.ok, diagnostics=(check,), notes=notes,
+    return _result(
+        "hh-cebysev", target, lower, upper, (check,), notes,
         extras=(("midpoint_form", low0), ("trapezoid_form", up0)),
     )
 
@@ -332,10 +391,7 @@ def bound_jensen_first(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     d^2/3 * [h'(a)/2 + h'(h^{-1}(b))]; swapped when h' is concave.
     """
     target = _gap_target(inst)
-    check, cls, _ = _check(
-        inst, "h_prime_convexity", "h''' of one sign on [alpha, beta]",
-        3, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
-    )
+    ((check, cls, _),) = _gates(inst, anch, "jensen-first")
     if anch.width == 0.0:
         return _zero_width_result("jensen-first", target)
     prof = inst.profile
@@ -347,14 +403,7 @@ def bound_jensen_first(inst: ProblemInstance, anch: Anchors) -> BoundResult:
         lower, upper = q_end, q_mid
     else:
         lower, upper = q_mid, q_end
-    notes = (f"h' {curvature}",)
-    if lower > upper:
-        lower, upper = upper, lower
-        notes += ("sides crossed within roundoff; sorted",)
-    return BoundResult(
-        "jensen-first", target, lower, upper,
-        applicable=check.ok, diagnostics=(check,), notes=notes,
-    )
+    return _result("jensen-first", target, lower, upper, (check,), (f"h' {curvature}",))
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +513,7 @@ def _holder_core(
             )
         except YoungBoundsError as exc:
             notes.append(f"{label} dropped: {type(exc).__name__}: {exc}")
-    return BoundResult(
-        method, target, lower, upper,
-        applicable=all(c.ok for c in checks), diagnostics=checks,
-        notes=tuple(notes), extras=tuple(extras),
-    )
+    return _result(method, target, lower, upper, checks, notes, extras)
 
 
 def bound_holder_norm(
@@ -497,13 +542,10 @@ def bound_taylor_holder(
     enters with a minus sign; the sorted-pair mechanism realizes that case.
     """
     _check_order(n)
-    check, _, _ = _check(
-        inst, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
-        n + 1, anch.alpha, anch.beta, ("nonnegative", "flat"),
-    )
+    checks = tuple(check for check, _, _ in _gates(inst, anch, "taylor-holder", n))
     return _holder_core(
         inst, anch, n, lower_pair, upper_pair,
-        "taylor-holder", _remainder_target(inst, anch, n), checks=(check,),
+        "taylor-holder", _remainder_target(inst, anch, n), checks,
     )
 
 
@@ -517,10 +559,7 @@ def bound_taylor_lagrange(inst: ProblemInstance, anch: Anchors, n: int) -> Bound
     exactly the hoorfar-qi estimate."""
     _check_order(n)
     target = _gap_target(inst)
-    check, _, _ = _check(
-        inst, "deriv_monotone_global", f"h^({n + 2}) of one sign on (0, c)",
-        n + 2, 0.0, inst.c, ("nonnegative", "nonpositive", "flat"),
-    )
+    ((check, _, _),) = _gates(inst, anch, "taylor-lagrange", n)
     if anch.width == 0.0:
         return _zero_width_result("taylor-lagrange", target)
     prof = inst.profile
@@ -529,9 +568,8 @@ def bound_taylor_lagrange(inst: ProblemInstance, anch: Anchors, n: int) -> Bound
     m, M = _sorted_pair(prof.deriv(inst.a, n + 1), prof.deriv(anch.h_inv_b, n + 1))
     kernel = d ** (n + 2) / math.factorial(n + 2)
     lower, upper = _sorted_pair(t_sum + kernel * m, t_sum + kernel * M)
-    return BoundResult(
-        "taylor-lagrange", target, lower, upper,
-        applicable=check.ok, diagnostics=(check,),
+    return _result(
+        "taylor-lagrange", target, lower, upper, (check,),
         extras=(("m_n", m), ("M_n", M), ("taylor_sum", t_sum)),
     )
 
@@ -555,10 +593,7 @@ def bound_taylor_cebysev(inst: ProblemInstance, anch: Anchors, n: int) -> BoundR
     direction of h^(n+1), parity of n)."""
     _check_order(n)
     target = _remainder_target(inst, anch, n)
-    check, cls, values = _check(
-        inst, "deriv_monotone_local", f"h^({n + 2}) of one sign on [alpha, beta]",
-        n + 2, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
-    )
+    ((check, cls, values),) = _gates(inst, anch, "taylor-cebysev", n)
     if anch.width == 0.0:
         return _zero_width_result("taylor-cebysev", target)
     prof = inst.profile
@@ -569,20 +604,18 @@ def bound_taylor_cebysev(inst: ProblemInstance, anch: Anchors, n: int) -> BoundR
     direction = _DIRECTION[cls]
     if direction == "flat":
         # h^(n+1) constant: the correlation inequality is an equality.
-        return BoundResult(
-            "taylor-cebysev", target, value, value,
-            applicable=check.ok, diagnostics=(check,),
-            notes=("h^(n+1) constant: estimate is exact",),
+        return _result(
+            "taylor-cebysev", target, value, value, (check,),
+            ("h^(n+1) constant: estimate is exact",),
         )
     if direction == "mixed":
         direction = "increasing" if sum(v > 0 for v in values) * 2 >= len(values) \
             else "decreasing"
     side = _CEBYSEV_SIDE[(anch.h_a > inst.b, direction, n % 2)]
     lower, upper = (value, None) if side == "lower" else (None, value)
-    return BoundResult(
-        "taylor-cebysev", target, lower, upper,
-        applicable=check.ok, diagnostics=(check,),
-        notes=(f"h^({n + 1}) {direction}; bounds the {side} side",),
+    return _result(
+        "taylor-cebysev", target, lower, upper, (check,),
+        (f"h^({n + 1}) {direction}; bounds the {side} side",),
     )
 
 
@@ -597,10 +630,7 @@ def bound_taylor_jensen(inst: ProblemInstance, anch: Anchors, n: int) -> BoundRe
     """
     _check_order(n)
     target = _remainder_target(inst, anch, n)
-    check, cls, _ = _check(
-        inst, "deriv_convexity", f"h^({n + 3}) of one sign on [alpha, beta]",
-        n + 3, anch.alpha, anch.beta, ("nonnegative", "nonpositive", "flat"),
-    )
+    ((check, cls, _),) = _gates(inst, anch, "taylor-jensen", n)
     if anch.width == 0.0:
         return _zero_width_result("taylor-jensen", target)
     prof = inst.profile
@@ -612,10 +642,8 @@ def bound_taylor_jensen(inst: ProblemInstance, anch: Anchors, n: int) -> BoundRe
     ) / math.factorial(n + 3)
     kernel = d ** (n + 2)
     lower, upper = _sorted_pair(kernel * q_mid, kernel * q_end)
-    return BoundResult(
-        "taylor-jensen", target, lower, upper,
-        applicable=check.ok, diagnostics=(check,),
-        notes=(f"h^({n + 1}) {_CURVATURE[cls]}",),
+    return _result(
+        "taylor-jensen", target, lower, upper, (check,), (f"h^({n + 1}) {_CURVATURE[cls]}",),
         extras=(("midpoint_form", kernel * q_mid), ("endpoint_form", kernel * q_end)),
     )
 
@@ -630,15 +658,7 @@ def bound_taylor_product_hh(inst: ProblemInstance, anch: Anchors, n: int) -> Bou
     scaled by the signed kernel d^{n+2}/(n+1)!, then sorted."""
     _check_order(n)
     target = _remainder_target(inst, anch, n)
-    check_pos, _, _ = _check(
-        inst, "deriv_nonneg", f"h^({n + 1}) >= 0 on [alpha, beta]",
-        n + 1, anch.alpha, anch.beta, ("nonnegative", "flat"),
-    )
-    check_cvx, _, _ = _check(
-        inst, "deriv_convexity", f"h^({n + 3}) >= 0 on [alpha, beta]",
-        n + 3, anch.alpha, anch.beta, ("nonnegative", "flat"),
-    )
-    checks = (check_pos, check_cvx)
+    checks = tuple(check for check, _, _ in _gates(inst, anch, "taylor-product-hh", n))
     if anch.width == 0.0:
         return _zero_width_result("taylor-product-hh", target)
     prof = inst.profile
@@ -650,10 +670,7 @@ def bound_taylor_product_hh(inst: ProblemInstance, anch: Anchors, n: int) -> Bou
     base_hi = (phi_a + 2.0 * phi_b) / 6.0
     kernel = d ** (n + 2) / math.factorial(n + 1)
     lower, upper = _sorted_pair(kernel * base_lo, kernel * base_hi)
-    return BoundResult(
-        "taylor-product-hh", target, lower, upper,
-        applicable=all(c.ok for c in checks), diagnostics=checks,
-    )
+    return _result("taylor-product-hh", target, lower, upper, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -723,24 +740,15 @@ def bound_polya_first(
     eps = _DEGENERATE_EPS * max(1.0, abs(L), abs(U))
     if U - L <= eps:
         exact = d * (ha + b) / 2.0
-        return BoundResult(
-            "polya-first", target, exact, exact,
-            applicable=check.ok, diagnostics=(check,),
-            notes=("degenerate range U - L: h' constant, exact linear value",),
+        return _result(
+            "polya-first", target, exact, exact, (check,),
+            ("degenerate range U - L: h' constant, exact linear value",),
         )
     sq = (ha - b) ** 2
     lower = (L * U * d * d - 2.0 * d * (L * ha - U * b) + sq) / (2.0 * (U - L))
     upper = -(L * U * d * d - 2.0 * d * (U * ha - L * b) + sq) / (2.0 * (U - L))
     _reject_overflow("polya-first", lower, upper, L, U)
-    notes: tuple[str, ...] = ()
-    if lower > upper:
-        lower, upper = upper, lower
-        notes = ("sides crossed within roundoff; sorted",)
-    return BoundResult(
-        "polya-first", target, lower, upper,
-        applicable=check.ok, diagnostics=(check,), notes=notes,
-        extras=(("L", L), ("U", U)),
-    )
+    return _result("polya-first", target, lower, upper, (check,), extras=(("L", L), ("U", U)))
 
 
 def bound_polya_second(
@@ -774,10 +782,9 @@ def bound_polya_second(
         # rule gives the shifted integral exactly.
         shifted = d / 6.0 * (b + 4.0 * inst.h(0.5 * (a + bp)) + ha)
         exact = shifted + b * bp - a * ha + (a * a * hp_a - bp * bp * hp_b) / 2.0
-        return BoundResult(
-            "polya-second", target, exact, exact,
-            applicable=check.ok, diagnostics=(check,),
-            notes=("degenerate range U - L: h'' constant, exact value",),
+        return _result(
+            "polya-second", target, exact, exact, (check,),
+            ("degenerate range U - L: h'' constant, exact value",),
         )
 
     diagnostics = [check]
@@ -801,14 +808,7 @@ def bound_polya_second(
     if anch.orientation < 0:
         lower, upper = upper, lower
         notes = ("reflected orientation: sides exchanged",)
-    if lower is not None and upper is not None and lower > upper:
-        lower, upper = upper, lower
-        notes += ("sides crossed within roundoff; sorted",)
-    return BoundResult(
-        "polya-second", target, lower, upper,
-        applicable=all(c.ok for c in diagnostics), diagnostics=tuple(diagnostics),
-        notes=notes, extras=(("L", L), ("U", U)),
-    )
+    return _result("polya-second", target, lower, upper, diagnostics, notes, (("L", L), ("U", U)))
 
 
 # ---------------------------------------------------------------------------
@@ -905,13 +905,7 @@ def bound_polya_higher(
         t_hi, upper = min(((tv, up_of(tv)) for tv in grid), key=lambda p: p[1])
         notes = (f"grid-optimized over {grid_n} interior points",)
         extras = (("L", L), ("U", U), ("t_lower", t_lo), ("t_upper", t_hi))
-    if lower > upper:
-        lower, upper = upper, lower
-        notes += ("sides crossed within roundoff; sorted",)
-    return BoundResult(
-        "polya-higher", target, lower, upper,
-        applicable=check.ok, diagnostics=(check,), notes=notes, extras=extras,
-    )
+    return _result("polya-higher", target, lower, upper, (check,), notes, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -961,8 +955,8 @@ def bound_lp_remainder(
         target = TargetQuantity(
             "ABS_REMAINDER", offset=inst.b * anch.h_inv_b, n=n, absolute=True
         )
-        return BoundResult(
-            "lp-remainder", target, None, 0.0, True,
+        return _result(
+            "lp-remainder", target, None, 0.0,
             notes=("b = h(a): anchors coincide, bound collapses to 0",),
         )
 
@@ -1000,9 +994,8 @@ def bound_lp_remainder(
     offset = inst.b * anch.h_inv_b + sigma * taylor_two_point(t_used)
     target = TargetQuantity("ABS_REMAINDER", offset=offset, n=n, absolute=True)
     notes = ("reflected orientation",) if anch.orientation < 0 else ()
-    return BoundResult(
-        "lp-remainder", target, None, upper, True,
-        notes=notes,
+    return _result(
+        "lp-remainder", target, None, upper, notes=notes,
         extras=(("coarse_upper", coarse), ("t", t_used), ("norm", norm)),
     )
 
@@ -1027,22 +1020,6 @@ METHODS = {
     "polya-second": (bound_polya_second, ("L", "U")),
     "polya-higher": (bound_polya_higher, ("n", "t")),
     "lp-remainder": (bound_lp_remainder, ("n", "p", "t")),
-}
-
-
-# method name -> its sampled sign gates, each (order - n, interval) with n
-# the method's order (0 for a method that takes none) and the interval
-# "c" for (0, c) or "ab" for [alpha, beta]; each gate reads its interval's
-# SCAN_POINTS grid through _check
-_GATES = {
-    "hoorfar-qi": ((2, "c"),),
-    "hh-cebysev": ((2, "ab"),),
-    "jensen-first": ((3, "ab"),),
-    "taylor-lagrange": ((2, "c"),),
-    "taylor-holder": ((1, "ab"),),
-    "taylor-cebysev": ((2, "ab"),),
-    "taylor-jensen": ((3, "ab"),),
-    "taylor-product-hh": ((1, "ab"), (3, "ab")),
 }
 
 
@@ -1099,7 +1076,7 @@ def fill_gate_grids(
 
     A run that ``check_method_args`` rejects, and an order above the jet
     cap, are left to ``run_method``, which raises the run's own error."""
-    spans = {"c": (0.0, inst.c), "ab": (anch.alpha, anch.beta)}
+    spans = _spans(inst, anch)
     orders: dict = {}
     for name, args in runs:
         try:
@@ -1108,7 +1085,7 @@ def fill_gate_grids(
             continue
         arg_names = METHODS[name][1]
         n = _order(inst, dict(zip(arg_names, args))) if "n" in arg_names else 0
-        for offset, span in _GATES.get(name, ()):
+        for offset, span, *_ in _GATES.get(name, ()):
             if offset + n <= DEFAULT_ORDER_CAP:
                 grid = spans[span]  # (0, c) and [alpha, beta] may be one grid
                 orders[grid] = max(orders.get(grid, 0), offset + n)

@@ -951,6 +951,19 @@ def _jet_kernel(ast: ExprAst | Node, order: int, cap: int):
     return _kernel(ast, order)
 
 
+def _jet_derivs(ast: ExprAst | Node, x: float, order: int, cap: int) -> tuple[float, ...]:
+    """``jet(ast, x, order, cap).derivs``: one run of the batch kernel of
+    ``order`` on ``(x,)``, raising the :class:`DomainError` it gives there,
+    without the :class:`TaylorJet` wrapper."""
+    (row,) = _jet_kernel(ast, order, cap)((x,))
+    if isinstance(row, DomainError):
+        try:
+            raise row
+        finally:
+            row = None  # the frame of the traceback keeps no error
+    return row
+
+
 def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP) -> TaylorJet:
     """Derivatives h^(0)..h^(order) at ``x0`` via truncated-Taylor propagation.
 
@@ -965,13 +978,7 @@ def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP
     many abscissae should call :func:`jet_rows`, which runs the kernel once
     for the whole scan and skips the :class:`TaylorJet` wrapper.
     """
-    (row,) = _jet_kernel(ast, order, cap)((x0,))
-    if isinstance(row, DomainError):
-        try:
-            raise row
-        finally:
-            row = None  # the frame of the traceback keeps no error
-    return TaylorJet(center=x0, order=order, derivs=row)
+    return TaylorJet(center=x0, order=order, derivs=_jet_derivs(ast, x0, order, cap))
 
 
 def jet_rows(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, ValidationError, YoungBoundsError
 from .expr import (
-    DEFAULT_ORDER_CAP, ExprAst, _jet_kernel, _LruTable, evaluate, jet, jet_rows, parse_expr,
+    DEFAULT_ORDER_CAP, ExprAst, _jet_derivs, _LruTable, evaluate, jet, jet_rows, parse_expr,
 )
 from .numerics import _value_or_none, integrate, interior_grid, invert
 
@@ -181,23 +181,12 @@ class DerivativeProfile:
     # the instance's h, with its h(0+) = 0 rule: the function reads only ``ast``
     h = ProblemInstance.h
 
-    def _jet_row(self, x: float, order: int) -> tuple[float, ...]:
-        """``jet(ast, x, order).derivs``: jet's kernel, order checks and
-        DomainError, without its TaylorJet wrapper."""
-        (row,) = _jet_kernel(self.ast, order, DEFAULT_ORDER_CAP)((x,))
-        if isinstance(row, DomainError):
-            try:
-                raise row
-            finally:
-                row = None  # the frame of the traceback keeps no error
-        return row
-
     def _row(self, x: float, order: int) -> tuple[float, ...]:
         """A derivative tuple at x of length > order (the longest cached)."""
         key = x if x else repr(x)  # 0.0 and -0.0 are equal dict keys
         cached = self._jets.get(key)
         if cached is None or not 0 <= order < len(cached):
-            cached = self._jet_row(x, order)
+            cached = _jet_derivs(self.ast, x, order, DEFAULT_ORDER_CAP)
             if len(cached) > len(self._jets.get(key, ())):
                 self._jets[key] = cached
         return cached
@@ -252,7 +241,7 @@ class DerivativeProfile:
         is read once, as a golden-section step is."""
         if k == 0:
             return self.h(x)
-        return self._jet_row(x, k)[k]
+        return _jet_derivs(self.ast, x, k, DEFAULT_ORDER_CAP)[k]
 
     def memo(self, key: tuple, compute):
         """``compute()`` (never None), once per key. A call that raises a

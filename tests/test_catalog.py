@@ -13,6 +13,7 @@ import weakref
 from collections import Counter, defaultdict
 
 import pytest
+import reference_bounds as rb
 
 from youngbounds import catalog as cat
 from youngbounds import expr, numerics, young
@@ -509,9 +510,80 @@ def test_the_gate_table_matches_the_estimators(quartic, monkeypatch):
         for n in range(4) if "n" in arg_names else (0,):
             reads.clear()
             cat.run_method(dataclasses.replace(inst), anch, name, (n,) if "n" in arg_names else ())
-            gates = [(spans[span], offset + n) for offset, span in cat._GATES.get(name, ())]
+            gates = [(spans[span], offset + n) for offset, span, *_ in cat._GATES.get(name, ())]
             assert sorted(reads) == sorted(gates), (name, n)
 
+
+# (check name, requirement, passed on quartic, passed on cubic) of each gate
+# of every gated method at n = 0..3, None for a method without an order;
+# recorded before the gate table held the names and requirement texts
+_GATE_DIAGNOSTICS = {
+    ("hoorfar-qi", None): (("h_prime_monotone_global", "h'' of one sign on (0, c)", True, True),),
+    ("hh-cebysev", None): (
+        ("h_prime_monotone_local", "h'' of one sign on [alpha, beta]", True, True),
+    ),
+    ("jensen-first", None): (
+        ("h_prime_convexity", "h''' of one sign on [alpha, beta]", True, True),
+    ),
+    ("taylor-lagrange", 0): (
+        ("deriv_monotone_global", "h^(2) of one sign on (0, c)", True, True),
+    ),
+    ("taylor-lagrange", 1): (
+        ("deriv_monotone_global", "h^(3) of one sign on (0, c)", False, True),
+    ),
+    ("taylor-lagrange", 2): (
+        ("deriv_monotone_global", "h^(4) of one sign on (0, c)", False, True),
+    ),
+    ("taylor-lagrange", 3): (
+        ("deriv_monotone_global", "h^(5) of one sign on (0, c)", False, True),
+    ),
+    ("taylor-holder", 0): (("deriv_nonneg", "h^(1) >= 0 on [alpha, beta]", True, True),),
+    ("taylor-holder", 1): (("deriv_nonneg", "h^(2) >= 0 on [alpha, beta]", True, True),),
+    ("taylor-holder", 2): (("deriv_nonneg", "h^(3) >= 0 on [alpha, beta]", False, True),),
+    ("taylor-holder", 3): (("deriv_nonneg", "h^(4) >= 0 on [alpha, beta]", True, True),),
+    ("taylor-cebysev", 0): (
+        ("deriv_monotone_local", "h^(2) of one sign on [alpha, beta]", True, True),
+    ),
+    ("taylor-cebysev", 1): (
+        ("deriv_monotone_local", "h^(3) of one sign on [alpha, beta]", True, True),
+    ),
+    ("taylor-cebysev", 2): (
+        ("deriv_monotone_local", "h^(4) of one sign on [alpha, beta]", True, True),
+    ),
+    ("taylor-cebysev", 3): (
+        ("deriv_monotone_local", "h^(5) of one sign on [alpha, beta]", True, True),
+    ),
+    ("taylor-jensen", 0): (("deriv_convexity", "h^(3) of one sign on [alpha, beta]", True, True),),
+    ("taylor-jensen", 1): (("deriv_convexity", "h^(4) of one sign on [alpha, beta]", True, True),),
+    ("taylor-jensen", 2): (("deriv_convexity", "h^(5) of one sign on [alpha, beta]", True, True),),
+    ("taylor-jensen", 3): (("deriv_convexity", "h^(6) of one sign on [alpha, beta]", True, True),),
+    ("taylor-product-hh", 0): (
+        ("deriv_nonneg", "h^(1) >= 0 on [alpha, beta]", True, True),
+        ("deriv_convexity", "h^(3) >= 0 on [alpha, beta]", False, True),
+    ),
+    ("taylor-product-hh", 1): (
+        ("deriv_nonneg", "h^(2) >= 0 on [alpha, beta]", True, True),
+        ("deriv_convexity", "h^(4) >= 0 on [alpha, beta]", True, True),
+    ),
+    ("taylor-product-hh", 2): (
+        ("deriv_nonneg", "h^(3) >= 0 on [alpha, beta]", False, True),
+        ("deriv_convexity", "h^(5) >= 0 on [alpha, beta]", False, True),
+    ),
+    ("taylor-product-hh", 3): (
+        ("deriv_nonneg", "h^(4) >= 0 on [alpha, beta]", True, True),
+        ("deriv_convexity", "h^(6) >= 0 on [alpha, beta]", True, True),
+    ),
+}
+
+
+def test_gate_diagnostics_are_pinned(quartic, cubic):
+    # a typo in a _GATES name or requirement template fails here by method
+    assert {name for name, _ in _GATE_DIAGNOSTICS} == set(cat._GATES)
+    for (name, n), gates in _GATE_DIAGNOSTICS.items():
+        for i, (inst, anch, *_) in enumerate((quartic, cubic)):
+            res = cat.run_method(dataclasses.replace(inst), anch, name, () if n is None else (n,))
+            got = [(c.name, c.required, c.passed) for c in res.diagnostics]
+            assert got == [(check, text, passed[i]) for check, text, *passed in gates], (name, n)
 
 def test_a_failed_scan_point_is_evaluated_once(monkeypatch):
     # h' has no jet at x0, the 300th interior point of polya-first's scan of
@@ -1085,3 +1157,85 @@ def test_polya_second_degenerate_denominator_diagnostic(cubic):
     assert r.lower is None and r.upper is not None
     assert not r.applicable
     assert any(d.name == "nonzero_denominator" and not d.passed for d in r.diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# Result builder: applicability and crossed sides
+# ---------------------------------------------------------------------------
+
+_GAP = cat.TargetQuantity("GAP", offset=0.0)
+
+
+def test_result_sorts_crossed_sides_and_notes_them_last():
+    res = cat._result("m", _GAP, 2.0, 1.0, notes=("first",), extras=(("x", 3.0),))
+    assert (res.lower, res.upper) == (1.0, 2.0)
+    assert res.notes == ("first", "sides crossed within roundoff; sorted")
+    assert res.extras == (("x", 3.0),) and res.applicable and res.diagnostics == ()
+    assert cat._result("m", _GAP, 1.0, 2.0, notes=("first",)).notes == ("first",)
+
+
+def test_result_leaves_a_none_side_alone():
+    for lower, upper in ((None, -1.0), (5.0, None), (None, None)):
+        res = cat._result("m", _GAP, lower, upper)
+        assert (res.lower, res.upper, res.notes) == (lower, upper, ())
+
+
+def test_result_applicability_honours_assume():
+    # the quartic's h''' is not >= 0 on [alpha, beta], so taylor-holder's
+    # order-2 gate fails; assuming it makes the result applicable
+    for assume, applicable in ((frozenset(), False), (frozenset({"deriv_nonneg"}), True)):
+        inst = make_problem("(x^4+1)^(1/4)-1", 3.0, 2.0, 3.0, Options(assume=assume))
+        checks = [check for check, _, _ in cat._gates(inst, anchors(inst), "taylor-holder", 2)]
+        assert [(c.passed, c.assumed) for c in checks] == [(False, applicable)]
+        res = cat._result("taylor-holder", _GAP, 0.0, 1.0, checks)
+        assert res.applicable is applicable and res.diagnostics == tuple(checks)
+
+
+def test_lp_remainder_without_checks_stays_applicable(cubic, cubic_reversed):
+    for inst, anch, _ in (cubic, cubic_reversed):
+        res = cat.bound_lp_remainder(inst, anch, 1)
+        assert res.applicable and res.diagnostics == ()
+        assert res.lower is None and res.upper > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Taylor bounds against their 50-digit closed forms (tests/reference_bounds.py)
+# ---------------------------------------------------------------------------
+
+_FAMILIES = [rb.Power(0.9), rb.Power(2.5), rb.Power(3.0), rb.Exp(0.7), rb.Exp(1.6)]
+
+
+def _close(got, want) -> bool:
+    if want is None:
+        return got is None
+    return got is not None and math.isclose(got, float(want), rel_tol=1e-9, abs_tol=1e-13)
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda h: h.text)
+@pytest.mark.parametrize("x_b", [0.6, 1.9], ids=["b_below_h_a", "b_above_h_a"])
+def test_taylor_bounds_match_their_closed_forms(family, x_b):
+    # a = 1.2 and c = 2; b = h(x_b) lies below h(a) for x_b = 0.6 and above
+    # it for x_b = 1.9. Each family's gates hold, so every closed-form side
+    # also bounds the closed-form gap or remainder.
+    a, c = 1.2, 2.0
+    b = float(family.deriv(x_b, 0))
+    inst = make_problem(family.text, a, b, c)
+    anch = anchors(inst)
+    gap = rb.remainder(family, a, b, 0)
+    for n in range(3):
+        remainder = rb.remainder(family, a, b, n)
+        offset = rb.taylor_sum(family, a, b, n) + a * b
+        sign = rb.slope_sign(family, anch.alpha, anch.beta, n)
+        for res, want, true in (
+            (cat.bound_taylor_lagrange(inst, anch, n), rb.lagrange(family, a, b, n), gap),
+            (cat.bound_taylor_jensen(inst, anch, n), rb.jensen(family, a, b, n), remainder),
+            (cat.bound_taylor_cebysev(inst, anch, n), rb.cebysev(family, a, b, n, sign), remainder),
+        ):
+            case = (res.method, n)
+            assert res.applicable, case
+            assert _close(res.lower, want[0]) and _close(res.upper, want[1]), (case, res, want)
+            if res.target.tag == "REMAINDER":
+                assert _close(res.target.offset, offset), (case, res.target)
+            slack = 1e-40 * (1 + abs(true))  # the equality cases, in 50 digits
+            assert want[0] is None or want[0] - true <= slack, (case, want, true)
+            assert want[1] is None or true - want[1] <= slack, (case, want, true)

@@ -46,7 +46,9 @@ from .errors import (
     ValidationError,
     YoungBoundsError,
 )
-from .expr import ExprAst, TaylorJet, evaluate, jet, jet_rows, parse_expr, serialize
+from .expr import (
+    ExprAst, TaylorJet, evaluate, evaluate_rows, jet, jet_rows, parse_expr, serialize,
+)
 from .numerics import NormSpec, QuadratureResult, extremum, integrate, invert, norm_r
 from .report import (
     load_problem,

@@ -16,16 +16,19 @@ Derivatives come from jet (truncated Taylor series) arithmetic: every node
 propagates the coefficients of ``h(x0 + t)`` up to the requested order, and the
 k-th derivative is the k-th coefficient rescaled by the exact integer k!.
 
-``evaluate`` runs a straight-line kernel, and each jet order a batch kernel:
-one loop over its abscissae around the same straight-line body, which gives
-one row per abscissa, the derivatives or the :class:`DomainError` that
-``jet`` raises there. ``jet`` runs a batch of one and ``jet_rows`` a whole
-scan. A kernel's code holds no constant: it is emitted and compiled once
-per tree shape and order per process, as a factory that a bounded, locked
-table keeps, and each tree's kernel is one call of that factory with the
-tree's constants, cached on the :class:`ExprAst`. The recursive walkers the
-kernels were generated from are in ``tests/reference_expr.py``, and the
-tests hold the kernels to them bit for bit.
+Every kernel is a batch kernel: one loop over its abscissae around a
+straight-line body. The ``evaluate`` kernel gives one raw value per
+abscissa, and its body raises its own :class:`DomainError`, which ends the
+batch; ``evaluate`` runs a batch of one and ``evaluate_rows`` a whole
+quadrature panel. Each jet order's kernel gives one row per abscissa, the
+derivatives or the :class:`DomainError` that ``jet`` raises there; ``jet``
+runs a batch of one and ``jet_rows`` a whole scan. A kernel's code holds no
+constant: it is emitted and compiled once per tree shape and order per
+process, as a factory that a bounded, locked table keeps, and each tree's
+kernel is one call of that factory with the tree's constants, cached on the
+:class:`ExprAst`. The recursive walkers the kernels were generated from are
+in ``tests/reference_expr.py``, and the tests hold the kernels to them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import DomainError, ExprSyntaxError, OrderCapError, UnsupportedFeat
 __all__ = [
     "Const", "Var", "Neg", "BinOp", "Pow", "Call", "Node",
     "ExprAst", "TaylorJet",
-    "parse_expr", "evaluate", "serialize", "jet", "jet_rows",
+    "parse_expr", "evaluate", "evaluate_rows", "serialize", "jet", "jet_rows",
     "DEFAULT_ORDER_CAP", "MAX_NESTING", "MAX_DEPTH",
 ]
 
@@ -308,7 +311,10 @@ def _fold_constant(shape: tuple, params: list[float]) -> float:
     """The value of a constant tree of ``shape`` and ``params``, computed by
     its ``evaluate`` kernel (at x = 0, which it does not read)."""
     try:
-        value = params[0] if shape == ("c",) else _code_table.factory(shape, None)(*params)(0.0)
+        if shape == ("c",):
+            value = params[0]
+        else:
+            (value,) = _code_table.factory(shape, None)(*params)((0.0,))
     except DomainError as exc:
         raise UnsupportedFeatureError(f"exponent is not a finite constant: {exc}") from None
     if not math.isfinite(value):
@@ -434,8 +440,8 @@ def _jet_int_pow(u: list[float], c: int) -> list[float]:
 # Compiled kernels
 #
 # Each kernel's body is straight-line code, emitted by a post-order walk of
-# the tree: ``evaluate``, and the jet of each requested order, whose body runs
-# in a loop over a batch of abscissae. Every value comes out as the same bits
+# the tree, ``evaluate``'s or the jet of each requested order's, and runs in
+# a loop over a batch of abscissae. Every value comes out as the same bits
 # as in the reference walkers (the same unrolled squarings, the same products,
 # the value or the error of ``fsum`` over the same terms). Operators and
 # functions come from fixed sets.
@@ -509,12 +515,18 @@ _KERNEL_GLOBALS = {
     "DomainError": DomainError, "_non_finite": _non_finite,
 }
 
-_SCALAR_FACTORY = """\
+# The evaluate kernel: the body at x in a loop over the batch xs, one raw
+# value per x. The body's own DomainError ends the batch; evaluate and
+# evaluate_rows test the values for finiteness.
+_EVALUATE_FACTORY = """\
 def make({params}):
 {prelude}\
-    def kernel(x):
+    def kernel(xs):
+        values = []
+        for x in xs:
 {body}\
-        return {result}
+            values.append({result})
+        return values
     return kernel
 """
 
@@ -583,11 +595,15 @@ class _Emitter:
     def check(self, cond: str, message: str) -> None:
         self.lines.append(f"if {cond}: {_raise(message)}")
 
-    def checked_exp(self, u0: str) -> str:
+    def checked(self, src: str, message: str) -> str:
+        """``src``, whose OverflowError is raised as a DomainError."""
         name = f"t{len(self.lines)}"
-        self.lines.append(f"try: {name} = exp({u0})")
-        self.lines.append(f"except OverflowError: {_raise(f'overflow in exp({{{u0}!r}})')} from None")
+        self.lines.append(f"try: {name} = {src}")
+        self.lines.append(f"except OverflowError: {_raise(message)} from None")
         return name
+
+    def checked_exp(self, u0: str) -> str:
+        return self.checked(f"exp({u0})", f"overflow in exp({{{u0}!r}})")
 
     # -- evaluate: one float per node -------------------------------------
 
@@ -604,7 +620,10 @@ class _Emitter:
             self.check(f"{args[1]} == 0.0", "division by zero")
             return self.let(f"{args[0]} / {args[1]}")
         if kind == "pow":
-            return self.let(f"_pow_real({args[0]}, {param[0]})")
+            # _pow_real's positive-base path inline: the same value or message
+            b, c = args[0], param[0]
+            return self.checked(f"pow({b}, {c}) if {b} > 0.0 else _pow_real({b}, {c})",
+                                f"overflow in {{{b}!r}}^{{{c}!r}}")
         v = args[0]
         if kind == "exp":
             return self.checked_exp(v)
@@ -820,8 +839,8 @@ def _factory_source(shape: tuple, order: int | None) -> str:
     params = ", ".join(emitter.params)
     prelude = "".join(f"    {line}\n" for line in emitter.prelude)
     if order is None:
-        body = "".join(f"        {line}\n" for line in emitter.lines)
-        return _SCALAR_FACTORY.format(params=params, prelude=prelude, body=body, result=result)
+        body = "".join(f"            {line}\n" for line in emitter.lines)
+        return _EVALUATE_FACTORY.format(params=params, prelude=prelude, body=body, result=result)
     names = [f"d{k}" for k in range(len(result))]
     return _BATCH_FACTORY.format(
         params=params,
@@ -904,12 +923,14 @@ _code_table = _CodeTable()
 
 
 def _compile(root: Node, order: int | None):
-    """The kernel of ``evaluate`` (``order`` None), ``kernel(x)``, or the batch
-    kernel of the jet of ``order``, ``kernel(xs)``: a shape walk of ``root``
-    and one call of its factory.
+    """The batch kernel ``kernel(xs)`` of ``evaluate`` (``order`` None) or of
+    the jet of ``order``: a shape walk of ``root`` and one call of its factory.
 
-    The batch kernel returns a list with, per abscissa, the derivatives (each
-    coefficient times k!) or the :class:`DomainError` ``jet`` raises there.
+    The evaluate kernel returns a list of raw values, one per abscissa, or
+    raises the :class:`DomainError` of the first abscissa its body fails
+    at. A jet kernel returns a list with, per abscissa, the derivatives
+    (each coefficient times k!) or the :class:`DomainError` ``jet`` raises
+    there.
     """
     shape, params = _shape(root)
     return _code_table.factory(shape, order)(*params)
@@ -938,10 +959,27 @@ def evaluate(ast: ExprAst | Node, x: float) -> float:
     first tree of a shape also emits and compiles its factory, some
     0.1-0.2 ms), so wrap a node evaluated often in an ExprAst once.
     """
-    value = _kernel(ast, None)(x)
+    (value,) = _kernel(ast, None)((x,))
     if not math.isfinite(value):
         raise DomainError(f"non-finite result {value!r} at x={x!r}")
     return value
+
+
+def evaluate_rows(ast: ExprAst | Node, xs) -> list[float]:
+    """``[evaluate(ast, x) for x in xs]``, values or the first error alike.
+
+    One call of the evaluate kernel on the sequence ``xs``. Where that
+    raises :class:`DomainError`, or the values' sum is not finite, the batch
+    is read again point by point, which raises the error of the first
+    failing abscissa, as the list would.
+    """
+    try:
+        values = _kernel(ast, None)(xs)
+        if math.isfinite(sum(values)):
+            return values
+    except DomainError:
+        pass
+    return [evaluate(ast, x) for x in xs]
 
 
 def _jet_kernel(ast: ExprAst | Node, order: int, cap: int):

@@ -4,7 +4,9 @@ The integrator is a globally adaptive Gauss(7)/Kronrod(15) scheme. All rule
 nodes are interior to each subinterval, so integrands that are singular or
 undefined exactly at an interval endpoint (an improper endpoint) integrate
 without special casing: the endpoint is only ever a subdivision boundary,
-never an evaluation point.
+never an evaluation point. Its integrand is a batch function
+``f(xs) -> list``, called once per panel with the panel's 15 nodes, such as
+``ProblemInstance.h_rows``; the other routines take a scalar ``f(x)``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
 ]
 
 Func = Callable[[float], float]
+Rows = Callable[[list[float]], list[float]]
 
 _EPS = math.ulp(1.0)  # 2.22e-16
 
@@ -71,24 +74,32 @@ class QuadratureResult:
     evaluations: int
 
 
-def _gk15(f: Func, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15/7 pass on [a, b]: (K15 value, |K15 - G7|)."""
+def _gk15(f: Rows, a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod 15/7 pass on [a, b]: (K15 value, |K15 - G7|).
+
+    ``f`` reads the 15 nodes in one call, in the order mid, then mid - dx
+    and mid + dx for each Kronrod abscissa, outermost first. The sums are
+    the float operations of the scalar loop in ``tests/reference_quadrature.py``,
+    in its order: each pair's sum, then the weighted terms added left to right.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = f(mid)
-    resk = _WGK_CENTER * fc
-    resg = _WG_CENTER * fc
-    for j, xk in enumerate(_XGK):
-        dx = half * xk
-        s = f(mid - dx) + f(mid + dx)
-        resk += _WGK[j] * s
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * s
+    d0, d1, d2, d3, d4, d5, d6 = [half * xk for xk in _XGK]
+    fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = f([
+        mid, mid - d0, mid + d0, mid - d1, mid + d1, mid - d2, mid + d2, mid - d3,
+        mid + d3, mid - d4, mid + d4, mid - d5, mid + d5, mid - d6, mid + d6,
+    ])
+    w0, w1, w2, w3, w4, w5, w6 = _WGK
+    g0, g1, g2 = _WG
+    s1, s3, s5 = l1 + r1, l3 + r3, l5 + r5
+    resk = (_WGK_CENTER * fc + w0 * (l0 + r0) + w1 * s1 + w2 * (l2 + r2) + w3 * s3
+            + w4 * (l4 + r4) + w5 * s5 + w6 * (l6 + r6))
+    resg = _WG_CENTER * fc + g0 * s1 + g1 * s3 + g2 * s5
     return resk * half, abs((resk - resg) * half)
 
 
 def integrate(
-    f: Func,
+    f: Rows,
     lo: float,
     hi: float,
     rel_tol: float = 1e-12,
@@ -96,9 +107,11 @@ def integrate(
 ) -> QuadratureResult:
     """Signed adaptive integral of ``f`` over [lo, hi] (lo > hi allowed).
 
-    Subdivides the worst subinterval (largest Kronrod-Gauss discrepancy) until
-    the summed error estimate meets ``rel_tol`` relative to the running value,
-    then reports the fsum of the surviving panels. Raises
+    ``f(xs)`` returns the integrand's values at a list of abscissae, and is
+    called once per panel, on its 15 nodes. Subdivides the worst
+    subinterval (largest Kronrod-Gauss discrepancy) until the summed error
+    estimate meets ``rel_tol`` relative to the running value, then reports
+    the fsum of the surviving panels. Raises
     :class:`NoConvergenceError` once ``max_evals`` function evaluations are
     spent; propagates :class:`DomainError` from ``f`` at interior nodes.
     """
@@ -439,7 +452,7 @@ def norm_r(f: Func, spec: NormSpec, rel_tol: float = 1e-12) -> float:
                 raise DomainError(
                     f"f({x!r}) = {v!r} <= 0: f^{r!r} leaves the reals"
                 )
-    result = integrate(lambda x: math.pow(f(x), r), lo, hi, rel_tol)
+    result = integrate(lambda xs: [math.pow(f(x), r) for x in xs], lo, hi, rel_tol)
     if result.value <= 0.0:
         raise DomainError(f"integral of f^{r!r} came out nonpositive")
     return math.pow(result.value, 1.0 / r)

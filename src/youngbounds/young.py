@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, ValidationError, YoungBoundsError
 from .expr import (
-    DEFAULT_ORDER_CAP, ExprAst, _jet_derivs, _LruTable, evaluate, jet, jet_rows, parse_expr,
+    DEFAULT_ORDER_CAP, ExprAst, _jet_derivs, _LruTable, evaluate, evaluate_rows, jet, jet_rows,
+    parse_expr,
 )
 from .numerics import _value_or_none, integrate, interior_grid, invert
 
@@ -120,6 +121,16 @@ class ProblemInstance:
             if x == 0.0:
                 return 0.0
             raise
+
+    def h_rows(self, xs: list[float]) -> list[float]:
+        """``[self.h(x) for x in xs]``, values or the first error alike: one
+        :func:`evaluate_rows` batch, read point by point where that raises,
+        so that the h(0+) rule applies. The quadratures read h this way."""
+        try:
+            return evaluate_rows(self.ast, xs)
+        except DomainError:
+            pass
+        return [self.h(x) for x in xs]
 
     def deriv(self, x: float, k: int) -> float:
         if k == 0:
@@ -335,10 +346,11 @@ def make_problem(
     h(c) of each (text, c) that passed validation, bounded by the
     characters of its texts. A later call with that pair builds a fresh
     :class:`ExprAst` on the kept tree, whose kernels come from the shared
-    factories, and runs only the b test. Outcomes do not depend on the
-    table: a miss runs the whole validation, b test first, and keeps the
-    pair only if it passed. An :class:`ExprAst` ``function`` never reads
-    the table.
+    factories, and runs only the b test. With ``c`` omitted, the text is
+    parsed to default c, and the table is read for that c. Outcomes do not
+    depend on the table: a miss runs the whole validation, b test first,
+    and keeps the pair only if it passed. An :class:`ExprAst` ``function``
+    never reads the table.
     """
     options = options or Options()
     kept = None
@@ -379,6 +391,8 @@ def make_problem(
         # an unvalidated instance on [0, hi], only to sample h by its rule
         bracket = ProblemInstance(ast=ast, a=float(a), b=float(b), c=hi, options=options)
         c = max(a, _h_inverse(bracket)) if b > 0 else a
+        if isinstance(function, str):
+            kept = _domain_table.get((function, c))
     if not (_is_number(c) and math.isfinite(c) and c > 0):
         raise ValidationError("c", f"must be a finite number > 0, got {c!r}")
     if a > c * (1.0 + 1e-12):
@@ -493,11 +507,11 @@ def oracle(inst: ProblemInstance, anch: Anchors | None = None) -> OracleResult:
     bp = anch.h_inv_b
     tol = inst.options.quad_rel_tol
 
-    q_area = integrate(inst.h, bp, a, tol)
+    q_area = integrate(inst.h_rows, bp, a, tol)
     gap = q_area.value - a * b + b * bp
 
-    q_0a = integrate(inst.h, 0.0, a, tol)
-    q_0bp = integrate(inst.h, 0.0, bp, tol)
+    q_0a = integrate(inst.h_rows, 0.0, a, tol)
+    q_0bp = integrate(inst.h_rows, 0.0, bp, tol)
     gap_split = q_0a.value + (b * bp - q_0bp.value) - a * b
 
     err = q_area.abs_error_estimate + q_0a.abs_error_estimate + q_0bp.abs_error_estimate

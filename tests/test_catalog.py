@@ -428,16 +428,16 @@ _QUARTIC_JET_CALL_BOUND = 250
 
 def _count_kernel_evaluations(monkeypatch) -> Counter:
     """Kernel evaluations by jet order (None: evaluate) of kernels compiled
-    from here on: one per evaluate call, one per abscissa of a jet batch."""
+    from here on: one per abscissa of a batch, evaluate's included."""
     kernel_evaluations: Counter = Counter()
     compile_kernel = expr._compile
 
     def counted_compile(root, order):
         kernel = compile_kernel(root, order)
 
-        def counted(x):
-            kernel_evaluations[order] += 1 if order is None else len(x)
-            return kernel(x)
+        def counted(xs):
+            kernel_evaluations[order] += len(xs)
+            return kernel(xs)
 
         return counted
 

@@ -11,7 +11,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_expr import _eval_node, _jet_node
 
@@ -33,6 +33,7 @@ from youngbounds.expr import (
     Pow,
     Var,
     evaluate,
+    evaluate_rows,
     jet,
     jet_rows,
     parse_expr,
@@ -603,6 +604,55 @@ def test_batch_kernel_rows_match_jet_point_by_point(text, order, xs):
             assert ref == want, x
         else:
             assert want == ref == ("value", repr(got)) == ("value", repr(row)), x
+
+
+# Abscissae of evaluate_rows batches: signed zeros, negatives, the extremes,
+# 2.0 and -3.3, where x^1e300 overflows, and inf and nan, where most trees give
+# nan.
+_ROW_POINTS = [0.0, -0.0, -1.5, -3.3, 1e-300, 1e300, 2.0, 0.5, math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=st.one_of(_any_trees(),
+                      _any_trees().map(lambda tree: BinOp("+", tree, Pow(Var(), 1e300)))),
+       xs=st.lists(st.sampled_from(_ROW_POINTS) | st.floats(min_value=-5.0, max_value=5.0),
+                   min_size=1, max_size=15))
+@example(tree=Pow(Var(), 1e300), xs=[0.5, 0.0, 2.0, -1.5])
+@example(tree=BinOp("-", Var(), Var()), xs=[1e300, 1e-300, -0.0, math.inf])
+@example(tree=Call("sqrt", Var()), xs=[1e-300, 0.0, -0.0, 1e300])
+@example(tree=Var(), xs=[1e308, 1e308])  # finite values whose sum overflows
+def test_evaluate_rows_matches_evaluate_point_by_point(tree, xs):
+    # the same value reprs, or the error class and message of the first
+    # abscissa evaluate fails at
+    ast = ExprAst(tree, serialize(tree))
+    want = _outcome(lambda: [evaluate(ast, x) for x in xs])
+    assert _outcome(evaluate_rows, ast, xs) == want, (serialize(tree), xs)
+
+
+def test_evaluate_rows_runs_the_kernel_once_per_batch(monkeypatch):
+    # a batch that succeeds is one kernel call; one that fails is read again
+    # point by point
+    calls = []
+    compile_kernel = expr._compile
+
+    def recorded_compile(root, order):
+        kernel = compile_kernel(root, order)
+
+        def recorded(xs):
+            calls.append(len(xs))
+            return kernel(xs)
+
+        return recorded
+
+    monkeypatch.setattr(expr, "_compile", recorded_compile)
+    ast = parse_expr("ln(x)")
+    xs = [0.5 + i / 16 for i in range(15)]
+    assert evaluate_rows(ast, xs) == [evaluate(ast, x) for x in xs]
+    assert calls == [15] + [1] * 15
+    calls.clear()
+    with pytest.raises(DomainError, match=r"^ln of nonpositive value -0\.5$"):
+        evaluate_rows(ast, [1.0, -0.5, 2.0])
+    assert calls == [3, 1, 1]
 
 
 def test_fsum_of_negative_zeros_is_positive_zero():

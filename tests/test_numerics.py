@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_quadrature import reference_integrate, rows
 
 from youngbounds.errors import (
     DomainError,
@@ -15,7 +16,7 @@ from youngbounds.errors import (
     NoConvergenceError,
     NotBracketedError,
 )
-from youngbounds.expr import evaluate, jet, parse_expr
+from youngbounds.expr import evaluate, evaluate_rows, jet, parse_expr
 from youngbounds.numerics import (
     EXTREMUM_SCAN_POINTS,
     NormSpec,
@@ -37,13 +38,13 @@ from youngbounds.numerics import (
 def test_kronrod_rule_exact_on_monomials(k):
     # The 15-point rule integrates polynomials up to degree 22 exactly; this
     # guards the hard-coded node and weight constants against transcription.
-    value, _ = _gk15(lambda x: x ** k, 0.0, 1.0)
+    value, _ = _gk15(rows(lambda x: x ** k), 0.0, 1.0)
     assert value == pytest.approx(1.0 / (k + 1), rel=5e-14)
 
 
 def test_embedded_gauss_error_vanishes_on_low_degree():
     # G7 is exact through degree 13, so the embedded discrepancy must be noise.
-    _, err = _gk15(lambda x: x ** 13 - 3.0 * x ** 7 + x, 0.0, 1.0)
+    _, err = _gk15(rows(lambda x: x ** 13 - 3.0 * x ** 7 + x), 0.0, 1.0)
     assert err < 1e-14
 
 
@@ -52,20 +53,20 @@ def test_embedded_gauss_error_vanishes_on_low_degree():
 # ---------------------------------------------------------------------------
 
 def test_integrate_linear():
-    r = integrate(lambda x: x, 0.0, 1.0, 1e-12)
+    r = integrate(rows(lambda x: x), 0.0, 1.0, 1e-12)
     assert r.value == pytest.approx(0.5, abs=1e-15)
     assert r.abs_error_estimate <= 1e-12
 
 
 def test_integrate_cubic_closed_form():
     # antiderivative: (1.5^4 - 1)/4 = 1.015625
-    r = integrate(lambda x: x ** 3, 1.0, 1.5, 1e-12)
+    r = integrate(rows(lambda x: x ** 3), 1.0, 1.5, 1e-12)
     assert r.value == pytest.approx(1.015625, abs=1e-14)
 
 
 def test_integrate_reversed_orientation_is_signed():
-    fwd = integrate(lambda x: x ** 3, 1.0, 1.5, 1e-12)
-    rev = integrate(lambda x: x ** 3, 1.5, 1.0, 1e-12)
+    fwd = integrate(rows(lambda x: x ** 3), 1.0, 1.5, 1e-12)
+    rev = integrate(rows(lambda x: x ** 3), 1.5, 1.0, 1e-12)
     assert rev.value == -fwd.value
 
 
@@ -74,15 +75,15 @@ def test_integrate_quartic_sum_lies_in_reference_interval():
     # integral S = int_1^3 (x^4-1)^(1/4) computed by the same integrator
     f = lambda x: (x ** 4 + 1.0) ** 0.25
     g = lambda x: (x ** 4 - 1.0) ** 0.25
-    iv = integrate(f, 0.0, 3.0, 1e-13)
-    s = integrate(g, 1.0, 3.0, 1e-13)
+    iv = integrate(rows(f), 0.0, 3.0, 1e-13)
+    s = integrate(rows(g), 1.0, 3.0, 1e-13)
     assert 9.00004286765564673 - s.value < iv.value < 9.00004287010602764 - s.value
 
 
 def test_integrate_improper_left_endpoint():
     # exp(-1/x) is undefined at 0; interior-node rules make it integrable.
     h = parse_expr("exp(-1/x)")
-    r = integrate(lambda x: evaluate(h, x), 0.0, 0.5, 1e-12)
+    r = integrate(rows(lambda x: evaluate(h, x)), 0.0, 0.5, 1e-12)
     assert r.value == pytest.approx(0.018767130910245226, rel=1e-12)
 
 
@@ -92,9 +93,9 @@ def test_integrate_additivity_on_random_polynomials():
         coeffs = [rng.uniform(-3, 3) for _ in range(rng.randint(2, 6))]
         f = lambda x, c=coeffs: sum(ci * x ** i for i, ci in enumerate(c))
         a, b, c = sorted(rng.uniform(-2, 2) for _ in range(3))
-        r1 = integrate(f, a, b, 1e-12)
-        r2 = integrate(f, b, c, 1e-12)
-        r3 = integrate(f, a, c, 1e-12)
+        r1 = integrate(rows(f), a, b, 1e-12)
+        r2 = integrate(rows(f), b, c, 1e-12)
+        r3 = integrate(rows(f), a, c, 1e-12)
         allowance = 10.0 * (r1.abs_error_estimate + r2.abs_error_estimate
                             + r3.abs_error_estimate) + 1e-13
         assert abs(r1.value + r2.value - r3.value) <= allowance
@@ -102,19 +103,19 @@ def test_integrate_additivity_on_random_polynomials():
 
 def test_integrate_budget_exhaustion():
     with pytest.raises(NoConvergenceError):
-        integrate(lambda x: math.sin(1.0 / (x + 1e-9)) if x > 0 else 0.0,
+        integrate(rows(lambda x: math.sin(1.0 / (x + 1e-9)) if x > 0 else 0.0),
                   0.0, 1.0, 1e-13, max_evals=90)
 
 
 def test_integrate_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        integrate(lambda x: x, 0.0, math.inf, 1e-12)
+        integrate(rows(lambda x: x), 0.0, math.inf, 1e-12)
     with pytest.raises(ValueError):
-        integrate(lambda x: x, 0.0, 1.0, 1e-15)
+        integrate(rows(lambda x: x), 0.0, 1.0, 1e-15)
 
 
 def test_integrate_zero_width():
-    r = integrate(lambda x: x, 2.0, 2.0, 1e-12)
+    r = integrate(rows(lambda x: x), 2.0, 2.0, 1e-12)
     assert r.value == 0.0 and r.evaluations == 0
 
 
@@ -125,7 +126,7 @@ def test_integrate_error_estimate_meets_tolerance_on_success():
         (lambda x: (x ** 4 + 1.0) ** 0.25, 0.0, 3.0),
         (lambda x: (x ** 4 - 1.0) ** 0.25, 1.0, 3.0),
     ]:
-        r = integrate(f, lo, hi, 1e-13)
+        r = integrate(rows(f), lo, hi, 1e-13)
         assert r.abs_error_estimate <= 1e-13 * abs(r.value)
 
 
@@ -135,14 +136,88 @@ def test_integrate_interior_singularity_refuses_dishonest_estimate():
     # return an error estimate above the goal
     f = lambda x: abs(x - 0.3) ** -0.5 if x != 0.3 else 0.0
     with pytest.raises(NoConvergenceError):
-        integrate(f, 0.0, 1.0, 1e-13, max_evals=200_000)
+        integrate(rows(f), 0.0, 1.0, 1e-13, max_evals=200_000)
 
 
 def test_integrate_propagates_domain_errors():
     def f(x):
         raise DomainError("boom")
     with pytest.raises(DomainError):
-        integrate(f, 0.0, 1.0, 1e-12)
+        integrate(rows(f), 0.0, 1.0, 1e-12)
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared class and message
+        return type(exc), str(exc)
+    return "value", repr(value)
+
+
+def _polynomial(coeffs):
+    return lambda x: sum(c * x ** i for i, c in enumerate(coeffs))
+
+
+# The sweep's four families, with its parameter ranges.
+_FAMILY_TEXTS = st.one_of(
+    st.floats(1.2, 5.0).map(lambda p: f"x^{p!r}"),
+    st.floats(0.4, 1.6).map(lambda lam: f"exp({lam!r}*x)-1"),
+    st.floats(0.3, 1.8).map(lambda lam: f"{lam!r}*ln(1+x)+x^2"),
+    st.tuples(st.floats(0.4, 0.9), st.floats(1.1, 1.8)).map(
+        lambda lp: f"exp({lp[0]!r}*x^{lp[1]!r})-1"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integrand=st.one_of(
+           st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8).map(lambda cs: ("poly", cs)),
+           _FAMILY_TEXTS.map(lambda text: ("text", text))),
+       lo=st.sampled_from([0.0, 1e-300, 2.0]) | st.floats(0.0, 2.0),
+       hi=st.sampled_from([0.0, 2.0]) | st.floats(0.0, 2.0),
+       rel_tol=st.sampled_from([1e-14, 1e-12, 1e-8]))
+def test_batch_integrate_matches_the_scalar_loop(integrand, lo, hi, rel_tol):
+    # the same QuadratureResult repr as the scalar loop the batch form
+    # replaced: each family through its evaluate kernel batch, each
+    # polynomial through rows
+    kind, spec = integrand
+    if kind == "poly":
+        f = _polynomial(spec)
+        batch = rows(f)
+    else:
+        ast = parse_expr(spec)
+        f = lambda x: evaluate(ast, x)
+        batch = lambda xs: evaluate_rows(ast, xs)
+    want = _outcome(reference_integrate, f, lo, hi, rel_tol)
+    assert _outcome(integrate, batch, lo, hi, rel_tol) == want
+
+
+_TINY = 1.0 + 2 * math.ulp(1.0)
+
+
+@pytest.mark.parametrize("f,lo,hi,rel_tol,max_evals,message", [
+    # an interior DomainError: the first failing node of the first panel,
+    # through the evaluate kernel batch
+    ("ln(x-0.3)", 0.0, 1.0, 1e-12, 10**6, "ln of nonpositive value -0.2"),
+    ("sqrt(0.7-x)", 0.0, 1.0, 1e-12, 10**6, "sqrt of negative value -0.2"),
+    # the budget runs out
+    (lambda x: math.sin(1.0 / (x + 1e-9)) if x > 0 else 0.0, 0.0, 1.0, 1e-13, 90,
+     "integration budget of 90 evaluations exhausted"),
+    # roundoff-limited panels, in the loop and once every panel is at the floor
+    (lambda x: abs(x - 0.3) ** -0.5 if x != 0.3 else 0.0, 0.0, 1.0, 1e-13, 200_000,
+     "roundoff-limited panels alone carry error"),
+    (lambda x: 1.0 if x > 1.0 else 0.0, 1.0, _TINY, 1e-12, 10**6,
+     "roundoff-limited panels leave error estimate"),
+], ids=["ln-interior", "sqrt-interior", "budget", "roundoff-in-loop", "roundoff-at-floor"])
+def test_batch_integrate_fails_as_the_scalar_loop(f, lo, hi, rel_tol, max_evals, message):
+    # the same error class and message as the scalar loop
+    batch = rows(f)
+    if isinstance(f, str):
+        ast = parse_expr(f)
+        f = lambda x: evaluate(ast, x)
+        batch = lambda xs: evaluate_rows(ast, xs)
+    got = _outcome(integrate, batch, lo, hi, rel_tol, max_evals)
+    assert got[0] in (DomainError, NoConvergenceError) and got[1].startswith(message), got
+    assert got == _outcome(reference_integrate, f, lo, hi, rel_tol, max_evals)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import math
 import random
 import sys
@@ -16,8 +17,9 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_quadrature import rows
 
-from youngbounds import expr, young
+from youngbounds import expr, report, young
 from youngbounds.errors import DomainError, ValidationError, YoungBoundsError
 from youngbounds.expr import evaluate, jet, parse_expr
 from youngbounds.numerics import integrate, interior_grid
@@ -309,9 +311,9 @@ def _count_work(monkeypatch) -> Counter:
     def counted_compile(root, order):
         kernel = compile_kernel(root, order)
 
-        def counted(x):
-            work[order] += 1 if order is None else len(x)
-            return kernel(x)
+        def counted(xs):
+            work[order] += len(xs)
+            return kernel(xs)
 
         return counted
 
@@ -343,6 +345,20 @@ def test_a_second_instance_of_a_text_and_c_skips_the_parse_and_the_domain_check(
     with pytest.raises(ValidationError, match=r"^b: must be <= h\(c\) = 9.0, got 9.5$"):
         make_problem(text, 1.0, 9.5, 2.0)
     assert work == {}
+
+
+def test_a_second_instance_with_c_omitted_skips_the_domain_check(domain_table, monkeypatch):
+    # with c omitted the text is parsed to default c, and the table is read
+    # for that c: a second call parses again, but runs no h' scan of (0, c)
+    text = "x^2.5"
+    work = _count_work(monkeypatch)
+    first = make_problem(text, 1.0, 0.5)
+    cold = Counter(work)
+    assert domain_table.get((text, first.c)) == (first.ast.root, 1.0)
+    work.clear()
+    assert make_problem(text, 1.0, 0.5) == first
+    assert work["tokenize"] == cold["tokenize"] == 1
+    assert cold[1] - work[1] == SCAN_POINTS
 
 
 def test_b_above_h_of_c_is_rejected_at_any_scale():
@@ -520,6 +536,19 @@ def test_inverse_samples_h_by_its_limit_at_zero():
     inst = make_problem("x+exp(-1/x)", 1.0, 1e-10, 2.0)
     assert anchors(inst).h_inv_b == 1e-10
     assert make_problem("x+exp(-1/x)", 1e-10, 1e-10).c == 1e-10
+
+
+def test_h_rows_reads_h_point_by_point_where_the_batch_fails():
+    # exp(-1/x) is undefined at 0, where the h(0+) = 0 rule stands in: the
+    # batch reads h point by point, and raises what h raises elsewhere
+    inst = ProblemInstance(parse_expr("exp(-1/x)"), 0.5, 0.1, 1.0)
+    xs = [0.25, 0.0, -0.0, 1e-300, 0.75]
+    assert repr(inst.h_rows(xs)) == repr([inst.h(x) for x in xs])
+    assert inst.h_rows(xs)[1:3] == [0.0, 0.0]
+    for xs in ([0.25, -1e-300, 0.0], [0.0, -1e-300]):
+        with pytest.raises(DomainError, match=r"^overflow in exp\(9\.999999999999999e\+299\)$"):
+            inst.h_rows(xs)
+    assert inst.h_rows([0.5, 0.75]) == [inst.h(0.5), inst.h(0.75)]
 
 
 def test_profile_is_not_part_of_the_instance_value():
@@ -760,7 +789,42 @@ def test_oracle_by_parts_matches_pointwise_inversion():
             lambda x: h(x) - y, (0, 1), solver="anderson", verify=False)
         inverse_integral = mpmath.quad(h_inv, [0, inst.b])
         total = float(mpmath.quad(h, [0, inst.a]) + inverse_integral)
-    q_0bp = integrate(inst.h, 0.0, anch.h_inv_b, inst.options.quad_rel_tol)
+    q_0bp = integrate(rows(inst.h), 0.0, anch.h_inv_b, inst.options.quad_rel_tol)
     by_parts = inst.b * anch.h_inv_b - q_0bp.value
     assert by_parts == pytest.approx(float(inverse_integral), rel=1e-13)
     assert oracle(inst, anch).sum == pytest.approx(total, rel=1e-13)
+
+
+# sha256 of the OracleResult reprs of _pinned_oracles(200), recorded before
+# the quadrature read its panels in batches, on glibc 2.36's libm (Debian
+# 12, x86-64); another libm may round exp, log or pow differently.
+_ORACLES_200_SHA256 = "562decd440b5bb022ad55f950587020a1d15c03fe67669aed1fac6ae1769ecce"
+
+
+def _pinned_oracles(count: int) -> tuple[list[str], set, set, int]:
+    """The oracle's repr on ``count`` instances of the sweep's random family
+    (seed 2023), with the families, orientations and ties they cover."""
+    rng = random.Random(2023)
+    reprs, families, orientations, ties = [], set(), set(), 0
+    for _ in range(count):
+        params = report._random_instance(rng)
+        ast = parse_expr(params["function"])
+        x_b = params["a"] if params["tie_b_to_a"] else params["t_b"] * params["c"]
+        inst = make_problem(ast, params["a"], evaluate(ast, x_b), params["c"])
+        anch = anchors(inst)
+        reprs.append(repr(oracle(inst, anch)))
+        text = params["function"]
+        families.add(("ln" in text, "exp" in text, "x^" in text))
+        orientations.add(anch.orientation)
+        ties += params["tie_b_to_a"]
+    return reprs, families, orientations, ties
+
+
+def test_oracle_results_are_pinned():
+    """Every OracleResult (gap, sum, error estimate, evaluations and path
+    residual) on 200 random instances, pinned by digest: a change to the
+    quadrature's nodes, weights or order of float operations shows here."""
+    reprs, families, orientations, ties = _pinned_oracles(200)
+    assert len(families) == 4 and {-1, 1} <= orientations and ties >= 20
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == _ORACLES_200_SHA256

@@ -465,7 +465,8 @@ def _jet_int_pow(u: list[float], c: int) -> list[float]:
 # site. A product with a factor 0.0 is a zero multiple: dropped when it has
 # no other factor, and otherwise ±0 whenever r, the product of its other
 # factors, is finite.
-# With m live terms (the others) and zero multiples r1..rj, a site is
+# With m live terms (the others) and zero multiples r1..rj, a site of an
+# exact kernel is
 #
 #   m <= 2, no zero multiple, every live term 1.0:  the literal m.0
 #   m = 1, no zero multiple:   s = l + 0.0
@@ -481,6 +482,28 @@ def _jet_int_pow(u: list[float], c: int) -> list[float]:
 # returns or raises what it always did. Three or more live terms keep their
 # zero multiples in the fsum: a nan among the terms moves where fsum can
 # overflow, and a guard after the call could not undo an overflow raised.
+#
+# A jet kernel is sparse: it drops the zero multiples of its sites of
+# m <= 2 outright. A site of zero multiples only is the literal 0.0, and the
+# folding goes on downstream of it (in the kernels of exp(lam*x), the sums
+# of three or more live terms become one). Each dropped r is recorded once
+# per kernel, and the body ends with one check,
+#
+#   if (r1 + ... + rj) * 0.0: <read the point again>
+#
+# which is ±0 when every r is finite and nan otherwise (and when a sum of
+# finite r overflows, a harmless false alarm). With every r finite, each
+# dropped multiple is ±0 and every site is the exact kernel's, bit for bit,
+# by the argument above. At a point where the check trips, or where the body
+# raises a DomainError, an ArithmeticError or a ValueError, the row is the
+# exact kernel's: the emission by the rule above, for the same shape and
+# order, kept in the factory table under (shape, ("exact", order)) and built
+# at the first such point. Every row, error and message is therefore the
+# exact kernel's. A jet kernel that drops nothing is its own exact kernel,
+# and evaluate kernels have no sum sites. Sites of three or more live terms
+# keep their zero multiples in both kernels, as a zero still renormalises
+# fsum's partials. The zeros dropped follow from the shape alone, so
+# factories stay keyed by shape and order.
 # ---------------------------------------------------------------------------
 
 # Integer powers up to 2^8 - 1 are unrolled; larger ones call _jet_int_pow.
@@ -531,11 +554,14 @@ def make({params}):
 """
 
 # A jet kernel: the body at x in a loop over the batch xs, one row per x.
-# ``jet``'s error rule is part of it: the body's own DomainError, kept
-# without its traceback or context; math.pow overflowing, or fsum overflowing
-# or meeting inf - inf, as a DomainError naming x; and a non-finite
-# derivative, found by the sum of each d - d, which is 0.0 for a finite d and
-# nan otherwise (the partial sums alternate between 0.0 and one d, exactly).
+# ``jet``'s error rule is part of it: in an exact kernel, the body's own
+# DomainError, kept without its traceback or context, and math.pow
+# overflowing, or fsum overflowing or meeting inf - inf, as a DomainError
+# naming x (``_EXACT_HANDLERS``); in a kernel that dropped zero multiples,
+# the exact kernel's row wherever its check trips or its body raises
+# (``_SPARSE_HANDLERS``); and in both, a non-finite derivative, found by the
+# sum of each d - d, which is 0.0 for a finite d and nan otherwise (the
+# partial sums alternate between 0.0 and one d, exactly).
 _BATCH_FACTORY = """\
 def make({params}):
 {prelude}\
@@ -545,13 +571,7 @@ def make({params}):
         for x in xs:
             try:
 {body}\
-            except DomainError as exc:
-                exc.__traceback__ = exc.__context__ = None
-                append(exc)
-                continue
-            except (OverflowError, ValueError) as exc:
-                append(DomainError(f"{{exc}} at x={{x!r}}"))
-                continue
+{handlers}\
 {derivs}\
             if {finite} == 0.0:
                 append(({names},))
@@ -559,6 +579,24 @@ def make({params}):
                 append(_non_finite(({names},), x))
         return rows
     return kernel
+"""
+
+_EXACT_HANDLERS = """\
+            except DomainError as exc:
+                exc.__traceback__ = exc.__context__ = None
+                append(exc)
+                continue
+            except (OverflowError, ValueError) as exc:
+                append(DomainError(f"{exc} at x={x!r}"))
+                continue
+"""
+
+_SPARSE_HANDLERS = """\
+                if ({dropped}) * 0.0:
+                    raise ArithmeticError
+            except (DomainError, ArithmeticError, ValueError):
+                append(exact(x))
+                continue
 """
 
 
@@ -570,10 +608,12 @@ class _Emitter:
     compound expression, so operands need no parentheses.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, sparse: bool) -> None:
         self.lines: list[str] = []
         self.params: list[str] = []
         self.prelude: list[str] = []
+        self.sparse = sparse  # drop the zero multiples of sites of at most two live terms
+        self.dropped: dict[str, None] = {}  # r of each dropped zero multiple, once each
 
     def param(self) -> str:
         """The next of the tree's constants and exponents, in post-order."""
@@ -677,7 +717,8 @@ class _Emitter:
 
     def sum_site(self, terms: list[tuple[str, ...]]) -> str:
         """The value of ``fsum`` over the products ``terms``, by the sum-site
-        rule of the comment above."""
+        rule of the comment above; a sparse emitter drops the zero multiples
+        of a site of at most two live terms and records their r."""
         products = [" * ".join(factors) for factors in terms]
         live: list[str] = []  # live products, "1.0" for one of literals only
         zeros: list[str] = []  # r of each zero multiple
@@ -694,6 +735,9 @@ class _Emitter:
                 zero_products.append(product)
         if len(live) > 2:
             return self.let(_fsum(live + zero_products))
+        if self.sparse:
+            self.dropped.update(dict.fromkeys(zeros))
+            zeros = []
         if not zeros:
             if live.count("1.0") == len(live):
                 return f"{len(live)}.0"
@@ -818,9 +862,14 @@ def _walk_shape(node: Node, tokens: list, params: list[float]) -> None:
         raise TypeError(f"not an expression node: {node!r}")
 
 
-def _factory_source(shape: tuple, order: int | None) -> str:
-    """The source of the kernel factory of ``shape`` and ``order``."""
-    emitter = _Emitter()
+def _factory_source(shape: tuple, order) -> str:
+    """The source of the kernel factory of ``shape`` and ``order``: None for
+    ``evaluate``, k for the jet of order k, and ``("exact", k)`` for that
+    jet's exact kernel, which keeps every zero multiple."""
+    exact = isinstance(order, tuple)
+    if exact:
+        order = order[1]
+    emitter = _Emitter(sparse=not exact)
     emit = emitter.scalar if order is None else partial(emitter.jet, n=order + 1)
     stack: list = []
     for token in shape:
@@ -837,6 +886,8 @@ def _factory_source(shape: tuple, order: int | None) -> str:
             stack.append(emit("pow", (emitter.param(), token), stack.pop()))
     (result,) = stack
     params = ", ".join(emitter.params)
+    if emitter.dropped:
+        emitter.prelude.append(f"exact = _exact_rows({params})")
     prelude = "".join(f"    {line}\n" for line in emitter.prelude)
     if order is None:
         body = "".join(f"            {line}\n" for line in emitter.lines)
@@ -846,12 +897,30 @@ def _factory_source(shape: tuple, order: int | None) -> str:
         params=params,
         prelude=prelude,
         body="".join(f"                {line}\n" for line in emitter.lines or ["pass"]),
+        handlers=(_SPARSE_HANDLERS.format(dropped=" + ".join(emitter.dropped))
+                  if emitter.dropped else _EXACT_HANDLERS),
         derivs="".join(f"            {d} = {c} * {math.factorial(k)}\n" if k > 1
                        else f"            {d} = {c}\n"
                        for k, (d, c) in enumerate(zip(names, result))),
         finite=" + ".join(f"{d} - {d}" for d in names),
         names=", ".join(names),
     )
+
+
+def _exact_rows(shape: tuple, order: int, *params: float) -> Callable:
+    """``row(x)``: the row at x of the exact jet kernel of ``shape`` and
+    ``order`` with ``params``, a sparse kernel's fallback. The kernel is
+    built at the first call, from the factory kept under
+    ``(shape, ("exact", order))``."""
+    kernel = None
+
+    def row(x: float):
+        nonlocal kernel
+        if kernel is None:
+            kernel = _code_table.factory(shape, ("exact", order))(*params)
+        return kernel((x,))[0]
+
+    return row
 
 
 class _LruTable:
@@ -894,7 +963,8 @@ _CODE_TABLE_CHARS = 1_000_000
 
 
 class _CodeTable(_LruTable):
-    """Kernel factories by (shape, order), shared by every tree.
+    """Kernel factories by (shape, order), shared by every tree, and the
+    factories of exact jet kernels by (shape, ("exact", order)).
 
     A factory's source is emitted and compiled, most of a kernel's build
     cost, once per shape and order in a process; each tree's kernel is then
@@ -912,7 +982,7 @@ class _CodeTable(_LruTable):
         make = self.get(key)
         if make is None:
             source = _factory_source(shape, order)
-            namespace = dict(_KERNEL_GLOBALS)
+            namespace = dict(_KERNEL_GLOBALS, _exact_rows=partial(_exact_rows, shape, order))
             exec(compile(source, "<youngbounds kernel>", "exec"), namespace)
             make = namespace["make"]
             self.put(key, make, len(source))

@@ -3,7 +3,9 @@ taylor-cebysev bounds, and of the gap they bound, in 50-digit mpmath
 arithmetic.
 
 The families are h(x) = x^p and h(x) = exp(lam*x) - 1, whose derivatives,
-inverse and Young gap are known in closed form. Each bound is restated from
+inverse and Young gap are known in closed form, and h(x) = lam*ln(1+x) + x^2,
+whose derivatives and antiderivative are, and whose inverse comes from
+``mpmath.findroot``. Each bound is restated from
 the paper's formulas, and the side the Cebysev estimate bounds is derived
 here from the monotonicity of its integrand, so a test can hold
 ``youngbounds.catalog`` to these values without sharing any of its code.
@@ -64,6 +66,38 @@ class Exp:
         lam, a, b = mpmath.mpf(self.lam), mpmath.mpf(a), mpmath.mpf(b)
         inverse_integral = ((1 + b) * mpmath.log1p(b) - b) / lam
         return (mpmath.exp(lam * a) - 1) / lam - a + inverse_integral - a * b
+
+
+class LogQuad:
+    """h(x) = lam*ln(1+x) + x^2, 0 < lam < 2, so that h'' = 2 - lam/(1+x)^2 > 0
+    on x >= 0."""
+
+    def __init__(self, lam: float) -> None:
+        self.lam = lam
+        self.text = f"{lam!r}*ln(1+x)+x^2"
+
+    def deriv(self, x, k: int):
+        lam, x = mpmath.mpf(self.lam), mpmath.mpf(x)
+        if k == 0:
+            return lam * mpmath.log1p(x) + x ** 2
+        # (d/dx)^k ln(1+x) = (-1)^(k-1) (k-1)! / (1+x)^k
+        value = lam * (-1) ** (k - 1) * mpmath.factorial(k - 1) / (1 + x) ** k
+        return value + (2 * x if k == 1 else 2 if k == 2 else 0)
+
+    def inverse(self, y):
+        y = mpmath.mpf(y)
+        return mpmath.findroot(lambda x: self.deriv(x, 0) - y, mpmath.sqrt(y))
+
+    def gap(self, a, b):
+        # integral_{x0}^{a} (h(x) - b) dx with the antiderivative
+        # H(x) = lam*((1+x) ln(1+x) - x) + x^3/3
+        lam, a, b = mpmath.mpf(self.lam), mpmath.mpf(a), mpmath.mpf(b)
+
+        def antiderivative(x):
+            return lam * ((1 + x) * mpmath.log1p(x) - x) + x ** 3 / 3
+
+        x0 = self.inverse(b)
+        return antiderivative(a) - antiderivative(x0) - b * (a - x0)
 
 
 def _sign(value) -> int:
@@ -141,8 +175,8 @@ def cebysev(h, a: float, b: float, n: int, slope_sign: int):
 
 
 def slope_sign(h, lo: float, hi: float, n: int) -> int:
-    """The sign of h^(n+2) on [lo, hi], which is one sign in both families:
-    the direction of h^(n+1)."""
+    """The sign of h^(n+2) on [lo, hi], which is one sign in every family
+    here: the direction of h^(n+1)."""
     with mpmath.workdps(DPS):
         signs = {_sign(h.deriv(x, n + 2)) for x in (mpmath.mpf(lo), mpmath.mpf(hi))}
     (sign,) = signs

@@ -1202,7 +1202,8 @@ def test_lp_remainder_without_checks_stays_applicable(cubic, cubic_reversed):
 # Taylor bounds against their 50-digit closed forms (tests/reference_bounds.py)
 # ---------------------------------------------------------------------------
 
-_FAMILIES = [rb.Power(0.9), rb.Power(2.5), rb.Power(3.0), rb.Exp(0.7), rb.Exp(1.6)]
+_FAMILIES = [rb.Power(0.9), rb.Power(2.5), rb.Power(3.0), rb.Exp(0.7), rb.Exp(1.6),
+             rb.LogQuad(0.7), rb.LogQuad(1.6)]
 
 
 def _close(got, want) -> bool:
@@ -1222,7 +1223,7 @@ def test_taylor_bounds_match_their_closed_forms(family, x_b):
     inst = make_problem(family.text, a, b, c)
     anch = anchors(inst)
     gap = rb.remainder(family, a, b, 0)
-    for n in range(3):
+    for n in range(4):
         remainder = rb.remainder(family, a, b, n)
         offset = rb.taylor_sum(family, a, b, n) + a * b
         sign = rb.slope_sign(family, anch.alpha, anch.beta, n)

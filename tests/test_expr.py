@@ -606,6 +606,33 @@ def test_batch_kernel_rows_match_jet_point_by_point(text, order, xs):
             assert want == ref == ("value", repr(got)) == ("value", repr(row)), x
 
 
+# Finite abscissae where the r of a dropped zero multiple is not finite, so
+# that without the closing check the kernel would give a finite row: x^2
+# overflows at 1e200, and the jet of the constant 2 multiplies it by its zero
+# Taylor terms; 1e308*x overflows at 3.0, and the power -1 multiplies it by
+# the zero terms of the jet of 1.
+_DROPPED_NON_FINITE = [
+    ("1/(2*x^2)", 1e200, "non-finite derivative of order 1 at x=1e+200"),
+    ("(1e308*x)^(-1)", 3.0, "non-finite derivative of order 1 at x=3.0"),
+]
+
+
+@pytest.mark.parametrize("text,x,message", _DROPPED_NON_FINITE,
+                         ids=[c[0] for c in _DROPPED_NON_FINITE])
+def test_a_non_finite_dropped_term_falls_back_to_the_exact_kernel(code_table, text, x, message):
+    # the point is read again by the exact kernel, which raises what the
+    # walkers raise; the other points of the batch keep their rows, and the
+    # exact kernel is built once, when the first point falls back
+    ast = parse_expr(text)
+    assert _outcome(jet, ast, x, 2) == _outcome(_reference_jet, ast, x, 2) == (DomainError, message)
+    xs = [0.5, x, 0.25, x]
+    rows = jet_rows(ast, xs, 2)
+    assert rows[1] is rows[3] is None
+    assert repr(rows) == repr(_reference_jet_rows(ast, xs, 2))
+    shape = expr._shape(ast.root)[0]
+    assert [order for key, order in code_table._entries if key == shape] == [2, ("exact", 2)]
+
+
 # Abscissae of evaluate_rows batches: signed zeros, negatives, the extremes,
 # 2.0 and -3.3, where x^1e300 overflows, and inf and nan, where most trees give
 # nan.
@@ -777,7 +804,9 @@ def test_code_table_is_thread_safe(code_table, monkeypatch):
                 assert not thread.is_alive()
             for i in range(len(texts)):
                 assert got[i] == want[i:] + want[:i]
-            assert len(table._entries) == 4  # one shape: evaluate and three jet orders
+            # one shape: evaluate, three jet orders and, for the zero base at
+            # x = 0.0 where each jet fails, the three jets' exact kernels
+            assert len(table._entries) == 7
             assert table.chars == _kept_chars(table)
     finally:
         sys.setswitchinterval(interval)
@@ -838,8 +867,10 @@ def test_integer_and_fractional_exponents_key_apart(code_table, first, second):
             for order in range(4):
                 want = _outcome(_reference_jet, ast, x, order)
                 assert _outcome(jet, ast, x, order) == want, (text, x, order)
-    # evaluate and orders 0-3, twice, beside the kernel that folded -0.5
-    assert len([shape for shape, _ in code_table._entries if "x" in shape]) == 2 * 5
+    # evaluate and orders 0-3, twice, beside the kernel that folded -0.5,
+    # and the exact kernels of the fractional power's orders 2 and 3, whose
+    # jets fail at 0.0 and -1.0
+    assert len([shape for shape, _ in code_table._entries if "x" in shape]) == 2 * 5 + 2
 
 
 # values that take every branch of the kernels: signed zeros, huge and tiny
@@ -900,7 +931,13 @@ def test_same_shape_trees_share_one_emission_per_order(tree, data, xs):
             _assert_runs_as_walkers(t, xs, orders)
     assert len({expr._shape(t)[0] for t in [tree] + trees}) == 1
     shared = expr._shape(twin)[0] == expr._shape(tree)[0]  # no fractional exponent
-    assert sorted(emitted, key=str) == ([] if shared else sorted(orders, key=str))
+    # a jet whose kernel fails at some abscissa also emits, once, its exact
+    # kernel, keyed ("exact", order)
+    exact = [order for order in emitted if isinstance(order, tuple)]
+    assert sorted([order for order in emitted if order not in exact], key=str) \
+        == ([] if shared else sorted(orders, key=str))
+    assert len(exact) == len(set(exact))
+    assert {order for _, order in exact} <= {0, 1, 2, 4}
 
 
 def test_sweep_emits_each_kernel_shape_once(code_table, monkeypatch):
@@ -921,9 +958,11 @@ def test_sweep_emits_each_kernel_shape_once(code_table, monkeypatch):
 
 def test_sweep_fsum_calls_are_pinned(code_table, monkeypatch):
     # jet kernels call fsum only at sums of three or more live terms and
-    # where a plain sum is not finite: 2,313 calls in sweep(42, 10), against
-    # 138,583 when every Taylor coefficient went through fsum (3,084 before
-    # each gate grid was filled once per instance)
+    # where a plain sum is not finite: none in sweep(42, 10), as a site of
+    # zero multiples only is the literal 0.0. When such a site was a name,
+    # the exp(lam*x) kernels of orders 3 and 4 summed 3 and 4 live terms:
+    # 2,313 calls (3,084 before each gate grid was filled once per instance,
+    # 138,583 when every Taylor coefficient went through fsum)
     calls = []
 
     def fsum(terms):
@@ -932,4 +971,4 @@ def test_sweep_fsum_calls_are_pinned(code_table, monkeypatch):
 
     monkeypatch.setitem(expr._KERNEL_GLOBALS, "fsum", fsum)
     sweep(42, 10)
-    assert len(calls) == 2313
+    assert len(calls) == 0

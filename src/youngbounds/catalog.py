@@ -9,10 +9,10 @@ Each estimator's sign gates are rows of one table, ``_GATES``, which the
 estimators and :func:`fill_gate_grids` both read, and every result is built
 by ``_result``, which sets ``applicable`` and sorts sides that crossed.
 
-Every derivative read outside a quadrature goes through the instance's
-:class:`DerivativeProfile`, so estimators run on the same instance share each
-jet, each sampled gate and each extremum scan; the results are the bits an
-unshared run gives.
+Every scan goes through the instance's :class:`DerivativeProfile`, so
+estimators run on the same instance share each grid, each sampled gate and
+each extremum scan; the results are the bits an unshared run gives. A point
+read is one kernel call of ``inst.deriv`` or ``inst.derivs``.
 
 Sign conventions. With d = a - h^{-1}(b) (signed), every Taylor-flavoured
 estimator reduces to a product of a signed kernel factor and a two-sided
@@ -141,15 +141,18 @@ class BoundResult:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+def _taylor_terms(derivs: tuple[float, ...], u: float, first: int) -> float:
+    """The fsum of derivs[k] u^{k+1}/(k+1)! over k = first..len(derivs) - 1."""
+    return math.fsum(
+        derivs[k] * u ** (k + 1) / math.factorial(k + 1) for k in range(first, len(derivs))
+    )
+
+
 def _taylor_sum(inst: ProblemInstance, anch: Anchors, n: int) -> float:
     """T_n = sum_{k=1}^n h^(k)(h^{-1}(b)) d^{k+1}/(k+1)!  (0 when n = 0)."""
     if n == 0:
         return 0.0
-    d = inst.a - anch.h_inv_b
-    derivs = inst.profile.derivs(anch.h_inv_b, n)
-    return math.fsum(
-        derivs[k] * d ** (k + 1) / math.factorial(k + 1) for k in range(1, n + 1)
-    )
+    return _taylor_terms(inst.derivs(anch.h_inv_b, n), inst.a - anch.h_inv_b, 1)
 
 
 def _gap_target(inst: ProblemInstance) -> TargetQuantity:
@@ -205,7 +208,7 @@ def _check(
     prof = inst.profile
 
     def sample() -> tuple[tuple[float, ...], int]:
-        values = tuple(v for v in prof.column(lo, hi, SCAN_POINTS, order) if v is not None)
+        values = tuple(v for v in prof.column(lo, hi, SCAN_POINTS, order)[1] if v is not None)
         return values, SCAN_POINTS - len(values)
 
     values, skipped = prof.memo(("samples", order, lo, hi), sample)
@@ -312,23 +315,14 @@ def _extrema_of_deriv(
     interior is one profile column. The column is filled at order >= 2, so
     the h' and h'' scans of one interval share one batch and one list of
     abscissae; a point where the order-2 jet fails is read at ``order``.
-    The scan's endpoints are kept in the profile, as the anchor reads share
-    them; its golden-section points, strictly between the endpoints, are
-    read once and kept nowhere."""
+    The scan's endpoints and golden-section points are read on the instance."""
     prof = inst.profile
-    top = lo + (hi - lo)  # extremum's right endpoint, which may round below hi
-
-    def f(x: float) -> float:
-        if lo < x < top:
-            return prof.deriv_unkept(x, order)
-        return prof.deriv(x, order)
-
-    def interior(n: int) -> tuple[list[float], list[float | None]]:
-        values = prof.column(lo, hi, n, order, fill=2)  # lo <= hi
-        return prof.abscissae(lo, hi, n), values
 
     def scan() -> tuple[float, float]:
-        (_, f_min), (_, f_max) = extremum(f, lo, hi, column=interior)
+        (_, f_min), (_, f_max) = extremum(
+            lambda x: inst.deriv(x, order), lo, hi,
+            column=lambda n: prof.column(lo, hi, n, order, fill=2),  # lo <= hi
+        )
         return f_min, f_max
 
     return prof.memo(("extrema", order, lo, hi), scan)
@@ -348,9 +342,8 @@ def bound_hoorfar_qi(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     ((check, _, _),) = _gates(inst, anch, "hoorfar-qi")
     if anch.width == 0.0:
         return _zero_width_result("hoorfar-qi", target)
-    prof = inst.profile
     d = inst.a - anch.h_inv_b
-    m, M = _sorted_pair(prof.deriv(inst.a, 1), prof.deriv(anch.h_inv_b, 1))
+    m, M = _sorted_pair(inst.deriv(inst.a, 1), inst.deriv(anch.h_inv_b, 1))
     return _result(
         "hoorfar-qi", target, m / 2.0 * d * d, M / 2.0 * d * d, (check,),
         extras=(("m", m), ("M", M)),
@@ -394,11 +387,10 @@ def bound_jensen_first(inst: ProblemInstance, anch: Anchors) -> BoundResult:
     ((check, cls, _),) = _gates(inst, anch, "jensen-first")
     if anch.width == 0.0:
         return _zero_width_result("jensen-first", target)
-    prof = inst.profile
     d = inst.a - anch.h_inv_b
     curvature = _CURVATURE[cls]
-    q_mid = d * d / 2.0 * prof.deriv((inst.a + 2.0 * anch.h_inv_b) / 3.0, 1)
-    q_end = d * d / 3.0 * (prof.deriv(inst.a, 1) / 2.0 + prof.deriv(anch.h_inv_b, 1))
+    q_mid = d * d / 2.0 * inst.deriv((inst.a + 2.0 * anch.h_inv_b) / 3.0, 1)
+    q_end = d * d / 3.0 * (inst.deriv(inst.a, 1) / 2.0 + inst.deriv(anch.h_inv_b, 1))
     if curvature == "concave":
         lower, upper = q_end, q_mid
     else:
@@ -465,13 +457,13 @@ def _holder_core(
         return _zero_width_result(method, target)
     abs_d = anch.width
     tol = inst.options.quad_rel_tol
-    phi = lambda x: inst.deriv(x, n + 1)  # quadrature nodes stay out of the profile
+    phi = lambda x: inst.deriv(x, n + 1)
 
     def integral() -> float:
         """||phi||_1 = h^(n)(beta) - h^(n)(alpha) when both reads succeed and
         their difference stands well clear of their rounding; else quadrature."""
         try:
-            lo, hi = inst.profile.deriv(anch.alpha, n), inst.profile.deriv(anch.beta, n)
+            lo, hi = inst.deriv(anch.alpha, n), inst.deriv(anch.beta, n)
         except DomainError:  # e.g. x^2.5 at alpha = 0 for n >= 1
             lo = hi = math.nan
         value = hi - lo
@@ -562,10 +554,9 @@ def bound_taylor_lagrange(inst: ProblemInstance, anch: Anchors, n: int) -> Bound
     ((check, _, _),) = _gates(inst, anch, "taylor-lagrange", n)
     if anch.width == 0.0:
         return _zero_width_result("taylor-lagrange", target)
-    prof = inst.profile
     d = inst.a - anch.h_inv_b
     t_sum = _taylor_sum(inst, anch, n)
-    m, M = _sorted_pair(prof.deriv(inst.a, n + 1), prof.deriv(anch.h_inv_b, n + 1))
+    m, M = _sorted_pair(inst.deriv(inst.a, n + 1), inst.deriv(anch.h_inv_b, n + 1))
     kernel = d ** (n + 2) / math.factorial(n + 2)
     lower, upper = _sorted_pair(t_sum + kernel * m, t_sum + kernel * M)
     return _result(
@@ -596,10 +587,9 @@ def bound_taylor_cebysev(inst: ProblemInstance, anch: Anchors, n: int) -> BoundR
     ((check, cls, values),) = _gates(inst, anch, "taylor-cebysev", n)
     if anch.width == 0.0:
         return _zero_width_result("taylor-cebysev", target)
-    prof = inst.profile
     d = inst.a - anch.h_inv_b
     value = d ** (n + 1) / math.factorial(n + 2) * (
-        prof.deriv(inst.a, n) - prof.deriv(anch.h_inv_b, n)
+        inst.deriv(inst.a, n) - inst.deriv(anch.h_inv_b, n)
     )
     direction = _DIRECTION[cls]
     if direction == "flat":
@@ -633,12 +623,11 @@ def bound_taylor_jensen(inst: ProblemInstance, anch: Anchors, n: int) -> BoundRe
     ((check, cls, _),) = _gates(inst, anch, "taylor-jensen", n)
     if anch.width == 0.0:
         return _zero_width_result("taylor-jensen", target)
-    prof = inst.profile
     d = inst.a - anch.h_inv_b
     mean = (inst.a + (n + 2) * anch.h_inv_b) / (n + 3)
-    q_mid = prof.deriv(mean, n + 1) / math.factorial(n + 2)
+    q_mid = inst.deriv(mean, n + 1) / math.factorial(n + 2)
     q_end = (
-        prof.deriv(inst.a, n + 1) + (n + 2) * prof.deriv(anch.h_inv_b, n + 1)
+        inst.deriv(inst.a, n + 1) + (n + 2) * inst.deriv(anch.h_inv_b, n + 1)
     ) / math.factorial(n + 3)
     kernel = d ** (n + 2)
     lower, upper = _sorted_pair(kernel * q_mid, kernel * q_end)
@@ -661,11 +650,10 @@ def bound_taylor_product_hh(inst: ProblemInstance, anch: Anchors, n: int) -> Bou
     checks = tuple(check for check, _, _ in _gates(inst, anch, "taylor-product-hh", n))
     if anch.width == 0.0:
         return _zero_width_result("taylor-product-hh", target)
-    prof = inst.profile
     d = inst.a - anch.h_inv_b
-    phi_a = prof.deriv(inst.a, n + 1)
-    phi_b = prof.deriv(anch.h_inv_b, n + 1)
-    phi_mid = prof.deriv(0.5 * (inst.a + anch.h_inv_b), n + 1)
+    phi_a = inst.deriv(inst.a, n + 1)
+    phi_b = inst.deriv(anch.h_inv_b, n + 1)
+    phi_mid = inst.deriv(0.5 * (inst.a + anch.h_inv_b), n + 1)
     base_lo = phi_mid / 2.0 ** n - (2.0 * phi_a + phi_b) / 6.0
     base_hi = (phi_a + 2.0 * phi_b) / 6.0
     kernel = d ** (n + 2) / math.factorial(n + 1)
@@ -767,9 +755,8 @@ def bound_polya_second(
     the two sides exchange roles."""
     a, b = inst.a, inst.b
     bp = anch.h_inv_b
-    prof = inst.profile
-    hp_a = prof.deriv(a, 1)
-    hp_b = prof.deriv(bp, 1)
+    hp_a = inst.deriv(a, 1)
+    hp_b = inst.deriv(bp, 1)
     ha = anch.h_a
     target = TargetQuantity(
         "MIDDLE2", offset=a * ha - (a * a * hp_a - bp * bp * hp_b) / 2.0
@@ -868,9 +855,8 @@ def bound_polya_higher(
         return _zero_width_result("polya-higher", target)
     L, U, check = _derivative_range(inst, anch, n + 1, L=None, U=None)
     m = n + 2
-    prof = inst.profile
-    s_bp = SnPolynomial(m, prof.derivs(anch.h_inv_b, n))
-    s_a = SnPolynomial(m, prof.derivs(inst.a, n))
+    s_bp = SnPolynomial(m, inst.derivs(anch.h_inv_b, n))
+    s_a = SnPolynomial(m, inst.derivs(inst.a, n))
     a, bp = inst.a, anch.h_inv_b
 
     def coefficients(w_bp: float, w_a: float) -> list[float]:
@@ -936,20 +922,8 @@ def bound_lp_remainder(
     sigma = -1.0 if anch.orientation < 0 else 1.0
     width = anch.width
 
-    prof = inst.profile
-    derivs_alpha = prof.derivs(alpha, n)
-    derivs_beta = prof.derivs(beta, n)
-
-    def taylor_two_point(tv: float) -> float:
-        left = math.fsum(
-            derivs_alpha[i] * (tv - alpha) ** (i + 1) / math.factorial(i + 1)
-            for i in range(n + 1)
-        )
-        right = math.fsum(
-            derivs_beta[i] * (tv - beta) ** (i + 1) / math.factorial(i + 1)
-            for i in range(n + 1)
-        )
-        return left - right
+    derivs_alpha = inst.derivs(alpha, n)
+    derivs_beta = inst.derivs(beta, n)
 
     if width == 0.0:
         target = TargetQuantity(
@@ -962,7 +936,7 @@ def bound_lp_remainder(
 
     if math.isinf(p):  # sup |h^(n+1)|, from the scan polya and holder estimators share
         norm = max(map(abs, _extrema_of_deriv(inst, n + 1, alpha, beta)))
-    else:  # quadrature nodes stay out of the profile
+    else:
         phi_abs = lambda x: abs(inst.deriv(x, n + 1))
         norm = norm_r(phi_abs, NormSpec(p, alpha, beta), inst.options.quad_rel_tol)
 
@@ -991,7 +965,8 @@ def bound_lp_remainder(
         t_used = 0.5 * (alpha + beta)
     upper = tight(t_used)
 
-    offset = inst.b * anch.h_inv_b + sigma * taylor_two_point(t_used)
+    offset = inst.b * anch.h_inv_b + sigma * (_taylor_terms(derivs_alpha, t_used - alpha, 0)
+                                              - _taylor_terms(derivs_beta, t_used - beta, 0))
     target = TargetQuantity("ABS_REMAINDER", offset=offset, n=n, absolute=True)
     notes = ("reflected orientation",) if anch.orientation < 0 else ()
     return _result(

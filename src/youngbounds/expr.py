@@ -1052,18 +1052,18 @@ def evaluate_rows(ast: ExprAst | Node, xs) -> list[float]:
     return [evaluate(ast, x) for x in xs]
 
 
-def _jet_kernel(ast: ExprAst | Node, order: int, cap: int):
-    """The jet kernel of ``order``, after the order checks both entry points share."""
-    if not 0 <= order <= cap:
-        raise OrderCapError(f"order {order} outside [0, {cap}]")
+def _jet_kernel(ast: ExprAst | Node, order: int):
+    """The jet kernel of ``order``, after the order check both entry points share."""
+    if not 0 <= order <= DEFAULT_ORDER_CAP:
+        raise OrderCapError(f"order {order} outside [0, {DEFAULT_ORDER_CAP}]")
     return _kernel(ast, order)
 
 
-def _jet_derivs(ast: ExprAst | Node, x: float, order: int, cap: int) -> tuple[float, ...]:
-    """``jet(ast, x, order, cap).derivs``: one run of the batch kernel of
+def _jet_derivs(ast: ExprAst | Node, x: float, order: int) -> tuple[float, ...]:
+    """``jet(ast, x, order).derivs``: one run of the batch kernel of
     ``order`` on ``(x,)``, raising the :class:`DomainError` it gives there,
     without the :class:`TaylorJet` wrapper."""
-    (row,) = _jet_kernel(ast, order, cap)((x,))
+    (row,) = _jet_kernel(ast, order)((x,))
     if isinstance(row, DomainError):
         try:
             raise row
@@ -1072,7 +1072,7 @@ def _jet_derivs(ast: ExprAst | Node, x: float, order: int, cap: int) -> tuple[fl
     return row
 
 
-def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP) -> TaylorJet:
+def jet(ast: ExprAst | Node, x0: float, order: int) -> TaylorJet:
     """Derivatives h^(0)..h^(order) at ``x0`` via truncated-Taylor propagation.
 
     ``derivs[k]`` is the k-th Taylor coefficient rescaled by the exact integer
@@ -1086,20 +1086,18 @@ def jet(ast: ExprAst | Node, x0: float, order: int, cap: int = DEFAULT_ORDER_CAP
     many abscissae should call :func:`jet_rows`, which runs the kernel once
     for the whole scan and skips the :class:`TaylorJet` wrapper.
     """
-    return TaylorJet(center=x0, order=order, derivs=_jet_derivs(ast, x0, order, cap))
+    return TaylorJet(center=x0, order=order, derivs=_jet_derivs(ast, x0, order))
 
 
-def jet_rows(
-    ast: ExprAst | Node, xs, order: int, cap: int = DEFAULT_ORDER_CAP
-) -> list[tuple[float, ...] | None]:
+def jet_rows(ast: ExprAst | Node, xs, order: int) -> list[tuple[float, ...] | None]:
     """``jet(ast, x, order).derivs`` for each x of ``xs``, None where that
     raises :class:`DomainError`.
 
     One call of the batch kernel of ``order``, which loops over ``xs``
-    itself; each row is the same bits :func:`jet` returns. Order and cap
-    errors are raised up front, as :func:`jet` raises them. A caller that
-    needs the message of a failed point gets it from one :func:`jet` call
-    there.
+    itself; each row is the same bits :func:`jet` returns. An order outside
+    [0, :data:`DEFAULT_ORDER_CAP`] raises up front, as in :func:`jet`. A
+    caller that needs the message of a failed point gets it from one
+    :func:`jet` call there.
     """
-    rows = _jet_kernel(ast, order, cap)(xs)
+    rows = _jet_kernel(ast, order)(xs)
     return [None if isinstance(row, DomainError) else row for row in rows]

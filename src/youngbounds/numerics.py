@@ -452,7 +452,10 @@ def norm_r(f: Func, spec: NormSpec, rel_tol: float = 1e-12) -> float:
                 raise DomainError(
                     f"f({x!r}) = {v!r} <= 0: f^{r!r} leaves the reals"
                 )
-    result = integrate(lambda xs: [math.pow(f(x), r) for x in xs], lo, hi, rel_tol)
-    if result.value <= 0.0:
-        raise DomainError(f"integral of f^{r!r} came out nonpositive")
-    return math.pow(result.value, 1.0 / r)
+    try:  # f^r leaves the float range at a huge |r|, or the reals where f < 0 off the scan
+        result = integrate(lambda xs: [math.pow(f(x), r) for x in xs], lo, hi, rel_tol)
+        if result.value <= 0.0:
+            raise DomainError(f"integral of f^{r!r} came out nonpositive")
+        return math.pow(result.value, 1.0 / r)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"f^{r!r} on [{lo!r}, {hi!r}]: {exc}") from None

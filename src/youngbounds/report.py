@@ -177,6 +177,8 @@ def _methods_from_field(value) -> tuple[MethodSpec, ...]:
         return tuple(MethodSpec(name) for name in METHODS)
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
+    elif not isinstance(value, list):
+        raise ParseError(f"methods must be a string or a list of method specs, got {value!r}")
     return tuple(parse_method_spec(str(v)) for v in value)
 
 

@@ -26,7 +26,7 @@ from .expr import (
     DEFAULT_ORDER_CAP, ExprAst, _jet_derivs, _LruTable, evaluate, evaluate_rows, jet, jet_rows,
     parse_expr,
 )
-from .numerics import _value_or_none, integrate, interior_grid, invert
+from .numerics import integrate, interior_grid, invert
 
 __all__ = [
     "Options", "ProblemInstance", "DerivativeProfile", "Anchors", "OracleResult",
@@ -112,9 +112,7 @@ class ProblemInstance:
 
     def h(self, x: float) -> float:
         """h(x); at x = 0 the validated limit h(0+) = 0 stands in when the
-        expression itself is undefined there (e.g. exp(-1/x)). It reads only
-        ``self.ast``, and :class:`DerivativeProfile` binds this same function
-        as its ``h``."""
+        expression itself is undefined there (e.g. exp(-1/x))."""
         try:
             return evaluate(self.ast, x)
         except DomainError:
@@ -133,84 +131,59 @@ class ProblemInstance:
         return [self.h(x) for x in xs]
 
     def deriv(self, x: float, k: int) -> float:
-        if k == 0:
-            return self.h(x)
-        return jet(self.ast, x, k).derivs[k]
+        """h^(k)(x), one jet kernel call: h itself, with its h(0+) rule, at k = 0."""
+        return self.h(x) if k == 0 else _jet_derivs(self.ast, x, k)[k]
+
+    def derivs(self, x: float, order: int) -> tuple[float, ...]:
+        """h^(0)..h^(order) at x: ``jet(self.ast, x, order).derivs``."""
+        return _jet_derivs(self.ast, x, order)
 
 
 class DerivativeProfile:
-    """The derivatives of one instance's tree, each jet computed once and shared.
+    """The scans of one instance's tree and the values derived from them,
+    each computed once and shared by every estimator run on the instance. A
+    point read is one kernel call of ``ProblemInstance.deriv`` or ``derivs``
+    and is kept nowhere.
 
-    A jet kernel's coefficient k depends only on coefficients <= k of its
-    operands, so when ``jet(x, m)`` succeeds its derivatives 0..k are those of
-    ``jet(x, k)``, bit for bit, and the profile serves every lower order from
-    the highest order it computed. It keeps two kinds of rows:
+    ``column`` reads h^(k), k >= 1, on a grid ``interior_grid(lo, hi, n)``.
+    Per grid, the profile keeps the abscissae and the rows of one
+    :func:`jet_rows` batch at the highest order computed there, None where
+    that jet fails; a higher order computes the rows again on the same
+    abscissae and replaces the entry. A jet kernel's coefficient k depends
+    only on coefficients <= k of its operands, so where ``jet(x, m)``
+    succeeds its derivatives 0..k are those of ``jet(x, k)``, bit for bit,
+    and a grid serves every lower order. The catalog's gates and extremum
+    scans read these, and ``catalog.fill_gate_grids`` fills each gate grid
+    once, at the highest order a report's methods read there.
 
-    - grid rows: ``column`` reads ``interior_grid(lo, hi, n)`` at once. Per
-      grid, the profile keeps its abscissae and the rows of one
-      :func:`jet_rows` batch at the highest order computed there, None where
-      that jet fails; a higher order computes the rows again on the same
-      abscissae and replaces the entry. The catalog's gates and extremum
-      scans read these, and ``catalog.fill_gate_grids`` fills each gate grid
-      once, at the highest order a report's methods read there.
-    - point rows: ``deriv`` and ``derivs`` read one abscissa (anchors,
-      extremum endpoints, midpoints). Per abscissa, the profile keeps the
-      longest derivative tuple computed there; a miss runs the jet kernel of
-      exactly the order asked for, and a jet that fails is not kept.
-      ``deriv_unkept`` reads a point that is read once, such as a
-      golden-section step, and keeps nothing.
-
-    Every read returns or raises what ``inst.deriv`` and
-    ``jet(inst.ast, x, order)`` would. ``memo`` keeps values derived from the
-    derivatives (the catalog's sampled gates, extrema and exact r = 1 norms),
-    or the typed error of a computation that failed, under keys its caller
-    chooses; keys that name an interval make the profile valid for any
-    anchors.
+    ``memo`` keeps values derived from the derivatives (the catalog's
+    sampled gates, extrema and exact r = 1 norms), or the typed error of a
+    computation that failed, under keys its caller chooses; keys that name
+    an interval make the profile valid for any anchors.
 
     The profile holds the tree, never its instance, and nothing it keeps
     refers back to the instance: an instance, its profile, rows, tree and
     kernels are freed by reference counting as soon as the caller drops the
     instance, without waiting for the cyclic garbage collector.
 
-    Only point reads, gates and scans read the profile, so it keeps a few
-    thousand rows per distinct interval; quadrature integrands call
-    ``inst.deriv`` and leave nothing behind.
-
     Entries only ever equal what a recomputation would give or raise, and a
     grid entry is replaced, never changed in place, so threads share a
     profile without a lock: a race at worst computes an entry twice.
     """
 
-    __slots__ = ("ast", "_jets", "_grids", "_memo")
+    __slots__ = ("ast", "_grids", "_memo")
 
     def __init__(self, ast: ExprAst) -> None:
         self.ast = ast
-        self._jets: dict = {}
         self._grids: dict = {}
         self._memo: dict = {}
 
-    # the instance's h, with its h(0+) = 0 rule: the function reads only ``ast``
-    h = ProblemInstance.h
-
-    def _row(self, x: float, order: int) -> tuple[float, ...]:
-        """A derivative tuple at x of length > order (the longest cached)."""
-        key = x if x else repr(x)  # 0.0 and -0.0 are equal dict keys
-        cached = self._jets.get(key)
-        if cached is None or not 0 <= order < len(cached):
-            cached = _jet_derivs(self.ast, x, order, DEFAULT_ORDER_CAP)
-            if len(cached) > len(self._jets.get(key, ())):
-                self._jets[key] = cached
-        return cached
-
-    def abscissae(self, lo: float, hi: float, n: int) -> list[float]:
-        """``interior_grid(lo, hi, n)``: the list the grid's entry keeps, or a
-        new one for a grid with no entry."""
-        entry = self._grids.get((lo, hi, n))
-        return interior_grid(lo, hi, n) if entry is None else entry[1]
-
-    def column(self, lo: float, hi: float, n: int, k: int, fill: int = 0) -> list[float | None]:
-        """h^(k) at each x of ``interior_grid(lo, hi, n)``: what ``deriv``
-        returns, or None where it raises DomainError.
+    def column(
+        self, lo: float, hi: float, n: int, k: int, fill: int = 0
+    ) -> tuple[list[float], list[float | None]]:
+        """The abscissae ``interior_grid(lo, hi, n)`` and h^(k) at each, k >= 1:
+        what ``ProblemInstance.deriv`` returns, or None where it raises
+        DomainError.
 
         A grid with no entry, or one kept below order k, is computed in one
         batch at order max(k, ``fill``), on the abscissae the entry keeps if
@@ -218,41 +191,20 @@ class DerivativeProfile:
         read of that order share the batch. Where the kept order is above k
         and its jet failed, the point is computed again at k, in one more
         batch that is not kept."""
-        if k == 0:
-            return [_value_or_none(self.h, x) for x in self.abscissae(lo, hi, n)]
         key = (lo, hi, n)  # the grid of -0.0 is that of 0.0, as in a memo key
         entry = self._grids.get(key)
         if entry is None or not 0 < k <= entry[0]:
             order = max(k, fill) if k > 0 else k  # a bad k raises as deriv's does
-            xs = self.abscissae(lo, hi, n)
+            xs = interior_grid(lo, hi, n) if entry is None else entry[1]
             entry = self._grids[key] = (order, xs, jet_rows(self.ast, xs, order))
         order, xs, rows = entry
         values = [None if row is None else row[k] for row in rows]
-        if order > k:
+        if order > k and None in rows:
             misses = [i for i, row in enumerate(rows) if row is None]
-            if misses:
-                redone = jet_rows(self.ast, [xs[i] for i in misses], k)
-                for i, row in zip(misses, redone):
-                    if row is not None:
-                        values[i] = row[k]
-        return values
-
-    def derivs(self, x: float, order: int) -> tuple[float, ...]:
-        """h^(0)..h^(order) at x: ``jet(inst.ast, x, order).derivs``."""
-        return self._row(x, order)[:order + 1]
-
-    def deriv(self, x: float, k: int) -> float:
-        """h^(k)(x), as ``inst.deriv``: h itself (not a jet) at k = 0."""
-        if k == 0:
-            return self.h(x)
-        return self._row(x, k)[k]
-
-    def deriv_unkept(self, x: float, k: int) -> float:
-        """``deriv(x, k)``, computed afresh and kept nowhere: for a point that
-        is read once, as a golden-section step is."""
-        if k == 0:
-            return self.h(x)
-        return _jet_derivs(self.ast, x, k, DEFAULT_ORDER_CAP)[k]
+            for i, row in zip(misses, jet_rows(self.ast, [xs[i] for i in misses], k)):
+                if row is not None:
+                    values[i] = row[k]
+        return xs, values
 
     def memo(self, key: tuple, compute):
         """``compute()`` (never None), once per key. A call that raises a

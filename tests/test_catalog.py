@@ -303,15 +303,16 @@ def test_an_extremum_scan_builds_its_grid_once(quartic, monkeypatch, order):
 
 def test_the_h_second_scan_reads_the_h_prime_grid_and_keeps_no_golden_point(quartic, monkeypatch):
     # the h' and h'' scans of [alpha, beta] share one list of abscissae, and
-    # the profile keeps their endpoints, which the anchor reads share, but
-    # none of their golden-section points
+    # the profile keeps that grid and the two extrema, but no point the
+    # scans read on the instance: endpoints and golden-section points
     inst, anch = quartic
     inst = dataclasses.replace(inst)  # an empty profile
     grids = _count_grids(monkeypatch)
     cat._extrema_of_deriv(inst, 1, anch.alpha, anch.beta)
     cat._extrema_of_deriv(inst, 2, anch.alpha, anch.beta)
     assert grids == {(anch.alpha, anch.beta, EXTREMUM_SCAN_POINTS - 2): 1}
-    assert set(inst.profile._jets) == {anch.alpha, anch.beta}
+    assert set(inst.profile._grids) == {(anch.alpha, anch.beta, EXTREMUM_SCAN_POINTS - 2)}
+    assert set(inst.profile._memo) == {("extrema", k, anch.alpha, anch.beta) for k in (1, 2)}
 
 
 def test_instances_are_freed_without_the_collector():
@@ -368,7 +369,9 @@ def test_one_extremum_scan_per_derivative_range_across_methods(quartic, monkeypa
 
 
 def test_lp_remainder_sup_norm_reuses_the_polya_scan(domain_table, monkeypatch):
-    # sup |h''| is max(|inf h''|, |sup h''|) from polya-second's scan
+    # sup |h''| is max(|inf h''|, |sup h''|) from polya-second's scan: the
+    # only kernel calls left are the order-1 jets at alpha and beta that
+    # the two-point Taylor sums read
     kernel_evaluations = _count_kernel_evaluations(monkeypatch)
     inst = make_problem("(x^4+1)^(1/4)-1", 3.0, 2.0, 3.0)  # kernels compiled from here on
     anch = anchors(inst)
@@ -376,7 +379,7 @@ def test_lp_remainder_sup_norm_reuses_the_polya_scan(domain_table, monkeypatch):
     before = Counter(kernel_evaluations)
     calls = _count_extremum_calls(monkeypatch)
     res = cat.run_method(inst, anch, "lp-remainder", (1.0, INF))
-    assert calls == [] and kernel_evaluations == before, kernel_evaluations - before
+    assert calls == [] and kernel_evaluations - before == {1: 2}, kernel_evaluations - before
     # the same bits as a scan of |h''| itself
     _, (_, sup_abs) = numerics.extremum(lambda x: abs(inst.deriv(x, 2)), anch.alpha, anch.beta)
     assert dict(res.extras)["norm"] == sup_abs
@@ -391,11 +394,11 @@ def _patch_everywhere(monkeypatch, name: str, replacement) -> None:
             monkeypatch.setattr(module, name, replacement)
 
 
-def _per_point_jet_rows(ast, xs, order, cap=expr.DEFAULT_ORDER_CAP):
+def _per_point_jet_rows(ast, xs, order):
     rows = []
     for x in xs:
         try:
-            rows.append(expr.jet(ast, x, order, cap).derivs)
+            rows.append(expr.jet(ast, x, order).derivs)
         except DomainError:
             rows.append(None)
     return rows
@@ -418,11 +421,13 @@ def test_sweep_output_does_not_depend_on_the_scan_column(monkeypatch, sweep_repr
 # Kernel evaluations by jet order (None: evaluate) of make_problem, anchors,
 # all 13 methods and the sweep's two REDUCTION re-runs on the quartic. The h'
 # extremum scan reads the 1,023 order-2 rows of the h'' scan, so order 1
-# counts validation's 257-point scan and point reads alone.
-_QUARTIC_KERNEL_EVALUATIONS = {None: 16, 1: 361, 2: 1637, 3: 514, 4: 257}
-# The point reads left to jet (anchor reads, Newton slopes, extremum endpoints
-# and golden-section refinement) number 201; one 257-point gate, 257-point
-# validation scan or 1023-point extremum scan read point by point exceeds this.
+# counts validation's 257-point scan and point reads alone. Point reads are
+# kept nowhere, so an abscissa read by two methods runs its jet twice.
+_QUARTIC_KERNEL_EVALUATIONS = {None: 16, 1: 382, 2: 1643, 3: 514, 4: 257}
+# The calls left to jet are the Newton slopes of h^{-1}(b), 5 here (the
+# instance's point reads run the kernel directly); one 257-point gate,
+# 257-point validation scan or 1023-point extremum scan read point by point
+# through jet exceeds this.
 _QUARTIC_JET_CALL_BOUND = 250
 
 
@@ -487,7 +492,7 @@ def test_sweep_fills_each_gate_grid_once(monkeypatch):
     for (_, _, n), calls in grids.items():
         sizes[n] += calls
     assert sizes == {257: 30, 1023: 10, 33: 10}
-    assert dict(kernel_evaluations) == {None: 2064, 1: 3804, 2: 11420, 3: 2570, 4: 2570}
+    assert dict(kernel_evaluations) == {None: 2064, 1: 4014, 2: 11480, 3: 2570, 4: 2570}
 
 
 def test_the_gate_table_matches_the_estimators(quartic, monkeypatch):
@@ -705,14 +710,15 @@ def test_one_norm_integrates_where_an_endpoint_jet_fails():
 
 
 def test_quadrature_nodes_are_not_kept_in_the_profile(quartic):
-    # finite-exponent norms integrate reads of the instance itself: the
-    # profile keeps no quadrature node, only lp-remainder's two anchor jets
+    # finite-exponent norms integrate reads of the instance itself, and
+    # lp-remainder's two anchor jets are instance reads too: the profile,
+    # which keeps only grids and memos, keeps nothing of them
+    assert young.DerivativeProfile.__slots__ == ("ast", "_grids", "_memo")
     inst, anch = quartic
     inst = dataclasses.replace(inst)
     cat.bound_holder_norm(inst, anch, (0.5, -1.0), (2.0, 2.0))
-    assert len(inst.profile._jets) == 0
     cat.run_method(inst, anch, "lp-remainder", (1.0, 2.0))
-    assert len(inst.profile._jets) == 2
+    assert inst.profile._grids == {} and inst.profile._memo == {}
 
 
 def test_one_norm_integrates_when_the_endpoint_difference_is_rounding():

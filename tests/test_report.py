@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
+import math
 import re
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from youngbounds import catalog as cat
 from youngbounds import cli, expr, report
@@ -604,6 +609,105 @@ def test_cli_builds_its_parser_once_per_process(cli_parser, monkeypatch, capsys)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == single
     assert built.count("young-bounds") == 1
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzzing: any problem file gives exit 0, 1 or 2, never an exception
+# ---------------------------------------------------------------------------
+
+def _family_problem(kind: str, p: float, lam: float, c: float, s_a: float, s_b: float) -> dict:
+    """A member of the sweep's four families, with b = h(s_b * c) <= h(c)."""
+    function = {"power": f"x^{p}", "exp": f"exp({lam}*x)-1",
+                "logquad": f"{lam}*ln(1+x)+x^2", "comp": f"exp({lam}*x^{p})-1"}[kind]
+    b = expr.evaluate(expr.parse_expr(function), s_b * c)
+    return {"function": function, "a": s_a * c, "b": b, "c": c}
+
+
+def _rounded(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi).map(lambda v: round(v, 3))
+
+
+_FAMILY_PROBLEMS = st.builds(
+    _family_problem, st.sampled_from(["power", "exp", "logquad", "comp"]),
+    _rounded(1.2, 5.0), _rounded(0.3, 1.8), _rounded(0.8, 2.0),
+    st.floats(min_value=0.15, max_value=0.95), st.floats(min_value=0.1, max_value=0.9),
+)
+
+_FUZZ_ARGS = st.sampled_from(
+    [0.0, 1.0, 2.0, 3.0, 0.5, 17.0, -1.0, -0.5, math.inf, -math.inf, math.nan, 1e308, -1e308]
+) | st.floats()
+
+
+_METHOD_SPECS = st.builds(lambda name, args: str(MethodSpec(name, tuple(args))),
+                          st.sampled_from(sorted(cat.METHODS)), st.lists(_FUZZ_ARGS, max_size=3))
+
+_MISSING = object()
+_NUMBER_BREAKS = [math.inf, -math.inf, math.nan, -1.0, 0, 1e308, 5e-324, 10 ** 400,
+                  None, True, "1", [1.0], {}, _MISSING]
+# per key of a problem file, values that break it
+_BREAKS = {
+    "function": st.sampled_from([
+        None, 5, ["x"], _MISSING, "", "x^", "y", "x^1e300", "x^1e999", "x^-2", "-x", "1/x",
+        "ln(x)", "sqrt(x)", "x*exp(1e308)", "exp(exp(exp(x)))", "x^" + "9" * 400,
+        "(" * 120 + "x" + ")" * 120, "+".join(["x"] * 300), "1e308*x*x", "x^0.5^0.5",
+    ]) | st.text(alphabet="x0123456789.e+-*/^()", max_size=20),
+    "a": st.sampled_from(_NUMBER_BREAKS),
+    "b": st.sampled_from(_NUMBER_BREAKS),
+    "c": st.sampled_from(_NUMBER_BREAKS),
+    "options": st.sampled_from([
+        [], "x", None, {"taylor_order": 14}, {"taylor_order": -1}, {"taylor_order": 1.5},
+        {"taylor_order": 10 ** 30}, {"taylor_order": math.inf}, {"t_grid": 0},
+        {"t_grid": 10 ** 6}, {"t_grid": 1000}, {"quad_rel_tol": math.nan}, {"quad_rel_tol": 0},
+        {"quad_rel_tol": math.inf}, {"upper_exponent_pairs": [[math.inf, 1]]},
+        {"upper_exponent_pairs": [[2, 2], [1e308, 1]]}, {"lower_exponent_pairs": [["a", 1]]},
+        {"lower_exponent_pairs": [[math.nan, 1]]}, {"assume": "all"}, {"assume": [1]},
+        {"bogus": 1},
+    ]) | st.fixed_dictionaries({}, optional={
+        "taylor_order": st.integers(min_value=-2, max_value=16),
+        "t_grid": st.integers(min_value=-1, max_value=40),
+        "upper_exponent_pairs": st.lists(st.lists(_FUZZ_ARGS, max_size=3), max_size=2),
+        "lower_exponent_pairs": st.lists(st.lists(_FUZZ_ARGS, max_size=3), max_size=2),
+        "assume": st.lists(st.sampled_from(["deriv_nonneg", "deriv_range_2", "nope"])),
+    }),
+    "methods": st.sampled_from([5, {}, [5], "", "nope", [None], [["hoorfar-qi"]], _MISSING]),
+}
+
+
+@st.composite
+def _fuzz_problems(draw) -> dict:
+    """Mostly valid sweep-family problems with method specs; one in four
+    has one field broken."""
+    problem = draw(_FAMILY_PROBLEMS)
+    problem["methods"] = draw(st.lists(_METHOD_SPECS, max_size=4) | st.just("all"))
+    if draw(st.booleans()):
+        problem["options"] = {"taylor_order": draw(st.integers(min_value=0, max_value=3)),
+                              "t_grid": draw(st.integers(min_value=1, max_value=40))}
+    if draw(st.integers(min_value=0, max_value=3)) == 3:
+        key = draw(st.sampled_from(sorted(_BREAKS)))
+        value = draw(_BREAKS[key])
+        if value is _MISSING:
+            problem.pop(key, None)
+        else:
+            problem[key] = value
+    return problem
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(problem=_fuzz_problems())
+# a methods field that is no string or list; f^p past the float range in the
+# L^p norm's quadrature
+@example(problem={"function": "x^2", "a": 1.0, "b": 0.5, "c": 2.0, "methods": 5})
+@example(problem={"function": "exp(1.169*x)-1", "a": 0.62, "b": 1.5, "c": 1.06,
+                  "methods": ["lp-remainder(3,194238.36)"]})
+def test_cli_run_exits_0_1_or_2_on_any_problem_file(tmp_path, problem):
+    path = _write(tmp_path / "fuzz.json", problem)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", str(path), "--format", "json"])
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (problem, code)
+    assert (code == 0) == (err.getvalue() == ""), (problem, err.getvalue())
 
 
 def test_package_exports_every_name_readme_lists():

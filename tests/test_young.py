@@ -196,7 +196,7 @@ def _scan_outcomes(slopes):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(young, "jet_rows", rows)
-        patch.setattr(young, "jet", no_jet)
+        patch.setattr(young, "_jet_derivs", no_jet)  # what inst.deriv reads
         return _outcome(young._check_domain, inst), _outcome(_reference_slope_scan, inst)
 
 
@@ -587,16 +587,19 @@ _PROFILE_POINTS = (0.0, -0.0, 1e-300, 1e-3, 0.0015, 0.5, 1.0, 1.0000001, 2.0, -1
                       min_size=1, max_size=40))
 @example(text="x", reads=[(0.0, 1, False), (-0.0, 1, True)])
 def test_profile_reads_match_unshared_reads(text, reads):
-    # any sequence of reads returns, or raises, what the instance itself gives
+    # the instance's point reads return, or raise, what jet gives, and h
+    # itself, with its h(0+) = 0 rule, at k = 0; the profile keeps none
     inst = ProblemInstance(parse_expr(text), a=1.0, b=0.5, c=2.0)
-    prof = inst.profile
     for x, k, whole in reads:
         if whole:
-            got = _outcome(prof.derivs, x, k)
+            got = _outcome(inst.derivs, x, k)
             want = _outcome(lambda x, k: jet(inst.ast, x, k).derivs, x, k)
         else:
-            got, want = _outcome(prof.deriv, x, k), _outcome(inst.deriv, x, k)
+            got = _outcome(inst.deriv, x, k)
+            want = _outcome(lambda x, k: inst.h(x) if k == 0 else jet(inst.ast, x, k).derivs[k],
+                            x, k)
         assert got == want, (text, x, k, whole)
+    assert inst.profile._grids == {} and inst.profile._memo == {}
 
 
 _PROFILE_BOUNDS = st.sampled_from(_PROFILE_POINTS) | st.floats(min_value=-0.5, max_value=3.0)
@@ -606,7 +609,7 @@ _PROFILE_BOUNDS = st.sampled_from(_PROFILE_POINTS) | st.floats(min_value=-0.5, m
 @given(text=st.sampled_from(_PROFILE_FUNCTIONS),
        reads=st.lists(st.tuples(_PROFILE_BOUNDS, _PROFILE_BOUNDS,
                                 st.integers(min_value=1, max_value=6),
-                                st.integers(min_value=0, max_value=6),
+                                st.integers(min_value=1, max_value=6),
                                 st.integers(min_value=0, max_value=6)),
                       min_size=1, max_size=12))
 @example(text="x", reads=[(-0.0, 0.0, 2, 2, 0), (0.0, -0.0, 2, 1, 0)])
@@ -615,20 +618,17 @@ _PROFILE_BOUNDS = st.sampled_from(_PROFILE_POINTS) | st.floats(min_value=-0.5, m
 @example(text="exp(-1/x)", reads=[(0.0, 3e-120, 2, 1, 2), (0.0, 3e-120, 2, 2, 0),
                                   (0.0, 3e-120, 2, 1, 0), (0.0, 3e-120, 2, 3, 0)])
 def test_profile_column_reads_match_unshared_reads(text, reads):
-    # a grid column is deriv at each abscissa of the grid, None where it
-    # raises DomainError, whatever order the grid's rows were kept at, and
-    # later point reads still match the instance
+    # a grid column is the grid's abscissae and deriv at each, None where it
+    # raises DomainError, whatever order the grid's rows were kept at
     inst = ProblemInstance(parse_expr(text), a=1.0, b=0.5, c=2.0)
     prof = inst.profile
     for lo, hi, n, k, fill in reads:
         xs = interior_grid(lo, hi, n)
         want = [_outcome(inst.deriv, x, k) for x in xs]
-        got = prof.column(lo, hi, n, k, fill)
+        got_xs, got = prof.column(lo, hi, n, k, fill)
+        assert repr(got_xs) == repr(xs), (text, lo, hi, n)
         assert [("value", repr(v)) if v is not None else DomainError for v in got] == [
             w if w[0] == "value" else w[0] for w in want], (text, lo, hi, n, k, fill)
-        for x in xs:
-            assert _outcome(prof.derivs, x, k) == _outcome(
-                lambda x, k: jet(inst.ast, x, k).derivs, x, k), (text, x, k)
 
 
 def test_an_order_upgrade_keeps_the_abscissae(monkeypatch):
@@ -648,24 +648,22 @@ def test_an_order_upgrade_keeps_the_abscissae(monkeypatch):
 
 
 def test_failed_column_miss_leaves_no_entry():
-    # a grid read keeps no point row; a point read where the grid's jet
-    # failed raises what the instance raises
+    # a grid read keeps its one batch and nothing else: a point where the
+    # grid's jet failed is None, and its instance read raises
     inst = ProblemInstance(parse_expr("x^2.5"), a=1.0, b=0.5, c=2.0)
     prof = inst.profile
-    assert prof.column(-1.0, 1.0, 3, 2) == [None, None, inst.deriv(0.5, 2)]  # -0.5, 0, 0.5
-    assert prof._jets == {}
-    with pytest.raises(DomainError) as got:
-        prof.deriv(0.0, 2)
-    with pytest.raises(DomainError) as want:
+    assert prof.column(-1.0, 1.0, 3, 2) == ([-0.5, 0.0, 0.5], [None, None, inst.deriv(0.5, 2)])
+    rows = [None, None, inst.derivs(0.5, 2)]
+    assert prof._grids == {(-1.0, 1.0, 3): (2, [-0.5, 0.0, 0.5], rows)}
+    with pytest.raises(DomainError):
         inst.deriv(0.0, 2)
-    assert str(got.value) == str(want.value)
-    assert prof._jets == {}
     # a point read again at a lower order is not kept: the grid keeps the
     # rows of its one batch, at its one order
     prof = ProblemInstance(parse_expr("exp(-1/x)"), a=1.0, b=0.5, c=2.0).profile
-    assert prof.column(0.0, 3e-120, 2, 1, fill=2) == [0.0, 0.0]
-    assert prof._grids == {(0.0, 3e-120, 2): (2, interior_grid(0.0, 3e-120, 2), [None, None])}
-    assert prof._jets == {}
+    xs = interior_grid(0.0, 3e-120, 2)
+    assert prof.column(0.0, 3e-120, 2, 1, fill=2) == (xs, [0.0, 0.0])
+    assert prof._grids == {(0.0, 3e-120, 2): (2, xs, [None, None])}
+    assert prof._memo == {}
 
 
 def test_memo_remembers_a_typed_failure():
@@ -697,12 +695,19 @@ def test_memo_remembers_a_typed_failure():
 
 
 def test_column_orders_fail_as_deriv_does():
-    # the grid [0.5] kept at order 3 serves no bad order, with or without fill
-    prof = ProblemInstance(parse_expr("x^3"), a=1.0, b=0.5, c=2.0).profile
+    # the grid [0.5] kept at order 3 serves no bad order, with or without
+    # fill, and keeps its entry; the orders 1..3 it serves read its rows
+    inst = ProblemInstance(parse_expr("x^3"), a=1.0, b=0.5, c=2.0)
+    prof = inst.profile
     prof.column(0.0, 1.0, 1, 3)
+    entry = prof._grids[0.0, 1.0, 1]
     for fill in (0, 2):
         for k in (-1, 17):
-            assert _outcome(prof.column, 0.0, 1.0, 1, k, fill) == _outcome(prof.deriv, 0.5, k)
+            assert _outcome(prof.column, 0.0, 1.0, 1, k, fill) == _outcome(inst.deriv, 0.5, k)
+    assert prof._grids == {(0.0, 1.0, 1): entry}
+    for k in (1, 2, 3):
+        assert prof.column(0.0, 1.0, 1, k) == ([0.5], [inst.deriv(0.5, k)])
+    assert prof._grids[0.0, 1.0, 1] is entry
 
 
 # ---------------------------------------------------------------------------

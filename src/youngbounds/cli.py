@@ -14,7 +14,13 @@ import functools
 import json
 import sys
 
-from .errors import ParseError, ValidationError, YoungBoundsError
+from .errors import (
+    ExprSyntaxError,
+    ParseError,
+    UnsupportedFeatureError,
+    ValidationError,
+    YoungBoundsError,
+)
 from .report import (
     load_problem,
     parse_method_spec,
@@ -110,7 +116,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except YoungBoundsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        # a function text that does not parse is malformed input too
+        return 2 if isinstance(exc, (ExprSyntaxError, UnsupportedFeatureError)) else 1
 
 
 if __name__ == "__main__":

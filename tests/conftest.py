@@ -1,9 +1,16 @@
-"""Shared fixtures and the acceptance-criterion summary hook."""
+"""Shared fixtures, the acceptance-criterion summary hook, and every way a
+test watches work: ``kernel_runs``, ``spy`` and ``patch_everywhere``."""
 
 from __future__ import annotations
 
+import contextlib
+import inspect
 import random
+import sys
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,6 +48,105 @@ def domain_table(monkeypatch):
     table = expr._LruTable(young._DOMAIN_TABLE_CHARS)
     monkeypatch.setattr(young, "_domain_table", table)
     return table
+
+
+# expr's private steps a test can spy on or replace: one tokenization per
+# parse, one factory emission per kernel shape and order, and the point jet
+# behind ``inst.deriv`` and ``inst.derivs``
+TOKENIZE = expr._tokenize
+EMIT = expr._factory_source
+POINT_JET = expr._jet_derivs
+
+
+@contextlib.contextmanager
+def patched(original, replacement):
+    """``replacement`` in place of ``original`` in every youngbounds module
+    that binds it, for the ``with`` block; one such module at least, so a
+    spy that could see nothing fails here."""
+    name = original.__name__
+    modules = [m for key, m in list(sys.modules.items())
+               if key.split(".")[0] == "youngbounds" and getattr(m, name, None) is original]
+    assert modules, f"no youngbounds module binds {name}"
+    with pytest.MonkeyPatch.context() as patch:
+        for module in modules:
+            patch.setattr(module, name, replacement)
+        yield
+
+
+@contextlib.contextmanager
+def spied(original):
+    """The calls of ``original`` through any youngbounds module, in call
+    order, each its arguments by parameter name, for the ``with`` block."""
+    calls: list = []
+    signature = inspect.signature(original)
+
+    def spy(*args, **kwargs):
+        calls.append(SimpleNamespace(**signature.bind(*args, **kwargs).arguments))
+        return original(*args, **kwargs)
+
+    with patched(original, spy):
+        yield calls
+
+
+@pytest.fixture
+def patch_everywhere():
+    """:func:`patched` until the test ends: ``patch_everywhere(f, g)``."""
+    with contextlib.ExitStack() as stack:
+        yield lambda original, replacement: stack.enter_context(patched(original, replacement))
+
+
+@pytest.fixture
+def spy():
+    """:func:`spied` until the test ends: ``calls = spy(f)``."""
+    with contextlib.ExitStack() as stack:
+        yield lambda original: stack.enter_context(spied(original))
+
+
+@dataclass
+class KernelRuns:
+    """The kernels compiled while it watches: ``compiled`` holds the order of
+    each compile and ``runs`` the (order, abscissae) of each kernel call, in
+    call order; order None is evaluate's kernel."""
+
+    compiled: list = field(default_factory=list)
+    runs: list = field(default_factory=list)
+
+    def evaluations(self) -> Counter:
+        """Kernel evaluations by order: one per abscissa of a run."""
+        counts: Counter = Counter()
+        for order, xs in self.runs:
+            counts[order] += len(xs)
+        return counts
+
+    def abscissae(self, order) -> list[float]:
+        """The abscissae the kernels of ``order`` ran at, in call order."""
+        return [x for o, xs in self.runs if o == order for x in xs]
+
+    def clear(self) -> None:
+        self.compiled.clear()
+        self.runs.clear()
+
+
+@pytest.fixture
+def kernel_runs():
+    """A :class:`KernelRuns` of the kernels compiled from here on; those of a
+    tree compiled before, an instance's copy included, are not watched."""
+    runs = KernelRuns()
+    compile_kernel = expr._compile
+
+    def watched_compile(root, order):
+        kernel = compile_kernel(root, order)
+        runs.compiled.append(order)
+
+        def watched(xs):
+            runs.runs.append((order, xs))
+            return kernel(xs)
+
+        watched.__wrapped__ = kernel
+        return watched
+
+    with patched(compile_kernel, watched_compile):
+        yield runs
 
 
 def _sweep_reprs(count: int) -> list[str]:

@@ -1,6 +1,6 @@
-"""Reference closed forms of the taylor-lagrange, taylor-jensen and
-taylor-cebysev bounds, and of the gap they bound, in 50-digit mpmath
-arithmetic.
+"""Reference closed forms of the hoorfar-qi, hh-cebysev, jensen-first,
+taylor-lagrange, taylor-jensen, taylor-cebysev and taylor-product-hh bounds,
+and of the gap or remainder they bound, in 50-digit mpmath arithmetic.
 
 The families are h(x) = x^p and h(x) = exp(lam*x) - 1, whose derivatives,
 inverse and Young gap are known in closed form, and h(x) = lam*ln(1+x) + x^2,
@@ -174,10 +174,67 @@ def cebysev(h, a: float, b: float, n: int, slope_sign: int):
         return (None, value) if upper else (value, None)
 
 
+def hoorfar_qi(h, a: float, b: float):
+    """(lower, upper) on GAP = integral_{x0}^{a} (h(x) - h(x0)) dx: the mean
+    value theorem puts h(x) - h(x0) between m (x - x0) and M (x - x0), m and
+    M the extremes of a monotone h', at a and x0, so GAP lies between
+    d^2/2 times each. This is ``lagrange`` at n = 0, where T_0 = 0."""
+    return lagrange(h, a, b, 0)
+
+
+def hh_cebysev(h, a: float, b: float):
+    """(lower, upper) on GAP = d times the mean of h - b between x0 and a:
+    Hermite-Hadamard puts that mean of a convex or concave h between its
+    midpoint value h((a + x0)/2) - b and its trapezoid value (h(a) - b)/2,
+    as h(x0) = b; d times each, the pair sorted."""
+    with mpmath.workdps(DPS):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        x0 = h.inverse(b)
+        d = a_ - x0
+        sides = [d * (h.deriv((a_ + x0) / 2, 0) - b_), d / 2 * (h.deriv(a_, 0) - b_)]
+        return min(sides), max(sides)
+
+
+def jensen_first(h, a: float, b: float):
+    """(lower, upper) on GAP = integral_{x0}^{a} h'(t) (a - t) dt, by parts:
+    Jensen for the (a - t)-weighted mean of a convex or concave h', whose
+    weight is d^2/2 and whose mean point is (a + 2 x0)/3. This is ``jensen``
+    at n = 0, where REMAINDER(0) = GAP."""
+    return jensen(h, a, b, 0)
+
+
+def product_hh(h, a: float, b: float, n: int):
+    """(lower, upper) on REMAINDER(n) = d^(n+2)/(n+1)! integral_0^1 F G, with
+    F(s) = h^(n+1)(x0 + s d) and G(s) = (1 - s)^(n+1), both nonnegative and
+    convex when h^(n+1) >= 0 and h^(n+3) >= 0. The product estimate for two
+    such functions, with M = F(0)G(0) + F(1)G(1) and N = F(0)G(1) + F(1)G(0),
+
+        2 F(1/2) G(1/2) - M/6 - N/3 <= integral_0^1 F G <= M/3 + N/6,
+
+    has M = F(0) and N = F(1) here, as G(0) = 1 and G(1) = 0; times the
+    signed kernel, the pair sorted."""
+    with mpmath.workdps(DPS):
+        a_ = mpmath.mpf(a)
+        x0 = h.inverse(b)
+        d = a_ - x0
+        f_0, f_1, f_half = (h.deriv(x, n + 1) for x in (x0, a_, (a_ + x0) / 2))
+        g_half = mpmath.mpf(2) ** -(n + 1)
+        kernel = d ** (n + 2) / mpmath.factorial(n + 1)
+        sides = [kernel * (2 * f_half * g_half - f_0 / 6 - f_1 / 3), kernel * (f_0 / 3 + f_1 / 6)]
+        return min(sides), max(sides)
+
+
+def signs(h, lo: float, hi: float, k: int) -> set[int]:
+    """The signs of h^(k) at 65 evenly spaced points of [lo, hi], x = 0 left
+    out: a sign hypothesis decided in 50 digits."""
+    with mpmath.workdps(DPS):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        xs = (lo + (hi - lo) * i / 64 for i in range(65))
+        return {_sign(h.deriv(x, k)) for x in xs if x != 0}
+
+
 def slope_sign(h, lo: float, hi: float, n: int) -> int:
     """The sign of h^(n+2) on [lo, hi], which is one sign in every family
     here: the direction of h^(n+1)."""
-    with mpmath.workdps(DPS):
-        signs = {_sign(h.deriv(x, n + 2)) for x in (mpmath.mpf(lo), mpmath.mpf(hi))}
-    (sign,) = signs
+    (sign,) = signs(h, lo, hi, n + 2)
     return sign

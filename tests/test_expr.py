@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import pickle
 import sys
@@ -13,6 +14,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import EMIT, POINT_JET, TOKENIZE, spied
 from reference_expr import _eval_node, _jet_node
 
 from youngbounds import expr, sweep
@@ -171,15 +173,10 @@ def test_exponent_that_folds_badly_is_unsupported():
         parse_expr("x^ln(-1)")
 
 
-def test_a_parse_error_is_raised_on_every_call(monkeypatch):
-    tokenized = []
-    tokenize = expr._tokenize
-
-    def counted(text):
-        tokenized.append(text)
-        return tokenize(text)
-
-    monkeypatch.setattr(expr, "_tokenize", counted)
+@pytest.mark.workcount
+def test_a_parse_error_is_raised_on_every_call(spy):
+    # fails when a parse failure or a tree is kept and served again
+    tokenize_calls = spy(TOKENIZE)
     errors, trees = [], []
     for _ in range(3):
         with pytest.raises(ExprSyntaxError) as err:
@@ -189,6 +186,7 @@ def test_a_parse_error_is_raised_on_every_call(monkeypatch):
             parse_expr("2^x")
         trees.append(parse_expr("x+1"))
     # nothing is kept between parses, a failure or a tree
+    tokenized = [call.text for call in tokenize_calls]
     assert tokenized == ["x+$", "2^x", "x+1"] * 3
     assert trees[0] == trees[1] == trees[2] and trees[0] is not trees[1]
     assert len({id(e) for e in errors}) == 3
@@ -617,6 +615,7 @@ _DROPPED_NON_FINITE = [
 ]
 
 
+@pytest.mark.workcount
 @pytest.mark.parametrize("text,x,message", _DROPPED_NON_FINITE,
                          ids=[c[0] for c in _DROPPED_NON_FINITE])
 def test_a_non_finite_dropped_term_falls_back_to_the_exact_kernel(code_table, text, x, message):
@@ -639,6 +638,7 @@ def test_a_non_finite_dropped_term_falls_back_to_the_exact_kernel(code_table, te
 _ROW_POINTS = [0.0, -0.0, -1.5, -3.3, 1e-300, 1e300, 2.0, 0.5, math.inf, math.nan]
 
 
+@pytest.mark.workcount
 @settings(max_examples=300, deadline=None)
 @given(tree=st.one_of(_any_trees(),
                       _any_trees().map(lambda tree: BinOp("+", tree, Pow(Var(), 1e300)))),
@@ -656,29 +656,18 @@ def test_evaluate_rows_matches_evaluate_point_by_point(tree, xs):
     assert _outcome(evaluate_rows, ast, xs) == want, (serialize(tree), xs)
 
 
-def test_evaluate_rows_runs_the_kernel_once_per_batch(monkeypatch):
+def test_evaluate_rows_runs_the_kernel_once_per_batch(kernel_runs):
     # a batch that succeeds is one kernel call; one that fails is read again
     # point by point
-    calls = []
-    compile_kernel = expr._compile
-
-    def recorded_compile(root, order):
-        kernel = compile_kernel(root, order)
-
-        def recorded(xs):
-            calls.append(len(xs))
-            return kernel(xs)
-
-        return recorded
-
-    monkeypatch.setattr(expr, "_compile", recorded_compile)
     ast = parse_expr("ln(x)")
     xs = [0.5 + i / 16 for i in range(15)]
     assert evaluate_rows(ast, xs) == [evaluate(ast, x) for x in xs]
+    calls = [len(run) for _, run in kernel_runs.runs]
     assert calls == [15] + [1] * 15
-    calls.clear()
+    kernel_runs.clear()
     with pytest.raises(DomainError, match=r"^ln of nonpositive value -0\.5$"):
         evaluate_rows(ast, [1.0, -0.5, 2.0])
+    calls = [len(run) for _, run in kernel_runs.runs]
     assert calls == [3, 1, 1]
 
 
@@ -712,31 +701,18 @@ def _reference_jet_rows(ast, xs, order):
     return rows
 
 
-def test_sweep_output_matches_reference_walkers(monkeypatch, sweep_reprs):
+def test_sweep_output_matches_reference_walkers(patch_everywhere, sweep_reprs):
     """The whole pipeline, on this machine's libm: the same bounds."""
     compiled = sweep_reprs(10)
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "youngbounds"]:
-        if getattr(module, "jet", None) is jet:
-            monkeypatch.setattr(module, "jet", _reference_jet)
-        if getattr(module, "jet_rows", None) is jet_rows:
-            monkeypatch.setattr(module, "jet_rows", _reference_jet_rows)
-        if getattr(module, "_jet_derivs", None) is expr._jet_derivs:  # the instance's reads
-            monkeypatch.setattr(module, "_jet_derivs",
-                                lambda ast, x, order: _reference_jet(ast, x, order).derivs)
-        if getattr(module, "evaluate", None) is evaluate:
-            monkeypatch.setattr(module, "evaluate", _reference_evaluate)
+    patch_everywhere(jet, _reference_jet)
+    patch_everywhere(jet_rows, _reference_jet_rows)
+    patch_everywhere(POINT_JET, lambda ast, x, order: _reference_jet(ast, x, order).derivs)
+    patch_everywhere(evaluate, _reference_evaluate)
     assert sweep_reprs(10) == compiled
 
 
-def test_kernel_compiles_once_per_ast_and_order(monkeypatch):
-    compiled = []
-    original = expr._compile
-
-    def counted(root, order):
-        compiled.append(order)
-        return original(root, order)
-
-    monkeypatch.setattr(expr, "_compile", counted)
+def test_kernel_compiles_once_per_ast_and_order(kernel_runs):
+    compiled = kernel_runs.compiled
     ast = parse_expr("exp(-1/x)")
     for _ in range(3):
         evaluate(ast, 0.7)
@@ -747,9 +723,10 @@ def test_kernel_compiles_once_per_ast_and_order(monkeypatch):
     jet(twin, 0.7, 1)
     assert compiled[-1] == 1 and len(compiled) == 5
     assert twin == ast and hash(twin) == hash(ast) and "_kernels" not in repr(ast)
-    # its own kernel, running the code compiled for the first
-    assert twin._kernels[1] is not ast._kernels[1]
-    assert twin._kernels[1].__code__ is ast._kernels[1].__code__
+    # its own kernel, running the code compiled for the first (each is read
+    # past the wrapper kernel_runs watches it through)
+    own, first = (inspect.unwrap(k._kernels[1]) for k in (twin, ast))
+    assert own is not first and own.__code__ is first.__code__
 
 
 def _free_value(kernel, name: str):
@@ -841,6 +818,7 @@ def test_code_table_stays_within_its_character_bound(monkeypatch):
     assert code_table._entries == kept and code_table.chars == chars
 
 
+@pytest.mark.workcount
 def test_sweep_compiles_each_kernel_source_once(code_table, monkeypatch):
     # sweep(42, 10) parses 10 functions and builds 50 kernels, which share
     # 15 shapes and orders, each compiled once; without the table each
@@ -857,6 +835,7 @@ def test_sweep_compiles_each_kernel_source_once(code_table, monkeypatch):
     assert code_table.chars == sum(map(len, sources))
 
 
+@pytest.mark.workcount
 @pytest.mark.parametrize("first,second", [("x^0", "x^-0.5"), ("x^1", "x^0.5")])
 def test_integer_and_fractional_exponents_key_apart(code_table, first, second):
     # a fractional exponent keys its sign as a string, since a bool or a
@@ -905,6 +884,7 @@ def _rebuilt(node, const, fractional):
     return node
 
 
+@pytest.mark.workcount
 @settings(max_examples=200, deadline=None)
 @given(tree=_any_trees(), data=st.data(),
        xs=st.lists(st.sampled_from(_EDGE_FLOATS + [-3.3]) | st.floats(-5.0, 5.0),
@@ -919,19 +899,12 @@ def test_same_shape_trees_share_one_emission_per_order(tree, data, xs):
     trees = [_rebuilt(tree, lambda v: data.draw(_CONSTANTS),
                       lambda c: data.draw(_fractional(c))) for _ in range(2)]
     orders = (None, 0, 1, 2, 4)
-    emitted = []
-    emit = expr._factory_source
-
-    def counted(shape, order):
-        emitted.append(order)
-        return emit(shape, order)
-
-    with mock.patch.object(expr, "_code_table", expr._CodeTable()), \
-            mock.patch.object(expr, "_factory_source", counted):
+    with mock.patch.object(expr, "_code_table", expr._CodeTable()), spied(EMIT) as emissions:
         _assert_runs_as_walkers(twin, xs, orders)
-        emitted.clear()
+        emissions.clear()
         for t in [tree] + trees:
             _assert_runs_as_walkers(t, xs, orders)
+    emitted = [call.order for call in emissions]
     assert len({expr._shape(t)[0] for t in [tree] + trees}) == 1
     shared = expr._shape(twin)[0] == expr._shape(tree)[0]  # no fractional exponent
     # a jet whose kernel fails at some abscissa also emits, once, its exact
@@ -943,22 +916,18 @@ def test_same_shape_trees_share_one_emission_per_order(tree, data, xs):
     assert {order for _, order in exact} <= {0, 1, 2, 4}
 
 
-def test_sweep_emits_each_kernel_shape_once(code_table, monkeypatch):
+@pytest.mark.workcount
+def test_sweep_emits_each_kernel_shape_once(code_table, spy):
     # the 50 kernels of sweep(42, 10) are 15 factory emissions, one per
     # shape and order; keyed by tree, every kernel was emitted
-    emitted = []
-    emit = expr._factory_source
-
-    def counted(shape, order):
-        emitted.append((shape, order))
-        return emit(shape, order)
-
-    monkeypatch.setattr(expr, "_factory_source", counted)
+    emissions = spy(EMIT)
     sweep(42, 10)
+    emitted = [(call.shape, call.order) for call in emissions]
     assert len(emitted) == len(set(emitted)) == 15
     assert len(code_table._entries) == 15
 
 
+@pytest.mark.workcount
 def test_sweep_fsum_calls_are_pinned(code_table, monkeypatch):
     # jet kernels call fsum only at sums of three or more live terms and
     # where a plain sum is not finite: none in sweep(42, 10), as a site of

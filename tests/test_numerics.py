@@ -168,6 +168,7 @@ _FAMILY_TEXTS = st.one_of(
 )
 
 
+@pytest.mark.workcount
 @settings(max_examples=150, deadline=None)
 @given(integrand=st.one_of(
            st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8).map(lambda cs: ("poly", cs)),
@@ -194,6 +195,7 @@ def test_batch_integrate_matches_the_scalar_loop(integrand, lo, hi, rel_tol):
 _TINY = 1.0 + 2 * math.ulp(1.0)
 
 
+@pytest.mark.workcount
 @pytest.mark.parametrize("f,lo,hi,rel_tol,max_evals,message", [
     # an interior DomainError: the first failing node of the first panel,
     # through the evaluate kernel batch
@@ -363,6 +365,7 @@ _SCAN_VALUES = st.lists(
 )
 
 
+@pytest.mark.workcount
 @settings(max_examples=500, deadline=None)
 @given(values=_SCAN_VALUES, flip=st.sampled_from((1.0, -1.0)))
 @example(values=[0.0, -0.0], flip=1.0)

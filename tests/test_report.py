@@ -328,6 +328,7 @@ def test_the_spike_jet_fails_on_its_gate_grid_from_order_4():
     assert [row is None for row in rows] == [False] * 3 + [True] * 3
 
 
+@pytest.mark.workcount
 @pytest.mark.parametrize("problem", list(_FILL_PROBLEMS))
 def test_the_gate_fill_changes_no_bits(monkeypatch, problem):
     # run_report fills each gate grid once, at the highest order its methods
@@ -424,6 +425,7 @@ def test_verify_golden_reports_bad_method_arguments(tmp_path, golden_dir, text):
 _SWEEP_REPRS_100_SHA256 = "2b25ee506c511877731e9e7cc612034ad019ca4aafad9078cc6a51c8a21a5c54"
 
 
+@pytest.mark.workcount
 def test_sweep_bounds_are_pinned(sweep_reprs):
     """Every bound and oracle value of the first 100 sweep(42, ·) instances,
     pinned by digest: some changes show on one instance only (taking hi for
@@ -541,6 +543,22 @@ def test_cli_run_reports_invalid_input_without_traceback(tmp_path, payload):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("function,message", [
+    ("x^", "ExprSyntaxError: expected a value, found 'end of input' (offset 2)"),
+    ("y", "ExprSyntaxError: unknown identifier 'y' (offset 0)"),
+    ("(-4", "ExprSyntaxError: expected ')', found 'end of input' (offset 3)"),
+    ("x^1e999", "UnsupportedFeatureError: exponent folds to non-finite value inf"),
+    ("(" * 120 + "x" + ")" * 120,
+     "ExprSyntaxError: expression nested deeper than 100 levels (offset 100)"),
+], ids=["dangling-power", "unknown-name", "open-paren", "huge-exponent", "deep-nesting"])
+def test_cli_run_exits_2_on_a_malformed_function(tmp_path, capsys, function, message):
+    # a function text that does not parse is an input error, as a bad field
+    # is; the message names the error class
+    p = _write(tmp_path / "p.json", {"function": function, "a": 1.0, "b": 0.5, "c": 2.0})
+    assert cli.main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("options", _MISTYPED_OPTIONS + ([1],),
                          ids=_MISTYPED_IDS + ("options-not-an-object",))
 def test_cli_run_rejects_mistyped_options(tmp_path, options):
@@ -588,7 +606,9 @@ def cli_parser():
     cli._build_parser.cache_clear()
 
 
+@pytest.mark.workcount
 def test_cli_builds_its_parser_once_per_process(cli_parser, monkeypatch, capsys):
+    # fails when the CLI builds its argument parser again within a process
     from conftest import REPO_ROOT
     argv = ["run", str(REPO_ROOT / "problems" / "cubic.json"), "--format", "json"]
     assert cli.main(argv) == 0
@@ -708,6 +728,9 @@ def test_cli_run_exits_0_1_or_2_on_any_problem_file(tmp_path, problem):
     event(f"exit {code}")
     assert code in (0, 1, 2), (problem, code)
     assert (code == 0) == (err.getvalue() == ""), (problem, err.getvalue())
+    malformed = err.getvalue().startswith(("error: ExprSyntaxError:",
+                                           "error: UnsupportedFeatureError:"))
+    assert code == 2 or not malformed, (problem, code, err.getvalue())
 
 
 def test_package_exports_every_name_readme_lists():

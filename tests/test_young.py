@@ -17,6 +17,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import EMIT, POINT_JET, TOKENIZE, patched
 from reference_quadrature import rows
 
 from youngbounds import expr, report, young
@@ -194,9 +195,7 @@ def _scan_outcomes(slopes):
     def no_jet(ast, x, order):
         raise DomainError(f"no jet at x={x!r}")
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(young, "jet_rows", rows)
-        patch.setattr(young, "_jet_derivs", no_jet)  # what inst.deriv reads
+    with patched(expr.jet_rows, rows), patched(POINT_JET, no_jet):
         return _outcome(young._check_domain, inst), _outcome(_reference_slope_scan, inst)
 
 
@@ -224,7 +223,10 @@ def _slopes(base, changes):
 ], ids=["floor", "below-floor", "floor-then-below", "negative-zeros", "one-tiny-slope",
         "zeros", "zeros-and-floor", "steep", "failed-then-negative", "negative-then-failed",
         "zeros-then-failed"])
+@pytest.mark.workcount
 def test_validation_verdict_matches_the_point_by_point_scan(base, changes, verdict):
+    # validation's two-reduction verdict and message against the walk over
+    # every point of the h' scan: fails when either changes
     slopes = _slopes(base, changes)
     got, want = _scan_outcomes(slopes)
     assert got == want
@@ -243,36 +245,35 @@ def test_validation_verdict_matches_the_point_by_point_scan(base, changes, verdi
 _SLOPES = [1.0, 1e-300, 0.0, -0.0, -1e-12, _BELOW_FLOOR, -5e-13, -1.0, -1e-300, 2e300, None]
 
 
+@pytest.mark.workcount
 @settings(max_examples=200, deadline=None)
 @given(base=st.sampled_from([1.0, 1e-300, 0.0, -0.0, -1e-12]),
        changes=st.dictionaries(st.integers(min_value=0, max_value=SCAN_POINTS - 1),
                                st.sampled_from(_SLOPES), max_size=4))
 def test_random_validation_verdicts_match_the_point_by_point_scan(base, changes):
+    # as above, on drawn slopes: fails when a verdict or message changes
     got, want = _scan_outcomes(_slopes(base, changes))
     assert got == want
 
 
-def test_make_problem_reuses_the_kernels_of_its_text(code_table, domain_table, monkeypatch):
+@pytest.mark.workcount
+def test_make_problem_reuses_the_kernels_of_its_text(code_table, domain_table, spy):
     # make_problem evaluates h and scans h' at order 1: two kernels, emitted
     # for the first instance of the text and called with the constants of
     # every later one, of this text or another of its shape
-    emitted = []
-    emit = expr._factory_source
-
-    def counted(shape, order):
-        emitted.append(order)
-        return emit(shape, order)
-
-    monkeypatch.setattr(expr, "_factory_source", counted)
+    emissions = spy(EMIT)
     first = make_problem("x^3+0.5*x", 1.0, 0.5, 2.0)
     for text, a, b in (("x^3+0.5*x", 0.5, 1.0), ("x^3+2*x", 1.5, 1.5**3 + 3.0)):
         assert make_problem(text, a, b, 2.0).ast is not first.ast
+    emitted = [call.order for call in emissions]
     assert sorted(emitted, key=str) == [1, None]
 
 
+@pytest.mark.workcount
 def test_threads_building_one_text_get_identical_oracles(domain_table, monkeypatch):
     # 8 threads parse one text, build its kernels from an empty code table
-    # and run the oracle at once, switching every microsecond
+    # and run the oracle at once, switching every microsecond: fails when
+    # racing threads see different oracles
     text = "exp(0.7*x^1.3)-1"
     want = repr(oracle(make_problem(parse_expr(text), 1.2, 0.9, 2.0)))
     monkeypatch.setattr(expr, "_code_table", expr._CodeTable())
@@ -298,65 +299,55 @@ def test_threads_building_one_text_get_identical_oracles(domain_table, monkeypat
     assert list(got.values()) == [want] * 8
 
 
-def _count_work(monkeypatch) -> Counter:
-    """Tokenizations (key "tokenize") and kernel evaluations by jet order
-    (None: evaluate) of kernels compiled from here on."""
-    work: Counter = Counter()
-    tokenize, compile_kernel = expr._tokenize, expr._compile
-
-    def counted_tokenize(text):
-        work["tokenize"] += 1
-        return tokenize(text)
-
-    def counted_compile(root, order):
-        kernel = compile_kernel(root, order)
-
-        def counted(xs):
-            work[order] += len(xs)
-            return kernel(xs)
-
-        return counted
-
-    monkeypatch.setattr(expr, "_tokenize", counted_tokenize)
-    monkeypatch.setattr(expr, "_compile", counted_compile)
-    return work
+def _work(tokenized, kernel_runs) -> Counter:
+    """Tokenizations (key "tokenize", from a spy of TOKENIZE) and kernel
+    evaluations by jet order (None: evaluate), zero counts left out."""
+    return kernel_runs.evaluations() + Counter(tokenize=len(tokenized))
 
 
+@pytest.mark.workcount
 def test_a_second_instance_of_a_text_and_c_skips_the_parse_and_the_domain_check(
-        domain_table, monkeypatch):
+        domain_table, kernel_runs, spy):
     # the first make_problem of (text, c) parses the text and scans h' at 257
     # points; later ones, at any a and b, an int c included, build a fresh
     # tree on the kept root and only compare b with the kept h(c)
     text = "x^3+0.5*x"
-    work = _count_work(monkeypatch)
+    tokenized = spy(TOKENIZE)
     first = make_problem(text, 1.0, 0.5, 2.0)
+    work = _work(tokenized, kernel_runs)
     assert work["tokenize"] == 1 and work[1] == SCAN_POINTS
     assert domain_table.get((text, 2.0)) == (first.ast.root, 9.0)
     assert domain_table.chars == len(text) + young._ENTRY_CHARS
     tree = parse_expr(text)
-    work.clear()
+    tokenized.clear()
+    kernel_runs.clear()
     for a, b, c in ((0.5, 1.0, 2.0), (1.5, 9.0, 2)):
         inst = make_problem(text, a, b, c)
         assert inst == ProblemInstance(tree, float(a), float(b), 2.0)
         assert inst.ast is not first.ast and inst.ast.root is first.ast.root
         assert inst.ast.source == text and inst.ast._kernels == {}
+    work = _work(tokenized, kernel_runs)
     assert work == {}
     # a b above the kept h(c) fails as a cold b test does
     with pytest.raises(ValidationError, match=r"^b: must be <= h\(c\) = 9.0, got 9.5$"):
         make_problem(text, 1.0, 9.5, 2.0)
+    work = _work(tokenized, kernel_runs)
     assert work == {}
 
 
-def test_a_second_instance_with_c_omitted_skips_the_domain_check(domain_table, monkeypatch):
+@pytest.mark.workcount
+def test_a_second_instance_with_c_omitted_skips_the_domain_check(domain_table, kernel_runs, spy):
     # with c omitted the text is parsed to default c, and the table is read
     # for that c: a second call parses again, but runs no h' scan of (0, c)
     text = "x^2.5"
-    work = _count_work(monkeypatch)
+    tokenized = spy(TOKENIZE)
     first = make_problem(text, 1.0, 0.5)
-    cold = Counter(work)
+    cold = _work(tokenized, kernel_runs)
     assert domain_table.get((text, first.c)) == (first.ast.root, 1.0)
-    work.clear()
+    tokenized.clear()
+    kernel_runs.clear()
     assert make_problem(text, 1.0, 0.5) == first
+    work = _work(tokenized, kernel_runs)
     assert work["tokenize"] == cold["tokenize"] == 1
     assert cold[1] - work[1] == SCAN_POINTS
 
@@ -394,6 +385,7 @@ _INVALID_TEXTS = ("x+$", "2^x", "x^2+1", "x-x^2", "ln(x)", "1-exp(-x)-x^3", "0*x
                   "1e-15*x", "exp(-1/x)", "x+0.1*((x-1)^2)^(2/3)", "sqrt(x)-x")
 
 
+@pytest.mark.workcount
 @settings(max_examples=150, deadline=None)
 @given(text=st.one_of(*_FAMILY_TEXTS, st.sampled_from(_INVALID_TEXTS)),
        c=st.sampled_from([0.5, 1, 2.0, 1.5, 0.0, -1.0, None]) | st.floats(1e-3, 5.0),
@@ -420,6 +412,7 @@ def test_outcomes_do_not_depend_on_the_domain_table(text, c, a_share, b_share):
         assert warm.get((text, c)) is not None  # so the last call read the table
 
 
+@pytest.mark.workcount
 def test_threads_sharing_the_domain_table_get_identical_oracles(code_table, domain_table):
     # 8 threads build instances of one (text, c) at once from empty tables,
     # switching every microsecond: the first of each thread races the others
@@ -450,6 +443,7 @@ def test_threads_sharing_the_domain_table_get_identical_oracles(code_table, doma
     assert len(domain_table._entries) == 1
 
 
+@pytest.mark.workcount
 def test_the_domain_table_stays_within_its_character_bound(domain_table, monkeypatch):
     # 100k distinct texts, kept as make_problem keeps them: the table keeps
     # the most recent ones within the bound, and holds under 4 MB
@@ -578,6 +572,7 @@ _PROFILE_FUNCTIONS = ("exp(-1/x)", "x^2.5", "sqrt(x)", "(x^4+1)^(1/4)-1",
 _PROFILE_POINTS = (0.0, -0.0, 1e-300, 1e-3, 0.0015, 0.5, 1.0, 1.0000001, 2.0, -1.0)
 
 
+@pytest.mark.workcount
 @settings(max_examples=200, deadline=None)
 @given(text=st.sampled_from(_PROFILE_FUNCTIONS),
        reads=st.lists(st.tuples(st.sampled_from(_PROFILE_POINTS)
@@ -605,6 +600,7 @@ def test_profile_reads_match_unshared_reads(text, reads):
 _PROFILE_BOUNDS = st.sampled_from(_PROFILE_POINTS) | st.floats(min_value=-0.5, max_value=3.0)
 
 
+@pytest.mark.workcount
 @settings(max_examples=200, deadline=None)
 @given(text=st.sampled_from(_PROFILE_FUNCTIONS),
        reads=st.lists(st.tuples(_PROFILE_BOUNDS, _PROFILE_BOUNDS,
@@ -631,22 +627,20 @@ def test_profile_column_reads_match_unshared_reads(text, reads):
             w if w[0] == "value" else w[0] for w in want], (text, lo, hi, n, k, fill)
 
 
-def test_an_order_upgrade_keeps_the_abscissae(monkeypatch):
+@pytest.mark.workcount
+def test_an_order_upgrade_keeps_the_abscissae(spy):
     # a grid read again at a higher order computes its rows again on the
-    # abscissae its entry keeps, and a lower order reads them too
-    calls = []
-
-    def counted(lo, hi, n):
-        calls.append((lo, hi, n))
-        return interior_grid(lo, hi, n)
-
-    monkeypatch.setattr(young, "interior_grid", counted)
+    # abscissae its entry keeps, and a lower order reads them too; fails
+    # when a grid's abscissae are built twice
+    grids = spy(interior_grid)
     prof = ProblemInstance(parse_expr("exp(x)-1"), a=1.0, b=0.5, c=2.0).profile
     for k in (1, 3, 2, 5, 0):
         prof.column(0.0, 2.0, SCAN_POINTS, k)
+    calls = [(call.lo, call.hi, call.n) for call in grids]
     assert calls == [(0.0, 2.0, SCAN_POINTS)]
 
 
+@pytest.mark.workcount
 def test_failed_column_miss_leaves_no_entry():
     # a grid read keeps its one batch and nothing else: a point where the
     # grid's jet failed is None, and its instance read raises
@@ -694,6 +688,7 @@ def test_memo_remembers_a_typed_failure():
     assert len(calls) == 2
 
 
+@pytest.mark.workcount
 def test_column_orders_fail_as_deriv_does():
     # the grid [0.5] kept at order 3 serves no bad order, with or without
     # fill, and keeps its entry; the orders 1..3 it serves read its rows
@@ -825,6 +820,7 @@ def _pinned_oracles(count: int) -> tuple[list[str], set, set, int]:
     return reprs, families, orientations, ties
 
 
+@pytest.mark.workcount
 def test_oracle_results_are_pinned():
     """Every OracleResult (gap, sum, error estimate, evaluations and path
     residual) on 200 random instances, pinned by digest: a change to the

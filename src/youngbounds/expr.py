@@ -124,6 +124,14 @@ class ExprAst:
     def __hash__(self) -> int:
         return hash(self.root)
 
+    def copy(self) -> ExprAst:
+        """A new tree of this root and source whose cache starts with this
+        one's kernels: the two share those kernel objects, and a kernel
+        either builds later stays in its own cache."""
+        ast = ExprAst(self.root, self.source)
+        ast._kernels.update(self._kernels)
+        return ast
+
 
 @dataclass(frozen=True)
 class TaylorJet:

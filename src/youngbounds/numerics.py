@@ -84,7 +84,9 @@ def _gk15(f: Rows, a: float, b: float) -> tuple[float, float]:
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    d0, d1, d2, d3, d4, d5, d6 = [half * xk for xk in _XGK]
+    k0, k1, k2, k3, k4, k5, k6 = _XGK
+    d0, d1, d2, d3 = half * k0, half * k1, half * k2, half * k3
+    d4, d5, d6 = half * k4, half * k5, half * k6
     fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = f([
         mid, mid - d0, mid + d0, mid - d1, mid + d1, mid - d2, mid + d2, mid - d3,
         mid + d3, mid - d4, mid + d4, mid - d5, mid + d5, mid - d6, mid + d6,
@@ -128,19 +130,11 @@ def integrate(
         a, b = b, a
         sign = -1.0
 
-    evals = 0
-
-    def panel(x0: float, x1: float) -> tuple[float, float, float, float]:
-        nonlocal evals
-        evals += 15
-        v, e = _gk15(f, x0, x1)
-        return (-e, x0, x1, v)
-
-    first = panel(a, b)
-    heap = [first]
+    # a panel is (-error estimate, x0, x1, value), so the heap pops the worst
+    total, err = _gk15(f, a, b)
+    evals = 15
+    heap = [(-err, a, b, total)]
     frozen: list[tuple[float, float, float, float]] = []  # panels at the width floor
-    total = first[3]
-    err = -first[0]
     frozen_err = 0.0
 
     while heap:
@@ -158,18 +152,19 @@ def integrate(
                 f"(error estimate {err:.3e}, goal {goal:.3e})"
             )
         worst = heapq.heappop(heap)
-        _, x0, x1, v0 = worst
+        neg_err, x0, x1, v0 = worst
         mid = 0.5 * (x0 + x1)
         if x1 - x0 <= 8.0 * _EPS * max(abs(x0), abs(x1), 1.0) or mid <= x0 or mid >= x1:
             frozen.append(worst)  # cannot be refined further in double precision
-            frozen_err += -worst[0]
+            frozen_err += -neg_err
             continue
-        left = panel(x0, mid)
-        right = panel(mid, x1)
-        heapq.heappush(heap, left)
-        heapq.heappush(heap, right)
-        total += left[3] + right[3] - v0
-        err += (-left[0]) + (-right[0]) - (-worst[0])
+        v1, e1 = _gk15(f, x0, mid)
+        v2, e2 = _gk15(f, mid, x1)
+        evals += 30
+        heapq.heappush(heap, (-e1, x0, mid, v1))
+        heapq.heappush(heap, (-e2, mid, x1, v2))
+        total += v1 + v2 - v0
+        err += e1 + e2 + neg_err  # the halves' estimates in, the popped panel's out
 
     total = math.fsum(p[3] for p in heap) + math.fsum(p[3] for p in frozen)
     err = math.fsum(-p[0] for p in heap) + math.fsum(-p[0] for p in frozen)

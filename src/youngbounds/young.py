@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, DomainError, ValidationError, YoungBoundsError
 from .expr import (
-    DEFAULT_ORDER_CAP, ExprAst, _jet_derivs, _LruTable, evaluate, evaluate_rows, jet, jet_rows,
-    parse_expr,
+    DEFAULT_ORDER_CAP, BinOp, Call, Const, ExprAst, Neg, Node, Pow, Var, _jet_derivs, _LruTable,
+    evaluate, evaluate_rows, jet, jet_rows, parse_expr,
 )
 from .numerics import integrate, interior_grid, invert
 
@@ -88,6 +88,11 @@ def _is_number(v: object) -> bool:
 
 def _is_integer(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+# make_problem's options where none are given; Options is frozen, so one
+# instance serves every call
+_DEFAULT_OPTIONS = Options()
 
 
 @dataclass(frozen=True)
@@ -270,13 +275,20 @@ def _h_inverse(inst: ProblemInstance) -> float:
 
 
 # Bound on the total characters of the texts the domain table keeps. Each
-# entry counts its text and _ENTRY_CHARS more, for the key, the tree's root
-# and h(c), so that many short texts hold no more than a few long ones.
+# entry counts its text and _ENTRY_CHARS more, for the key, the tree and
+# h(c), so that many short texts hold no more than a few long ones.
 _DOMAIN_TABLE_CHARS = 100_000
 _ENTRY_CHARS = 32
 
-# (text, c) -> (parsed root, h(c)) of every text that passed validation on
-# [0, c]: a later make_problem of the pair skips the parse and the domain check.
+# (text, c) -> (tree, h(c)) of every text that passed validation on [0, c],
+# the tree a copy of the one validation ran on, holding the two kernels it
+# built, evaluate's and the order-1 jet's: a later make_problem of the pair
+# skips the parse, the domain check and those two kernel builds. The
+# kernels add about 1.3 KB to an entry whatever its text's length, which the
+# character bound does not count: distinct short texts such as 17*x fill the
+# table at about 2,630 entries and 4.9 MB (tracemalloc), benchmark-family
+# texts at about 1,980 entries and 4.5 MB. An instance's later kernels, such
+# as a report's orders 2-6, stay in the instance's own copy.
 _domain_table = _LruTable(_DOMAIN_TABLE_CHARS)
 
 
@@ -294,22 +306,26 @@ def make_problem(
 
     Validation has two parts. The domain check reads only h and c: h(c),
     the h' scan of (0, c) and h(0+). The b test, b <= h(c), reads b too.
-    For a text ``function``, a process-wide table keeps the parsed tree and
-    h(c) of each (text, c) that passed validation, bounded by the
-    characters of its texts. A later call with that pair builds a fresh
-    :class:`ExprAst` on the kept tree, whose kernels come from the shared
-    factories, and runs only the b test. With ``c`` omitted, the text is
+    For a text ``function``, a process-wide table keeps, for each (text, c)
+    that passed validation, the parsed tree with the evaluate and order-1
+    kernels validation built for it, and h(c); it is bounded by the
+    characters of its texts, and an entry holds about 1.3 KB of kernels
+    besides its tree (some 4.9 MB in a table full of short texts). A later
+    call with that pair gets a copy of the kept tree, which starts with
+    those two kernels and builds any other in its own cache, and runs only
+    the b test. With ``c`` omitted, the text is
     parsed to default c, and the table is read for that c. Outcomes do not
     depend on the table: a miss runs the whole validation, b test first,
     and keeps the pair only if it passed. An :class:`ExprAst` ``function``
     never reads the table.
     """
-    options = options or Options()
+    if options is None:
+        options = _DEFAULT_OPTIONS
     kept = None
     if isinstance(function, str):
         if _is_number(c):  # a c of another type fails its check below
             kept = _domain_table.get((function, c))
-        ast = parse_expr(function) if kept is None else ExprAst(kept[0], function)
+        ast = parse_expr(function) if kept is None else kept[0].copy()
     elif isinstance(function, ExprAst):
         ast = function
     else:
@@ -354,7 +370,7 @@ def make_problem(
     if kept is None:
         hc = _validate(inst)
         if isinstance(function, str):
-            _domain_table.put((function, inst.c), (ast.root, hc), len(function) + _ENTRY_CHARS)
+            _domain_table.put((function, inst.c), (ast.copy(), hc), len(function) + _ENTRY_CHARS)
     else:
         _check_b(inst, kept[1])
     return inst
@@ -386,7 +402,17 @@ def _check_b(inst: ProblemInstance, hc: float) -> None:
 
 def _check_domain(inst: ProblemInstance) -> None:
     """The checks that read only the tree and c: h increases on [0, c] from
-    h(0+) = 0."""
+    h(0+) = 0.
+
+    h(0+) is decided on the tree where :func:`_limit_at_zero` decides it: a
+    limit within an absolute 1e-8 of 0 passes, any other value, an infinity
+    included, fails. That walk is exact only in the float arithmetic of the
+    constants: ``(x+0.1)^2-0.01`` walks to 0.1^2 - 0.01 = 1.7e-18, which
+    the 1e-8 admits, and ``exp(1e-20)-1`` tends to about 1e-20, yet
+    exp(1e-20) rounds to 1.0 and the walk gives 0.0, as the samples below
+    would. Where the walk cannot decide, h is sampled at 1e-6, 1e-8 and
+    1e-10 against the same absolute 1e-8.
+    """
     c = inst.c
 
     # Numerically strictly increasing: h' >= 0 at interior scan points, with a
@@ -419,6 +445,15 @@ def _check_domain(inst: ProblemInstance) -> None:
         if not seen_positive:
             raise ValidationError("function", "h' vanishes at every scan point")
 
+    try:
+        limit = _limit_at_zero(inst.ast.root)[0]
+    except (ArithmeticError, ValueError):  # an indeterminate form, or a float error
+        limit = None
+    if limit is not None:
+        if abs(limit) > 1e-8:
+            raise ValidationError("function", f"h(0+) = {limit!r}, not 0")
+        return
+
     # h(0+) = 0 within 1e-8, sampled as a one-sided limit at 1e-6, 1e-8, 1e-10.
     samples = [s for s in (1e-6, 1e-8, 1e-10) if s < c / 2]
     values = []
@@ -433,6 +468,80 @@ def _check_domain(inst: ProblemInstance) -> None:
         raise ValidationError(
             "function", f"h(0+) limit estimate {values[-1]!r} exceeds 1e-8"
         )
+
+
+def _limit_at_zero(node: Node) -> tuple[float, int]:
+    """lim h(x) as x -> 0+ of the tree ``node``, in the extended reals, as
+    (value, side): a zero value comes with the side it is approached from,
+    1 or -1, or 0 where that is unknown, and any other value with its sign.
+
+    x tends to +0, and a constant is itself. +, -, * and / follow IEEE
+    arithmetic with +-inf; 0^p is 0 for p > 0, exp(-inf) is 0 and ln(+0) is
+    -inf. A zero keeps a side only where it follows from x's own (a sum of
+    zeros from one side, a product or quotient of signed terms, a power or
+    exp of a limit); a zero that rounding or cancellation gives, such as
+    exp(0) - 1, has none. Raises ValueError on a form it cannot decide: 0*inf,
+    inf - inf, 0/0, a division by a zero of unknown side, and a root, log or
+    non-integer power of a base that is not positive.
+    """
+    if isinstance(node, Var):
+        return 0.0, 1
+    if isinstance(node, Const):
+        return _side(node.value, 0)
+    if isinstance(node, Neg):
+        u, su = _limit_at_zero(node.child)
+        return _side(-u, -su)
+    if isinstance(node, Pow):
+        return _power_limit(*_limit_at_zero(node.base), node.exponent)
+    if isinstance(node, Call):
+        u, su = _limit_at_zero(node.arg)
+        if node.func == "exp":
+            return _side(math.exp(u), 1 if u == -_INF else 0)
+        if su <= 0:  # ln and sqrt of a base that is not positive
+            raise ValueError(f"{node.func} of a limit {u!r} of side {su}")
+        if u == 0.0:
+            return (-_INF, -1) if node.func == "ln" else (0.0, 1)
+        return _side(math.log(u) if node.func == "ln" else math.sqrt(u), 0)
+    u, su = _limit_at_zero(node.left)
+    w, sw = _limit_at_zero(node.right)
+    if node.op in "+-":
+        if node.op == "-":
+            w, sw = -w, -sw
+        return _side(u + w, su if u == 0.0 == w and su == sw else 0)
+    if node.op == "*":
+        return _side(u * w, su * sw if 0.0 in (u, w) else 0)
+    if w == 0.0:
+        if u == 0.0 or sw == 0:
+            raise ValueError("0/0, or a division by a zero of unknown side")
+        return _side(math.copysign(_INF, su * sw), 0)
+    return _side(u / w, su * sw if u == 0.0 or math.isinf(w) else 0)
+
+
+def _side(value: float, side: int) -> tuple[float, int]:
+    """(value, side) of a limit: a nonzero value's own sign, or ``side`` at
+    zero; nan, an indeterminate form, raises ValueError."""
+    if value != value:
+        raise ValueError("indeterminate form")
+    if value == 0.0:
+        return 0.0, side
+    return value, 1 if value > 0.0 else -1
+
+
+def _power_limit(u: float, su: int, p: float) -> tuple[float, int]:
+    """The limit of base^p, the base tending to ``u`` from side ``su``."""
+    if p == 0.0:
+        return 1.0, 1
+    integer = float(p).is_integer()
+    if su == 0 and not (integer and p > 0.0):
+        raise ValueError(f"power {p!r} of a zero of unknown side")
+    if su < 0 and not integer:
+        raise ValueError(f"non-integer power {p!r} of a negative base")
+    sign = -1 if su < 0 and p % 2 else 1
+    if u == 0.0 or math.isinf(u):
+        if (u == 0.0) == (p > 0.0):
+            return 0.0, sign if su else 0
+        return math.copysign(_INF, sign), sign
+    return _side(math.pow(u, p), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,11 @@ class KernelRuns:
 
 
 @pytest.fixture
-def kernel_runs():
-    """A :class:`KernelRuns` of the kernels compiled from here on; those of a
-    tree compiled before, an instance's copy included, are not watched."""
+def kernel_runs(domain_table):
+    """A :class:`KernelRuns` of the kernels compiled from here on, with an
+    empty domain table, so that no instance starts with kernels an earlier
+    test compiled and kept; those of a tree compiled before, a copy of it
+    included, are not watched."""
     runs = KernelRuns()
     compile_kernel = expr._compile
 

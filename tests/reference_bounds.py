@@ -1,5 +1,6 @@
 """Reference closed forms of the hoorfar-qi, hh-cebysev, jensen-first,
 taylor-lagrange, taylor-jensen, taylor-cebysev and taylor-product-hh bounds,
+the holder-norm and taylor-holder bounds with their norms by ``mpmath.quad``,
 and of the gap or remainder they bound, in 50-digit mpmath arithmetic.
 
 The families are h(x) = x^p and h(x) = exp(lam*x) - 1, whose derivatives,
@@ -19,6 +20,8 @@ with T_n = sum_{k=1}^{n} h^(k)(x0) d^(k+1)/(k+1)!.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 
@@ -221,6 +224,42 @@ def product_hh(h, a: float, b: float, n: int):
         g_half = mpmath.mpf(2) ** -(n + 1)
         kernel = d ** (n + 2) / mpmath.factorial(n + 1)
         sides = [kernel * (2 * f_half * g_half - f_0 / 6 - f_1 / 3), kernel * (f_0 / 3 + f_1 / 6)]
+        return min(sides), max(sides)
+
+
+def holder(h, a: float, b: float, n: int, upper_pair: tuple[float, float]):
+    """(lower, upper) on REMAINDER(n) (on GAP at n = 0) by Hölder's
+    inequality on integral_{x0}^{a} h^(n+1)(t) (a-t)^(n+1)/(n+1)! dt, for the
+    lower pair (1, -inf) and an upper pair (1, inf) or (2, 2):
+
+        C_{r,n} ||h^(n+1)||_s / (n+1)!,  C_{r,n} = [|d|^(r(n+1)+1) / (r(n+1)+1)]^(1/r),
+
+    over [alpha, beta], with ||.||_{-inf} the infimum and ||.||_inf the
+    supremum of h^(n+1), which are its values at alpha and beta as h^(n+2)
+    has one sign there in every family here, and ||.||_2 by ``mpmath.quad``.
+    For x0 > a the remainder is (-1)^n times a nonnegative integral, so odd
+    n negates both sides; the pair sorted."""
+    with mpmath.workdps(DPS):
+        a_ = mpmath.mpf(a)
+        x0 = h.inverse(b)
+        alpha, beta = min(a_, x0), max(a_, x0)
+        width = beta - alpha
+
+        def c_coeff(r):
+            k = r * (n + 1) + 1
+            return (width ** k / k) ** (1 / mpmath.mpf(r))
+
+        ends = [h.deriv(alpha, n + 1), h.deriv(beta, n + 1)]
+        if upper_pair == (1.0, math.inf):
+            upper = c_coeff(1) * max(ends)
+        elif upper_pair == (2.0, 2.0):
+            norm = mpmath.sqrt(mpmath.quad(lambda t: h.deriv(t, n + 1) ** 2, [alpha, beta]))
+            upper = c_coeff(2) * norm
+        else:
+            raise ValueError(f"no reference for the upper pair {upper_pair!r}")
+        lower = c_coeff(1) * min(ends)
+        sign = -1 if x0 > a_ and n % 2 == 1 else 1
+        sides = [sign * lower / mpmath.factorial(n + 1), sign * upper / mpmath.factorial(n + 1)]
         return min(sides), max(sides)
 
 

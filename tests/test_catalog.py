@@ -390,7 +390,9 @@ def test_sweep_output_does_not_depend_on_the_scan_column(patch_everywhere, sweep
 # extremum scan reads the 1,023 order-2 rows of the h'' scan, so order 1
 # counts validation's 257-point scan and point reads alone. Point reads are
 # kept nowhere, so an abscissa read by two methods runs its jet twice.
-_QUARTIC_KERNEL_EVALUATIONS = {None: 16, 1: 382, 2: 1643, 3: 514, 4: 257}
+# Validation decides h(0+) on the tree, without evaluating h (None was 16
+# while it sampled h at 1e-6, 1e-8 and 1e-10).
+_QUARTIC_KERNEL_EVALUATIONS = {None: 13, 1: 382, 2: 1643, 3: 514, 4: 257}
 # The calls left to jet are the Newton slopes of h^{-1}(b), 5 here (the
 # instance's point reads run the kernel directly); one 257-point gate,
 # 257-point validation scan or 1023-point extremum scan read point by point
@@ -422,7 +424,8 @@ def test_sweep_fills_each_gate_grid_once(kernel_runs, spy):
     # methods read there, and builds each grid's abscissae once: in
     # sweep(42, 10), one batch per grid and instance, 40 (70 when each higher
     # order filled a grid again), and 50 interior_grid calls (90 when an
-    # upgrade and the h'' scan built their grids again)
+    # upgrade and the h'' scan built their grids again); evaluate runs 2,034
+    # times, 2,064 while validation sampled h(0+) at three points
     rows = spy(expr.jet_rows)
     grids = spy(numerics.interior_grid)
     sweep(42, 10)
@@ -431,7 +434,7 @@ def test_sweep_fills_each_gate_grid_once(kernel_runs, spy):
     assert batches == {(1, 257): 10, (2, 1023): 10, (3, 257): 10, (4, 257): 10}
     sizes = Counter(call.n for call in grids)
     assert sizes == {257: 30, 1023: 10, 33: 10}
-    assert dict(kernel_evaluations) == {None: 2064, 1: 4014, 2: 11480, 3: 2570, 4: 2570}
+    assert dict(kernel_evaluations) == {None: 2034, 1: 4014, 2: 11480, 3: 2570, 4: 2570}
 
 
 @pytest.mark.workcount
@@ -1203,6 +1206,39 @@ def test_gap_and_product_bounds_match_their_closed_forms(family, x_b):
             assert _close(res.target.offset, offset), (case, res.target)
         if holds:
             assert res.applicable, case
+            slack = 1e-40 * (1 + abs(true))  # the equality cases, in 50 digits
+            assert want[0] - true <= slack and true - want[1] <= slack, (case, want, true)
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda h: h.text)
+@pytest.mark.parametrize("x_b", [0.6, 1.9], ids=["b_below_h_a", "b_above_h_a"])
+@pytest.mark.parametrize("upper_pair", [(1.0, math.inf), (2.0, 2.0)], ids=["1-inf", "2-2"])
+def test_holder_bounds_match_their_closed_forms(family, x_b, upper_pair):
+    # holder-norm, and taylor-holder at n = 0..2, at the default lower pair
+    # (1, -inf) and the upper pair (1, inf) or (2, 2), whose L2 norm runs
+    # norm_r and integrate here and mpmath.quad in the reference: the values on
+    # every case, and applicable and the bound on the closed-form gap or
+    # remainder where h^(n+1) >= 0 holds in 50 digits, which fails at n = 1
+    # on x^0.9
+    a, c = 1.2, 2.0
+    b = float(family.deriv(x_b, 0))
+    inst = make_problem(family.text, a, b, c)
+    anch = anchors(inst)
+    ab = (anch.alpha, anch.beta)
+    cases = [(cat.bound_holder_norm(inst, anch, upper_pair=upper_pair), 0, True)]
+    for n in range(3):
+        cases.append((cat.bound_taylor_holder(inst, anch, n, upper_pair=upper_pair), n,
+                      rb.signs(family, *ab, n + 1) <= {0, 1}))
+    for res, n, holds in cases:
+        case = (res.method, n)
+        want = rb.holder(family, a, b, n, upper_pair)
+        true = rb.remainder(family, a, b, n)
+        assert _close(res.lower, want[0]) and _close(res.upper, want[1]), (case, res, want)
+        if res.target.tag == "REMAINDER":
+            offset = rb.taylor_sum(family, a, b, n) + a * b
+            assert _close(res.target.offset, offset), (case, res.target)
+        assert res.applicable == holds, case
+        if holds:
             slack = 1e-40 * (1 + abs(true))  # the equality cases, in 50 digits
             assert want[0] - true <= slack and true - want[1] <= slack, (case, want, true)
 

@@ -309,14 +309,18 @@ def _work(tokenized, kernel_runs) -> Counter:
 def test_a_second_instance_of_a_text_and_c_skips_the_parse_and_the_domain_check(
         domain_table, kernel_runs, spy):
     # the first make_problem of (text, c) parses the text and scans h' at 257
-    # points; later ones, at any a and b, an int c included, build a fresh
-    # tree on the kept root and only compare b with the kept h(c)
+    # points; later ones, at any a and b, an int c included, get a copy of the
+    # kept tree, its evaluate and order-1 kernels included, and only compare b
+    # with the kept h(c)
     text = "x^3+0.5*x"
     tokenized = spy(TOKENIZE)
     first = make_problem(text, 1.0, 0.5, 2.0)
     work = _work(tokenized, kernel_runs)
     assert work["tokenize"] == 1 and work[1] == SCAN_POINTS
-    assert domain_table.get((text, 2.0)) == (first.ast.root, 9.0)
+    kept, hc = domain_table.get((text, 2.0))
+    validation_kernels = {order: first.ast._kernels[order] for order in (None, 1)}
+    assert kept.root is first.ast.root and hc == 9.0
+    assert kept._kernels == validation_kernels  # the same objects, none above order 1
     assert domain_table.chars == len(text) + young._ENTRY_CHARS
     tree = parse_expr(text)
     tokenized.clear()
@@ -325,7 +329,7 @@ def test_a_second_instance_of_a_text_and_c_skips_the_parse_and_the_domain_check(
         inst = make_problem(text, a, b, c)
         assert inst == ProblemInstance(tree, float(a), float(b), 2.0)
         assert inst.ast is not first.ast and inst.ast.root is first.ast.root
-        assert inst.ast.source == text and inst.ast._kernels == {}
+        assert inst.ast.source == text and inst.ast._kernels == validation_kernels
     work = _work(tokenized, kernel_runs)
     assert work == {}
     # a b above the kept h(c) fails as a cold b test does
@@ -343,13 +347,85 @@ def test_a_second_instance_with_c_omitted_skips_the_domain_check(domain_table, k
     tokenized = spy(TOKENIZE)
     first = make_problem(text, 1.0, 0.5)
     cold = _work(tokenized, kernel_runs)
-    assert domain_table.get((text, first.c)) == (first.ast.root, 1.0)
+    kept, hc = domain_table.get((text, first.c))
+    assert kept.root is first.ast.root and hc == 1.0
+    assert kept._kernels == {order: first.ast._kernels[order] for order in (None, 1)}
     tokenized.clear()
     kernel_runs.clear()
     assert make_problem(text, 1.0, 0.5) == first
     work = _work(tokenized, kernel_runs)
     assert work["tokenize"] == cold["tokenize"] == 1
     assert cold[1] - work[1] == SCAN_POINTS
+
+
+@pytest.mark.workcount
+def test_repeated_queries_of_a_text_and_c_compile_two_kernels(kernel_runs, spy):
+    # twenty make_problem + anchors + oracle queries of one (text, c): the
+    # first parses the text and compiles the evaluate and order-1 kernels,
+    # the other nineteen run on copies of the two the table keeps; fails when
+    # a table hit parses the text or compiles a kernel again
+    text, c = "exp(0.7*x^1.3)-1", 2.0
+    tokenized = spy(TOKENIZE)
+    compiled = []
+    for k in range(20):
+        inst = make_problem(text, 0.1 + 0.09 * k, 0.1 + 0.2 * k, c)
+        oracle(inst, anchors(inst))
+        compiled.append(len(kernel_runs.compiled))
+    assert compiled == [2] * 20
+    assert sorted(kernel_runs.compiled, key=str) == [1, None]
+    assert len(tokenized) == 1
+
+
+@pytest.mark.workcount
+def test_a_report_on_a_table_hit_leaves_the_entry_two_kernels(domain_table):
+    # every method at taylor_order 3 reads jets up to order 6 on an instance a
+    # table hit built: those kernels stay in the instance's own cache, and the
+    # entry keeps the evaluate and order-1 kernels validation built; fails
+    # when the entry keeps no kernels, or shares the instance's cache
+    text, c = "x^3+0.5*x", 2.0
+    options = Options(taylor_order=3)
+    first = make_problem(text, 1.0, 0.5, c, options)
+    kept, _ = domain_table.get((text, c))
+    inst = make_problem(text, 1.5, 2.0, c, options)
+    report.run_report(inst, tuple(report.MethodSpec(name) for name in report.METHODS))
+    assert set(inst.ast._kernels) >= {None, 1, 2, 3, 4, 5, 6}
+    assert domain_table.get((text, c))[0] is kept
+    assert kept._kernels == {order: first.ast._kernels[order] for order in (None, 1)}
+
+
+def _family_texts(count: int) -> list[str]:
+    """``count`` distinct texts of the four benchmark families, parameters
+    rounded to 3 digits as the benchmark draws them."""
+    forms = ("x^{p!r}", "exp({lam!r}*x)-1", "{lam!r}*ln(1+x)+x^2", "exp({lam!r}*x^{p!r})-1")
+    return [forms[k % 4].format(p=round(1.2 + 0.001 * (k // 4), 3),
+                                lam=round(0.4 + 0.001 * (k // 4), 3)) for k in range(count)]
+
+
+def test_domain_table_entries_of_benchmark_texts_stay_within_their_bytes(monkeypatch):
+    # 500 distinct texts kept through make_problem by a table of 20,000
+    # characters, which evicts past about 430 of them: what the kept entries
+    # hold, each its key, tree, h(c) and two kernels (about 2.2 KB), stays
+    # under 3,000 bytes an entry, so evicted entries free their kernels and a
+    # full table of 100,000 characters holds some 4.5 MB
+    texts = _family_texts(500)
+    for text in texts[:4]:  # every shape's factories exist before the count
+        make_problem(parse_expr(text), 0.5, 0.1, 1.0)
+    table = expr._LruTable(20_000)
+    monkeypatch.setattr(young, "_domain_table", table)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for text in texts:
+            make_problem(text, 0.5, 0.1, 1.0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = list(table._entries.values())
+    assert 400 <= len(entries) < len(texts) and table.chars <= 20_000
+    assert all(set(tree._kernels) == {None, 1} for (tree, _), _ in entries)
+    assert held < 3_000 * len(entries), held / len(entries)
 
 
 def test_b_above_h_of_c_is_rejected_at_any_scale():
@@ -484,6 +560,61 @@ def test_c_defaults_to_outer_anchor():
     assert inst.c == pytest.approx(1.0 / math.log(2.0), rel=1e-14)
     inst2 = make_problem("x", 1.0, 0.25)
     assert inst2.c == 1.0  # a is the outer anchor here
+
+
+@pytest.mark.parametrize("p", [0.5, 0.4])
+def test_a_power_below_0_8_validates_and_its_oracle_matches_mpmath(p):
+    # h(0+) of x^p is decided on the tree as 0^p = 0; sampling h(1e-10) against
+    # an absolute 1e-8 refused every p < 0.8. SUM = a^(p+1)/(p+1) + p b^(1+1/p)/(p+1)
+    a, b, c = 0.7, 0.9, 1.5
+    result = oracle(make_problem(f"x^{p}", a, b, c))
+    with mpmath.workdps(30):
+        q, a_, b_ = mpmath.mpf(p), mpmath.mpf(a), mpmath.mpf(b)
+        want = a_ ** (q + 1) / (q + 1) + q * b_ ** (1 + 1 / q) / (q + 1)
+    assert result.sum == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("text,b,limit", [
+    # 1e6 * 0 = 0; the sample h(1e-10) = 1e-4 exceeded 1e-8
+    ("1e6*x", 1e5, 0.0),
+    # h(0+) is 0, but in float arithmetic the walk reads 0.1^2 - 0.01; it is
+    # accepted within the absolute 1e-8 that the sampled test applies
+    ("(x+0.1)^2-0.01", 0.1, 0.1 ** 2 - 0.01),
+])
+def test_a_limit_within_1e_8_of_zero_validates(text, b, limit):
+    assert young._limit_at_zero(parse_expr(text).root)[0] == limit
+    assert make_problem(text, 0.5, b, 1.0).c == 1.0
+
+
+@pytest.mark.parametrize("text,b,message", [
+    ("x+1", 1.5, "h(0+) = 1.0, not 0"),
+    ("x+2e-8", 0.5, "h(0+) = 2e-08, not 0"),
+    ("x-1/x", 0.0, "h(0+) = -inf, not 0"),
+    ("1/x", 0.5, None),  # refused by the h' scan first
+])
+def test_a_limit_other_than_zero_is_refused(text, b, message):
+    with pytest.raises(ValidationError) as err:
+        make_problem(text, 0.5, b, 1.0)
+    assert err.value.field == "function"
+    if message is not None:
+        assert str(err.value) == f"function: {message}"
+
+
+@pytest.mark.parametrize("text,limit", [
+    ("x^0.4", 0.0), ("exp(-1/x)", 0.0), ("x+exp(-1/x)", 0.0), ("exp(0.355*x^4.727)-1", 0.0),
+    ("0.7*ln(1+x)+x^2", 0.0), ("(x/16384)^2.5", 0.0), ("exp(1e-20)-1", 0.0), ("x+1", 1.0),
+    ("1/x", math.inf), ("ln(x)", -math.inf), ("(-x)^3", 0.0), ("x*ln(x)", None),
+    ("exp(-1/(x^2-x))", None), ("1/(x-x)", None), ("(-x)^0.5", None), ("x*exp(1e308)", None),
+])
+def test_the_limit_walk(text, limit):
+    # exp(1e-20)-1 tends to about 1e-20, but the walk is exact only in float
+    # arithmetic: exp(1e-20) is 1.0. x^2-x tends to 0 from below, a side the
+    # walk does not know, so exp(-1/(x^2-x)) is left undecided
+    try:
+        got = young._limit_at_zero(parse_expr(text).root)[0]
+    except (ArithmeticError, ValueError):
+        got = None
+    assert got == limit
 
 
 def test_fractional_power_passes_origin_limit():

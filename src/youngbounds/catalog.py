@@ -10,9 +10,10 @@ estimators and :func:`fill_gate_grids` both read, and every result is built
 by ``_result``, which sets ``applicable`` and sorts sides that crossed.
 
 Every scan goes through the instance's :class:`DerivativeProfile`, so
-estimators run on the same instance share each grid, each sampled gate and
+estimators run on the same instance share each grid, each gate verdict and
 each extremum scan; the results are the bits an unshared run gives. A point
-read is one kernel call of ``inst.deriv`` or ``inst.derivs``.
+read is one kernel call of ``inst.deriv`` or ``inst.derivs``, or of an
+extremum scan's one reader of its kernel.
 
 Sign conventions. With d = a - h^{-1}(b) (signed), every Taylor-flavoured
 estimator reduces to a product of a signed kernel factor and a two-sided
@@ -44,7 +45,7 @@ from .errors import (
     ValidationError,
     YoungBoundsError,
 )
-from .expr import DEFAULT_ORDER_CAP
+from .expr import DEFAULT_ORDER_CAP, _jet_reader
 from .numerics import NormSpec, extremum, interior_grid, norm_r
 from .young import (
     DEFAULT_LOWER_PAIR,
@@ -169,12 +170,9 @@ def _shifted_target(inst: ProblemInstance, anch: Anchors) -> TargetQuantity:
     return TargetQuantity("SHIFTED", offset=inst.b * anch.h_inv_b)
 
 
-def _sign_class(values: tuple[float, ...]) -> str:
-    """'nonnegative' | 'nonpositive' | 'flat' | 'mixed' with a relative floor."""
-    if not values:
-        return "mixed"
-    hi = max(values)
-    lo = min(values)
+def _sign_class(lo: float, hi: float) -> str:
+    """'nonnegative' | 'nonpositive' | 'flat' | 'mixed' of values whose least
+    is ``lo`` and greatest ``hi``, with a relative floor."""
     tol = 1e-10 * max(1.0, abs(hi), abs(lo))
     nonneg = lo >= -tol
     nonpos = hi <= tol
@@ -193,6 +191,29 @@ _CURVATURE = {"nonnegative": "convex", "nonpositive": "concave",
               "flat": "flat", "mixed": "mixed"}
 
 
+def _verdict(
+    inst: ProblemInstance, order: int, lo: float, hi: float
+) -> tuple[tuple[float, ...], str, str]:
+    """The order-th derivative at the interior scan points of [lo, hi] where
+    its jet is defined, their sign class and the observed text, which
+    counts the points skipped: from one profile column, one ``min`` and one
+    ``max``."""
+    values = inst.profile.column(lo, hi, SCAN_POINTS, order)[1]
+    if None in values:
+        values = [v for v in values if v is not None]
+    values = tuple(values)
+    if values:
+        least, greatest = min(values), max(values)
+        cls = _sign_class(least, greatest)
+        observed = f"h^({order}) in [{least:.6g}, {greatest:.6g}] at {len(values)} points"
+    else:
+        cls, observed = "mixed", "not evaluable"
+    skipped = SCAN_POINTS - len(values)
+    if skipped:
+        observed += f" ({skipped} skipped)"
+    return values, cls, observed
+
+
 def _check(
     inst: ProblemInstance,
     name: str,
@@ -204,21 +225,15 @@ def _check(
 ) -> tuple[HypothesisCheck, str, tuple[float, ...]]:
     """Sample the order-th derivative at interior scan points of [lo, hi] and
     classify its sign; points where the jet is undefined are skipped (and
-    counted). Returns the check, the sign class and the sampled values."""
-    prof = inst.profile
+    counted). Returns the check, the sign class and the sampled values.
 
-    def sample() -> tuple[tuple[float, ...], int]:
-        values = tuple(v for v in prof.column(lo, hi, SCAN_POINTS, order)[1] if v is not None)
-        return values, SCAN_POINTS - len(values)
-
-    values, skipped = prof.memo(("samples", order, lo, hi), sample)
-    cls = _sign_class(values)
-    observed = (
-        f"h^({order}) in [{min(values):.6g}, {max(values):.6g}] "
-        f"at {len(values)} points" if values else "not evaluable"
+    The whole verdict, samples, sign class and observed text, is the
+    profile's memo of ("samples", order, lo, hi), so each (order, interval)
+    is sampled and classified once per instance however many gates read
+    it; a call adds only its own name, requirement and passing classes."""
+    values, cls, observed = inst.profile.memo(
+        ("samples", order, lo, hi), lambda: _verdict(inst, order, lo, hi)
     )
-    if skipped:
-        observed += f" ({skipped} skipped)"
     assumed = name in inst.options.assume
     return HypothesisCheck(name, required, observed, cls in passes, assumed), cls, values
 
@@ -315,12 +330,15 @@ def _extrema_of_deriv(
     interior is one profile column. The column is filled at order >= 2, so
     the h' and h'' scans of one interval share one batch and one list of
     abscissae; a point where the order-2 jet fails is read at ``order``.
-    The scan's endpoints and golden-section points are read on the instance."""
+    The scan's endpoints and golden-section points are read by one reader
+    of the order-``order`` kernel, looked up once per scan (order >= 1, so
+    h's own h(0+) rule never applies); each read raises what
+    ``inst.deriv(x, order)`` raises."""
     prof = inst.profile
 
     def scan() -> tuple[float, float]:
         (_, f_min), (_, f_max) = extremum(
-            lambda x: inst.deriv(x, order), lo, hi,
+            _jet_reader(inst.ast, order), lo, hi,
             column=lambda n: prof.column(lo, hi, n, order, fill=2),  # lo <= hi
         )
         return f_min, f_max

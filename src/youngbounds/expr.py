@@ -1080,6 +1080,25 @@ def _jet_derivs(ast: ExprAst | Node, x: float, order: int) -> tuple[float, ...]:
     return row
 
 
+def _jet_reader(ast: ExprAst | Node, k: int) -> Callable[[float], float]:
+    """``lambda x: _jet_derivs(ast, x, k)[k]``, h^(k) alone, with the kernel
+    of order ``k`` looked up once, here, not at each read: a read is one
+    kernel call on ``(x,)``, and raises the :class:`DomainError` the jet
+    gives there. The order check runs once, when the reader is made."""
+    kernel = _jet_kernel(ast, k)
+
+    def read(x: float) -> float:
+        (row,) = kernel((x,))
+        if isinstance(row, DomainError):
+            try:
+                raise row
+            finally:
+                row = None  # the frame of the traceback keeps no error
+        return row[k]
+
+    return read
+
+
 def jet(ast: ExprAst | Node, x0: float, order: int) -> TaylorJet:
     """Derivatives h^(0)..h^(order) at ``x0`` via truncated-Taylor propagation.
 
@@ -1106,6 +1125,12 @@ def jet_rows(ast: ExprAst | Node, xs, order: int) -> list[tuple[float, ...] | No
     [0, :data:`DEFAULT_ORDER_CAP`] raises up front, as in :func:`jet`. A
     caller that needs the message of a failed point gets it from one
     :func:`jet` call there.
+
+    A row that succeeded is a tuple and a failed one a DomainError, so
+    where every row is a tuple, which one built-in pass tells, the kernel's
+    list is returned as it is, with no pass over the rows in Python.
     """
     rows = _jet_kernel(ast, order)(xs)
+    if all(map(tuple.__instancecheck__, rows)):
+        return rows
     return [None if isinstance(row, DomainError) else row for row in rows]

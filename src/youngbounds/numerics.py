@@ -332,6 +332,9 @@ def extremum(
     default the grid is built here and f is called at each point. With a
     column, f is read only at the endpoints, or just inside one where f
     raises there, and at the refinement's points between the scan's points.
+    The scan's points where f raised are filtered out only where a None
+    shows, and each side's best scan point is one ``min`` or ``max`` and one
+    ``index`` (:func:`_best_index`).
     Endpoint candidates enter via one-sided limits: when f
     raises :class:`DomainError` at an endpoint it is re-sampled at a
     distance of 1e-9 times the interval width. Raises :class:`DomainError`
@@ -361,11 +364,11 @@ def extremum(
         values = [_value_or_none(f, x) for x in xs]
     else:
         xs, values = column(n)
-    kept = [v for v in values if v is not None]
-    if len(kept) < len(values):
+    if None in values:
         xs = [x for x, v in zip(xs, values) if v is not None]
+        values = [v for v in values if v is not None]
     px += xs
-    pv += kept
+    pv += values
     try:
         x, v = _guarded(f, lo + width, lo, width)
         px.append(x)
@@ -392,11 +395,16 @@ def extremum(
 
 def _best_index(values: list[float], flip: float) -> int:
     """The index ``min(range(len(values)), key=lambda i: flip * values[i])``
-    picks, for flip = 1.0 or -1.0, with a key that runs no Python code: min
-    keeps the first index whose value is not beaten under ``<``, and the
-    negated values are beaten under ``<`` exactly where the values are under
-    ``>``, which max tests, so ties, -0.0 and nan pick the same index."""
-    return (min if flip > 0 else max)(range(len(values)), key=values.__getitem__)
+    picks, for flip = 1.0 or -1.0, from one ``min`` or ``max`` of the values
+    and one ``index``, with no key at all. The negated values are beaten
+    under ``<`` exactly where the values are under ``>``, which max tests,
+    and min and max keep the first value not beaten, so the value they
+    return sits at that index, and no earlier index holds an equal value:
+    one would have stood first, as a later value replaces the kept one
+    only by beating it, and a nan is kept only as the first value. The
+    first match of ``index``, which tests identity before equality, is
+    that index, ties, -0.0 and nan included."""
+    return values.index((min if flip > 0 else max)(values))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import ConsistencyError, DomainError, ValidationError, YoungBoundsError
 from .expr import (
@@ -157,12 +158,14 @@ class DerivativeProfile:
     abscissae and replaces the entry. A jet kernel's coefficient k depends
     only on coefficients <= k of its operands, so where ``jet(x, m)``
     succeeds its derivatives 0..k are those of ``jet(x, k)``, bit for bit,
-    and a grid serves every lower order. The catalog's gates and extremum
-    scans read these, and ``catalog.fill_gate_grids`` fills each gate grid
-    once, at the highest order a report's methods read there.
+    and a grid serves every lower order. Validation's h' scan of (0, c) and
+    the catalog's gates and extremum scans read these, and
+    ``catalog.fill_gate_grids`` fills each gate grid once, at the highest
+    order a report's methods read there, on the abscissae of (0, c) that
+    validation left.
 
-    ``memo`` keeps values derived from the derivatives (the catalog's
-    sampled gates, extrema and exact r = 1 norms), or the typed error of a
+    ``memo`` keeps values derived from the derivatives (the catalog's gate
+    verdicts, extrema and exact r = 1 norms), or the typed error of a
     computation that failed, under keys its caller chooses; keys that name
     an interval make the profile valid for any anchors.
 
@@ -195,7 +198,11 @@ class DerivativeProfile:
         it has one, and replaces its entry; a ``fill`` above k lets a later
         read of that order share the batch. Where the kept order is above k
         and its jet failed, the point is computed again at k, in one more
-        batch that is not kept."""
+        batch that is not kept.
+
+        Where no row failed, which one built-in pass tells, the values are
+        one ``map`` of ``itemgetter(k)`` over the rows, with no pass over
+        the rows in Python."""
         key = (lo, hi, n)  # the grid of -0.0 is that of 0.0, as in a memo key
         entry = self._grids.get(key)
         if entry is None or not 0 < k <= entry[0]:
@@ -203,8 +210,10 @@ class DerivativeProfile:
             xs = interior_grid(lo, hi, n) if entry is None else entry[1]
             entry = self._grids[key] = (order, xs, jet_rows(self.ast, xs, order))
         order, xs, rows = entry
+        if None not in rows:
+            return xs, list(map(itemgetter(k), rows))
         values = [None if row is None else row[k] for row in rows]
-        if order > k and None in rows:
+        if order > k:
             misses = [i for i, row in enumerate(rows) if row is None]
             for i, row in zip(misses, jet_rows(self.ast, [xs[i] for i in misses], k)):
                 if row is not None:
@@ -419,21 +428,20 @@ def _check_domain(inst: ProblemInstance) -> None:
     # genuinely positive slope somewhere. Interior points (never 0 or c) keep
     # expressions like exp(-1/x) evaluable; its derivative underflows to 0 for
     # tiny x, which is why exact zeros are tolerated pointwise.
-    # A row that succeeded is finite, so when every row did, the least slope
-    # alone passes or fails the floor test, and the greatest the positive
-    # one; otherwise the scan walks the points in order to name the first
-    # that fails.
-    n = SCAN_POINTS
+    # The scan is the profile's (0, c) grid, which the catalog's gates of
+    # (0, c) then read at a higher order on the same abscissae.
+    # A value that is not None is finite, so when every point has one, the
+    # least slope alone passes or fails the floor test, and the greatest the
+    # positive one; otherwise the scan walks the points in order to name the
+    # first that fails.
     floor = -1e-12
-    xs = interior_grid(0.0, c, n)
-    rows = jet_rows(inst.ast, xs, 1)
-    d1s = [row[1] for row in rows if row is not None]
-    if len(d1s) < n or min(d1s) < floor or max(d1s) <= 0.0:
+    xs, d1s = inst.profile.column(0.0, c, SCAN_POINTS, 1)
+    if None in d1s or min(d1s) < floor or max(d1s) <= 0.0:
         seen_positive = False
-        for x, row in zip(xs, rows):
+        for x, d1 in zip(xs, d1s):
             try:
-                # a failed row's message comes from one jet at its abscissa
-                d1 = row[1] if row is not None else inst.deriv(x, 1)
+                # a failed point's message comes from one jet at its abscissa
+                d1 = inst.deriv(x, 1) if d1 is None else d1
             except DomainError as exc:
                 raise ValidationError("function", f"h' not evaluable at x={x!r}: {exc}")
             if d1 < floor * max(1.0, abs(d1)):

@@ -1,7 +1,9 @@
 """Reference closed forms of the hoorfar-qi, hh-cebysev, jensen-first,
 taylor-lagrange, taylor-jensen, taylor-cebysev and taylor-product-hh bounds,
 the holder-norm and taylor-holder bounds with their norms by ``mpmath.quad``,
-and of the gap or remainder they bound, in 50-digit mpmath arithmetic.
+the polya-first and polya-second bounds at a given derivative range, and of
+the quantity each bounds and the derivative ranges, in 50-digit mpmath
+arithmetic.
 
 The families are h(x) = x^p and h(x) = exp(lam*x) - 1, whose derivatives,
 inverse and Young gap are known in closed form, and h(x) = lam*ln(1+x) + x^2,
@@ -261,6 +263,103 @@ def holder(h, a: float, b: float, n: int, upper_pair: tuple[float, float]):
         sign = -1 if x0 > a_ and n % 2 == 1 else 1
         sides = [sign * lower / mpmath.factorial(n + 1), sign * upper / mpmath.factorial(n + 1)]
         return min(sides), max(sides)
+
+
+def shifted(h, a: float, b: float):
+    """SHIFTED = SUM - b*x0 = GAP + a*b - b*x0, the integral of h from x0 to a."""
+    with mpmath.workdps(DPS):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        return h.gap(a, b) + a_ * b_ - b_ * h.inverse(b)
+
+
+def middle2(h, a: float, b: float):
+    """MIDDLE2 = SUM - a*h(a) + [a^2 h'(a) - x0^2 h'(x0)]/2, from the
+    closed-form gap. Integrating by parts twice, it is the integral of
+    x^2 h''(x)/2 from x0 to a."""
+    with mpmath.workdps(DPS):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        x0 = h.inverse(b)
+        return (h.gap(a, b) + a_ * b_ - a_ * h.deriv(a_, 0)
+                + (a_ ** 2 * h.deriv(a_, 1) - x0 ** 2 * h.deriv(x0, 1)) / 2)
+
+
+def deriv_range(h, a: float, b: float, k: int):
+    """(min, max) of h^(k) on [alpha, beta]: its values at the ends, as
+    h^(k+1) has one sign there in every family here, which this checks."""
+    with mpmath.workdps(DPS):
+        a_ = mpmath.mpf(a)
+        x0 = h.inverse(b)
+        alpha, beta = min(a_, x0), max(a_, x0)
+        slope_sign(h, alpha, beta, k - 1)
+        ends = [h.deriv(alpha, k), h.deriv(beta, k)]
+        return min(ends), max(ends)
+
+
+def polya_first(h, a: float, b: float, L: float, U: float):
+    """(lower, upper) on SHIFTED from L <= h' <= U on [alpha, beta].
+
+    With h(alpha) and h(beta) fixed and the slope in [L, U], h lies below
+    the least of the lines from (alpha, h(alpha)) of slope U and into
+    (beta, h(beta)) of slope L, and above the greatest of those of slopes L
+    and U; each pair of lines crosses s = (h(beta) - h(alpha) - W w)/(U - L)
+    past alpha, with w = beta - alpha and W the second line's slope. The
+    integral of h over [alpha, beta] lies between the areas under those two
+    broken lines, and SHIFTED is that integral, negated for x0 > a; the
+    pair sorted. At a range that does not hold the areas are the same
+    polynomials in s."""
+    with mpmath.workdps(DPS):
+        a_ = mpmath.mpf(a)
+        L, U = mpmath.mpf(L), mpmath.mpf(U)
+        x0 = h.inverse(b)
+        alpha, beta = min(a_, x0), max(a_, x0)
+        w = beta - alpha
+        h_alpha, h_beta = h.deriv(alpha, 0), h.deriv(beta, 0)
+
+        def area(first: mpmath.mpf, second: mpmath.mpf):
+            # under h(alpha) + first*(x - alpha) up to the crossing, then
+            # under h(beta) - second*(beta - x)
+            s = (h_beta - h_alpha - second * w) / (first - second)
+            t = w - s
+            return h_alpha * s + first * s ** 2 / 2 + h_beta * t - second * t ** 2 / 2
+
+        sign = -1 if x0 > a_ else 1
+        sides = [sign * area(L, U), sign * area(U, L)]
+        return min(sides), max(sides)
+
+
+def polya_second(h, a: float, b: float, L: float, U: float):
+    """(lower, upper) on MIDDLE2 from L <= h'' <= U on [alpha, beta], a side
+    None where its denominator vanishes.
+
+    MIDDLE2 is the integral of x^2 g/2 from x0 to a, g = h''. For W in
+    {L, U}, g - W has one sign, and Cauchy-Schwarz for the measure |g - W| dx
+    gives (m1)^2 <= m0 * (integral of x^2 (g - W)), with the moments
+
+        m0 = integral of (g - W) = h'(a) - h'(x0) - W d,
+        m1 = integral of x (g - W) = a h'(a) - x0 h'(x0) - (h(a) - b) - W (a^2 - x0^2)/2,
+
+    all from x0 to a, d = a - x0. So W (a^3 - x0^3)/6 + m1^2/(2 m0) bounds
+    MIDDLE2: from below at W = L and from above at W = U for a > x0, and
+    the other way round for a < x0, where each integral changes sign. Two
+    sides are sorted, as they cross at a range that does not hold."""
+    with mpmath.workdps(DPS):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        x0 = h.inverse(b)
+        d = a_ - x0
+        hp_a, hp_x0 = h.deriv(a_, 1), h.deriv(x0, 1)
+
+        def side(W: float):
+            W = mpmath.mpf(W)
+            m0 = hp_a - hp_x0 - W * d
+            m1 = a_ * hp_a - x0 * hp_x0 - (h.deriv(a_, 0) - b_) - W * (a_ ** 2 - x0 ** 2) / 2
+            if m0 == 0:
+                return None
+            return W * (a_ ** 3 - x0 ** 3) / 6 + m1 ** 2 / (2 * m0)
+
+        lower, upper = (side(L), side(U)) if d > 0 else (side(U), side(L))
+        if lower is not None and upper is not None:
+            return min(lower, upper), max(lower, upper)
+        return lower, upper
 
 
 def signs(h, lo: float, hi: float, k: int) -> set[int]:

@@ -289,6 +289,32 @@ def test_the_h_second_scan_reads_the_h_prime_grid_and_keeps_no_golden_point(quar
 
 
 @pytest.mark.workcount
+def test_an_extremum_scan_looks_up_its_kernels_once(quartic, spy):
+    # the golden-section reads of an extremum scan run one reader of the
+    # order-1 kernel, looked up once per scan, and the interior is one
+    # order-2 batch: fails when each read looks its kernel up again through
+    # inst.deriv, 98 order-1 lookups in this scan
+    inst, anch = quartic
+    inst = dataclasses.replace(inst)  # an empty profile
+    calls = spy(expr._kernel)
+    cat._extrema_of_deriv(inst, 1, anch.alpha, anch.beta)
+    assert Counter(call.order for call in calls) == {2: 1, 1: 1}
+
+
+@pytest.mark.workcount
+def test_a_sweep_instance_classifies_each_gate_key_once(spy):
+    # the 11 gate checks of one sweep instance read 6 (order, interval)
+    # keys, and each key's samples are classified once, in the profile's
+    # memo of the whole verdict: fails when each check classifies its
+    # samples again, 11 times
+    checks = spy(cat._check)
+    classes = spy(cat._sign_class)
+    sweep(42, 1)
+    keys = {(call.order, call.lo, call.hi) for call in checks}
+    assert (len(checks), len(keys), len(classes)) == (11, 6, 6)
+
+
+@pytest.mark.workcount
 def test_instances_are_freed_without_the_collector():
     # an instance, its profile, rows, tree and kernels hold no reference
     # cycle, nor does a failed read, so dropping the instance frees them by
@@ -423,9 +449,11 @@ def test_sweep_fills_each_gate_grid_once(kernel_runs, spy):
     # sweep fills each gate grid once per instance, at the highest order its
     # methods read there, and builds each grid's abscissae once: in
     # sweep(42, 10), one batch per grid and instance, 40 (70 when each higher
-    # order filled a grid again), and 50 interior_grid calls (90 when an
-    # upgrade and the h'' scan built their grids again); evaluate runs 2,034
-    # times, 2,064 while validation sampled h(0+) at three points
+    # order filled a grid again), and 40 interior_grid calls (90 when an
+    # upgrade and the h'' scan built their grids again, 50 while validation's
+    # h' scan of (0, c) built its own grid, which the (0, c) gates now read
+    # at a higher order on the same abscissae); evaluate runs 2,034 times,
+    # 2,064 while validation sampled h(0+) at three points
     rows = spy(expr.jet_rows)
     grids = spy(numerics.interior_grid)
     sweep(42, 10)
@@ -433,7 +461,7 @@ def test_sweep_fills_each_gate_grid_once(kernel_runs, spy):
     kernel_evaluations = kernel_runs.evaluations()
     assert batches == {(1, 257): 10, (2, 1023): 10, (3, 257): 10, (4, 257): 10}
     sizes = Counter(call.n for call in grids)
-    assert sizes == {257: 30, 1023: 10, 33: 10}
+    assert sizes == {257: 20, 1023: 10, 33: 10}
     assert dict(kernel_evaluations) == {None: 2034, 1: 4014, 2: 11480, 3: 2570, 4: 2570}
 
 
@@ -1241,6 +1269,40 @@ def test_holder_bounds_match_their_closed_forms(family, x_b, upper_pair):
         if holds:
             slack = 1e-40 * (1 + abs(true))  # the equality cases, in 50 digits
             assert want[0] - true <= slack and true - want[1] <= slack, (case, want, true)
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda h: h.text)
+@pytest.mark.parametrize("x_b", [0.6, 1.9], ids=["b_below_h_a", "b_above_h_a"])
+def test_polya_bounds_match_their_closed_forms(family, x_b):
+    # polya-first and polya-second: the default L and U, the extremum scan
+    # of h' or h'' on [alpha, beta], against the 50-digit extremes to 1e-12;
+    # then at a user range a quarter of the true range wider at each end,
+    # where the hypothesis holds, and one a quarter narrower, where it fails,
+    # the values on both, and applicable and the bound on the closed-form
+    # SHIFTED or MIDDLE2 where it holds
+    a, c = 1.2, 2.0
+    b = float(family.deriv(x_b, 0))
+    inst = make_problem(family.text, a, b, c)
+    anch = anchors(inst)
+    for order, estimator, reference, true in (
+        (1, cat.bound_polya_first, rb.polya_first, rb.shifted(family, a, b)),
+        (2, cat.bound_polya_second, rb.polya_second, rb.middle2(family, a, b)),
+    ):
+        lo, hi = rb.deriv_range(family, a, b, order)
+        extras = dict(estimator(inst, anch).extras)
+        for got, want in ((extras["L"], lo), (extras["U"], hi)):
+            assert math.isclose(got, float(want), rel_tol=1e-12), (order, got, want)
+        quarter = (hi - lo) / 4
+        for L, U, holds in ((lo - quarter, hi + quarter, True), (lo + quarter, hi - quarter, False)):
+            L, U = float(L), float(U)
+            res = estimator(inst, anch, L, U)
+            want = reference(family, a, b, L, U)
+            case = (res.method, L, U)
+            assert _close(res.lower, want[0]) and _close(res.upper, want[1]), (case, res, want)
+            assert res.applicable == holds, case
+            if holds:
+                slack = 1e-40 * (1 + abs(true))
+                assert want[0] - true <= slack and true - want[1] <= slack, (case, want, true)
 
 
 # ---------------------------------------------------------------------------

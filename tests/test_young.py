@@ -187,7 +187,9 @@ def _scan_outcomes(slopes):
     with the h' scan's rows replaced: ``slopes`` gives h' at each scan point,
     None for a point whose jet fails."""
     assert len(slopes) == SCAN_POINTS
-    inst = make_problem("x", 0.5, 0.5, 1.0)
+    # an empty profile: the h' scan is the profile's (0, c) grid, which the
+    # instance's own validation may have filled
+    inst = dataclasses.replace(make_problem("x", 0.5, 0.5, 1.0))
 
     def rows(ast, xs, order):
         return [None if d1 is None else (x, d1) for x, d1 in zip(xs, slopes)]

@@ -197,13 +197,20 @@ def _verdict(
     """The order-th derivative at the interior scan points of [lo, hi] where
     its jet is defined, their sign class and the observed text, which
     counts the points skipped: from one profile column, one ``min`` and one
-    ``max``."""
+    ``max``. The points where the jet failed, None in the column, are
+    filtered out only where ``min`` meets one, as a TypeError; a lone None,
+    which ``min`` returns, is filtered too."""
     values = inst.profile.column(lo, hi, SCAN_POINTS, order)[1]
-    if None in values:
+    try:
+        least, greatest = min(values), max(values)
+    except TypeError:  # a None among two or more values
+        least = None
+    if least is None:
         values = [v for v in values if v is not None]
+        if values:
+            least, greatest = min(values), max(values)
     values = tuple(values)
     if values:
-        least, greatest = min(values), max(values)
         cls = _sign_class(least, greatest)
         observed = f"h^({order}) in [{least:.6g}, {greatest:.6g}] at {len(values)} points"
     else:
@@ -305,15 +312,17 @@ def _result(
     extras: Iterable[tuple[str, float]] = (),
 ) -> BoundResult:
     """Every estimator's BoundResult: applicable when each check passed or is
-    assumed. Two sides that crossed, which happens only at floating-point
-    boundaries of an equality case, are sorted, with a note after the others."""
+    assumed. Two sides that crossed are sorted, with a note after the others
+    that names the cause: on an applicable row, floating-point boundaries of
+    an equality case; on any other, a hypothesis that failed."""
     checks, notes = tuple(checks), tuple(notes)
+    applicable = all(c.ok for c in checks)
     if lower is not None and upper is not None and lower > upper:
         lower, upper = upper, lower
-        notes += ("sides crossed within roundoff; sorted",)
+        notes += ("sides crossed within roundoff; sorted" if applicable
+                  else "sides crossed as a hypothesis failed; sorted",)
     return BoundResult(
-        method, target, lower, upper, all(c.ok for c in checks),
-        checks, notes, tuple(extras),
+        method, target, lower, upper, applicable, checks, notes, tuple(extras),
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .errors import (
@@ -274,13 +275,16 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden_min(g: Func, a: float, b: float, max_iter: int = 120) -> tuple[float, float]:
-    """Golden-section minimum of g on [a, b] (unimodal assumed inside the bracket)."""
+def _golden_min(
+    f: Func, a: float, b: float, flip: float, max_iter: int = 120
+) -> tuple[float, float]:
+    """Golden-section minimum of flip*f on [a, b] (unimodal assumed inside the
+    bracket), as (x, flip*f(x)); each read is ``flip * f(x)``, with no wrapper."""
     h = b - a
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
-    yc = g(c)
-    yd = g(d)
+    yc = flip * f(c)
+    yd = flip * f(d)
     for _ in range(max_iter):
         if h <= 4.0 * _EPS * max(abs(a), abs(b), 1.0):
             break
@@ -288,12 +292,12 @@ def _golden_min(g: Func, a: float, b: float, max_iter: int = 120) -> tuple[float
             b, d, yd = d, c, yc
             h = b - a
             c = a + _INV_PHI2 * h
-            yc = g(c)
+            yc = flip * f(c)
         else:
             a, c, yc = c, d, yd
             h = b - a
             d = a + _INV_PHI * h
-            yd = g(d)
+            yd = flip * f(d)
     return (c, yc) if yc < yd else (d, yd)
 
 
@@ -306,9 +310,23 @@ def _value_or_none(f: Func, x: float) -> float | None:
 
 def interior_grid(lo: float, hi: float, n: int) -> list[float]:
     """The n abscissae lo + (hi - lo)*i/(n + 1), i = 1..n, of [lo, hi]: every
-    sign scan, extremum scan and t grid samples these."""
+    sign scan, extremum scan and t grid samples these.
+
+    Each i and n + 1 enter as floats, which is the int-to-float conversion
+    the formula makes with integer i, exact below 2**53, so the bits are the
+    formula's; the steps 1.0..n come from a table of the last few n up to
+    ``EXTREMUM_SCAN_POINTS``, and a larger n builds its own."""
     width = hi - lo
-    return [lo + width * i / (n + 1) for i in range(1, n + 1)]
+    d = float(n + 1)
+    steps = _grid_steps(n) if n <= EXTREMUM_SCAN_POINTS else map(float, range(1, n + 1))
+    return [lo + width * i / d for i in steps]
+
+
+@lru_cache(maxsize=8, typed=True)
+def _grid_steps(n: int) -> tuple[float, ...]:
+    """1.0, 2.0, ..., float(n), kept for the last 8 n; typed, so a float n
+    raises in ``range`` as the formula does and never reads an int's entry."""
+    return tuple(map(float, range(1, n + 1)))
 
 
 # Abscissae of extremum's dense scan, both endpoints included.
@@ -332,9 +350,11 @@ def extremum(
     default the grid is built here and f is called at each point. With a
     column, f is read only at the endpoints, or just inside one where f
     raises there, and at the refinement's points between the scan's points.
-    The scan's points where f raised are filtered out only where a None
-    shows, and each side's best scan point is one ``min`` or ``max`` and one
-    ``index`` (:func:`_best_index`).
+    Each side's best scan point is one ``min`` or ``max`` of the values as
+    they come and one ``index`` (:func:`_best_index`); the scan's points
+    where f raised are filtered out only where a None shows, as the
+    TypeError that ``min`` raises on meeting it, and both sides are then
+    found again on the rest.
     Endpoint candidates enter via one-sided limits: when f
     raises :class:`DomainError` at an endpoint it is re-sampled at a
     distance of 1e-9 times the interval width. Raises :class:`DomainError`
@@ -364,9 +384,6 @@ def extremum(
         values = [_value_or_none(f, x) for x in xs]
     else:
         xs, values = column(n)
-    if None in values:
-        xs = [x for x, v in zip(xs, values) if v is not None]
-        values = [v for v in values if v is not None]
     px += xs
     pv += values
     try:
@@ -375,22 +392,29 @@ def extremum(
         pv.append(v)
     except DomainError:
         pass
-    if len(pv) < 2:
+    best = None
+    try:  # min and max meet a None, where f raised, as a TypeError among 2+ values
+        if len(pv) > 1:
+            best = _best_index(pv, 1.0), _best_index(pv, -1.0)
+    except TypeError:
+        px = [x for x, v in zip(px, pv) if v is not None]
+        pv = [v for v in pv if v is not None]
+        if len(pv) > 1:
+            best = _best_index(pv, 1.0), _best_index(pv, -1.0)
+    if best is None:
         raise DomainError("fewer than 2 scan points evaluable")
 
-    def refine(flip: float) -> tuple[float, float]:
+    def refine(flip: float, best_i: int) -> tuple[float, float]:
         """Minimum of flip*f: the scan's best point, bracketed by its neighbours."""
-        g = lambda x: flip * f(x)
-        best_i = _best_index(pv, flip)
         bl = px[best_i - 1] if best_i > 0 else px[best_i]
         br = px[best_i + 1] if best_i + 1 < len(px) else px[best_i]
         candidates = [(px[i], flip * pv[i]) for i in (0, -1, best_i)]
         if br > bl:
-            candidates.append(_golden_min(g, bl, br))
+            candidates.append(_golden_min(f, bl, br, flip))
         xs, gs = min(candidates, key=lambda c: c[1])
         return xs, flip * gs
 
-    return refine(1.0), refine(-1.0)
+    return refine(1.0, best[0]), refine(-1.0, best[1])
 
 
 def _best_index(values: list[float], flip: float) -> int:

@@ -200,9 +200,10 @@ class DerivativeProfile:
         and its jet failed, the point is computed again at k, in one more
         batch that is not kept.
 
-        Where no row failed, which one built-in pass tells, the values are
-        one ``map`` of ``itemgetter(k)`` over the rows, with no pass over
-        the rows in Python."""
+        The values are first one ``map`` of ``itemgetter(k)`` over the rows,
+        with no pass over the rows in Python and none to look for a failed
+        row: a None row stops that map with a TypeError, and only then are
+        the rows read one by one."""
         key = (lo, hi, n)  # the grid of -0.0 is that of 0.0, as in a memo key
         entry = self._grids.get(key)
         if entry is None or not 0 < k <= entry[0]:
@@ -210,8 +211,10 @@ class DerivativeProfile:
             xs = interior_grid(lo, hi, n) if entry is None else entry[1]
             entry = self._grids[key] = (order, xs, jet_rows(self.ast, xs, order))
         order, xs, rows = entry
-        if None not in rows:
+        try:
             return xs, list(map(itemgetter(k), rows))
+        except TypeError:  # a None row, where the jet failed
+            pass
         values = [None if row is None else row[k] for row in rows]
         if order > k:
             misses = [i for i, row in enumerate(rows) if row is None]

@@ -10,11 +10,13 @@ import random
 import time
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 import reference_bounds as rb
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_scans import reference_verdict, scan_columns
 
 from youngbounds import catalog as cat
 from youngbounds import expr, numerics, young
@@ -312,6 +314,20 @@ def test_a_sweep_instance_classifies_each_gate_key_once(spy):
     sweep(42, 1)
     keys = {(call.order, call.lo, call.hi) for call in checks}
     assert (len(checks), len(keys), len(classes)) == (11, 6, 6)
+
+
+# Catches a gate verdict that reduces its column before it filters out the
+# failed points, and so gives other samples, another sign class or another
+# observed text, its "(k skipped)" count included, than the verdict that
+# filters first: a None the TypeError path misses, or a lone None taken
+# for a value.
+@pytest.mark.workcount
+@settings(max_examples=400, deadline=None)
+@given(values=scan_columns(), order=st.integers(1, 6))
+def test_gate_verdict_matches_the_filter_first_verdict(values, order):
+    profile = SimpleNamespace(column=lambda lo, hi, n, k: (None, list(values)))
+    got = cat._verdict(SimpleNamespace(profile=profile), order, 0.0, 1.0)
+    assert repr(got) == repr(reference_verdict(values, order))
 
 
 @pytest.mark.workcount
@@ -1129,6 +1145,15 @@ def test_result_sorts_crossed_sides_and_notes_them_last():
     assert res.notes == ("first", "sides crossed within roundoff; sorted")
     assert res.extras == (("x", 3.0),) and res.applicable and res.diagnostics == ()
     assert cat._result("m", _GAP, 1.0, 2.0, notes=("first",)).notes == ("first",)
+
+
+def test_result_names_a_failed_hypothesis_when_sides_cross():
+    # a user range narrower than h''s on [alpha, beta] crosses the sides by
+    # 5.4e-3, far beyond roundoff, and the row is not applicable
+    inst = make_problem("x^3.0", 1.2, 0.216, 2.0)
+    res = cat.bound_polya_second(inst, anchors(inst), L=4.5, U=6.3)
+    assert not res.applicable and res.upper - res.lower > 5e-3
+    assert res.notes == ("sides crossed as a hypothesis failed; sorted",)
 
 
 def test_result_leaves_a_none_side_alone():

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_quadrature import reference_integrate, rows
+from reference_scans import reference_extremum, reference_golden_min, scan_columns
 
+from youngbounds import numerics
 from youngbounds.errors import (
     DomainError,
     ExponentDomainError,
@@ -22,6 +25,7 @@ from youngbounds.numerics import (
     NormSpec,
     _best_index,
     _gk15,
+    _golden_min,
     extremum,
     integrate,
     interior_grid,
@@ -381,6 +385,127 @@ def test_best_index_is_the_flipped_key_minimum(values, flip):
 def test_interior_grid():
     assert interior_grid(1.0, 2.0, 3) == [1.25, 1.5, 1.75]
     assert interior_grid(0.0, 1.0, 0) == []
+
+
+def _scan_f(kind: str, lo: float, hi: float):
+    """A scan's f on [lo, hi]: smooth, or raising DomainError at lo alone
+    (read again just inside), near lo (the endpoint drops out) or at both
+    ends."""
+    width = hi - lo
+
+    def f(x):
+        near_lo = x <= lo + (1e-6 * width if kind in ("near-lo", "both") else 0.0)
+        near_hi = kind == "both" and x >= hi - 1e-6 * width
+        if kind != "smooth" and (near_lo or near_hi):
+            raise DomainError(f"hole at {x!r}")
+        return math.sin(7.0 * x) * x
+    return f
+
+
+# Catches an extremum that reads its column's values before it filters out
+# the failed points, and so finds another best point or error than the scan
+# that filters first: a None the TypeError path misses, a filter that drops
+# an endpoint, a lone-None or two-point column that raises another error,
+# or a check of "fewer than 2 points" that moved.
+@pytest.mark.workcount
+@settings(max_examples=400, deadline=None)
+@given(values=scan_columns(), kind=st.sampled_from(("smooth", "lo", "near-lo", "both")),
+       span=st.sampled_from(((0.0, 1.0), (-2.0, 3.0), (1.0, 1.0 + 1e-9))))
+@example(values=[None], kind="both", span=(0.0, 1.0))
+@example(values=[None], kind="lo", span=(0.0, 1.0))
+@example(values=[1.0], kind="both", span=(0.0, 1.0))
+@example(values=[None, 2.0], kind="both", span=(0.0, 1.0))
+@example(values=[None, None], kind="near-lo", span=(0.0, 1.0))
+@example(values=[math.nan, None, -0.0], kind="smooth", span=(0.0, 1.0))
+def test_extremum_matches_the_filter_first_scan(values, kind, span):
+    lo, hi = span
+    f = _scan_f(kind, lo, hi)
+    column = lambda n: (interior_grid(lo, hi, len(values)), list(values))
+    want = _outcome(reference_extremum, f, lo, hi, column)
+    assert _outcome(extremum, f, lo, hi, column) == want
+
+
+@pytest.mark.workcount
+@pytest.mark.parametrize("kind", ["smooth", "near-lo", "both"])
+def test_extremum_without_a_column_matches_the_filter_first_scan(kind):
+    # catches the same regressions on the column extremum builds itself,
+    # with f raising on a band of its interior too
+    def f(x):
+        if 0.3 < x < 0.4:
+            raise DomainError("band")
+        return inner(x)
+    inner = _scan_f(kind, 0.0, 1.0)
+    assert _outcome(extremum, f, 0.0, 1.0) == _outcome(reference_extremum, f, 0.0, 1.0)
+
+
+def _bits(xs) -> list[bytes]:
+    return [struct.pack("<d", x) for x in xs]
+
+
+_GRID_ENDS = st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 1e300, -1e300, 1.7e308, -1.7e308)
+) | st.floats(allow_nan=False)
+
+
+# Catches a grid whose float steps round otherwise than the formula with
+# integer i: a step or divisor that is not the exact int-to-float of i and
+# n + 1, or a table that hands one n the steps of another.
+@pytest.mark.workcount
+@settings(max_examples=200, deadline=None)
+@given(lo=_GRID_ENDS, hi=_GRID_ENDS, n=st.sampled_from((0, 1, 2, 7, 257, 1023, 1025, 1500)))
+@example(lo=-0.0, hi=0.0, n=7)
+@example(lo=-0.0, hi=5e-324, n=1023)
+@example(lo=0.0, hi=1e-320, n=257)
+@example(lo=-1e300, hi=1e300, n=1023)
+@example(lo=1.0, hi=1.0 + 2.0 ** -52, n=2)
+def test_interior_grid_is_the_integer_formula_bit_for_bit(lo, hi, n):
+    want = [lo + (hi - lo) * i / (n + 1) for i in range(1, n + 1)]
+    assert _bits(interior_grid(lo, hi, n)) == _bits(want)
+
+
+@pytest.mark.workcount
+def test_grid_steps_table_stays_within_its_bound():
+    # catches a steps table that grows with every distinct n, or keeps the
+    # steps of a grid larger than any scan's
+    for n in range(300):
+        interior_grid(0.0, 1.0, n)
+    info = numerics._grid_steps.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+    misses = info.misses
+    assert len(interior_grid(0.0, 1.0, 5000)) == 5000
+    assert numerics._grid_steps.cache_info().misses == misses
+
+
+def _piecewise_f(values, a: float, b: float):
+    """The f that takes values[0], values[1], ... on equal pieces of [a, b]."""
+    m = len(values)
+    if not b > a:
+        return lambda x: values[0]
+    return lambda x: values[min(max(int(m * ((x - a) / (b - a))), 0), m - 1)]
+
+
+# Catches a golden section whose inline flip * f(x) reads another value or
+# sign than the wrapper lambda x: flip * f(x) it replaced, at -0.0 and nan
+# too, or reads f at other points.
+@pytest.mark.workcount
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from((0.0, -0.0, math.nan, 1.0, -1.0)) | st.floats(),
+                       min_size=1, max_size=8),
+       ab=st.sampled_from(((0.0, 1.0), (-3.0, -1.0), (1.0, 1.0 + 1e-12), (-0.0, 0.0))),
+       flip=st.sampled_from((1.0, -1.0)))
+@example(values=[-0.0, 1.0], ab=(0.0, 1.0), flip=1.0)
+@example(values=[1.0, 0.0, -0.0], ab=(0.0, 1.0), flip=-1.0)
+@example(values=[math.nan, 1.0], ab=(0.0, 1.0), flip=-1.0)
+@example(values=[math.nan], ab=(0.0, 1.0), flip=-1.0)
+@example(values=[0.0], ab=(0.0, 1.0), flip=-1.0)
+def test_golden_min_reads_flip_times_f_bit_for_bit(values, ab, flip):
+    a, b = ab
+    f = _piecewise_f(values, a, b)
+    reads, ref_reads = [], []
+    got = _golden_min(lambda x: reads.append(x) or f(x), a, b, flip)
+    want = reference_golden_min(lambda x: ref_reads.append(x) or flip * f(x), a, b)
+    assert _bits(got) == _bits(want)
+    assert _bits(reads) == _bits(ref_reads)
 
 
 def test_extremum_needs_two_points():

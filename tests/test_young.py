@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import EMIT, POINT_JET, TOKENIZE, patched
 from reference_quadrature import rows
+from reference_scans import reference_column, scan_columns
 
 from youngbounds import expr, report, young
 from youngbounds.errors import DomainError, ValidationError, YoungBoundsError
@@ -758,6 +759,28 @@ def test_profile_column_reads_match_unshared_reads(text, reads):
         assert repr(got_xs) == repr(xs), (text, lo, hi, n)
         assert [("value", repr(v)) if v is not None else DomainError for v in got] == [
             w if w[0] == "value" else w[0] for w in want], (text, lo, hi, n, k, fill)
+
+
+# Catches a column that reads its kept rows before it looks for a failed
+# one, and so returns other values than the read that looks first: a None
+# row the TypeError path misses, or a failed point not read again at the
+# lower order where the kept order is higher.
+@pytest.mark.workcount
+@settings(max_examples=300, deadline=None)
+@given(values=scan_columns(), order=st.integers(1, 3), below=st.integers(0, 2))
+@example(values=[None], order=2, below=1)
+@example(values=[None, 1.0], order=1, below=0)
+def test_profile_column_matches_the_filter_first_read(values, order, below):
+    # ln(x) on [-1, 1], rows kept at order, read at k <= order: a point read
+    # again at a lower order fails at x <= 0 and gives a value at x > 0
+    k = max(order - below, 1)
+    prof = ProblemInstance(parse_expr("ln(x)"), a=1.0, b=0.5, c=2.0).profile
+    n = len(values)
+    xs = interior_grid(-1.0, 1.0, n)
+    rows = [None if v is None else (v,) * (order + 1) for v in values]
+    prof._grids[(-1.0, 1.0, n)] = (order, xs, rows)
+    want = repr(reference_column(prof, -1.0, 1.0, n, k))
+    assert repr(prof.column(-1.0, 1.0, n, k)) == want
 
 
 @pytest.mark.workcount

@@ -314,12 +314,10 @@ def interior_grid(lo: float, hi: float, n: int) -> list[float]:
 
     Each i and n + 1 enter as floats, which is the int-to-float conversion
     the formula makes with integer i, exact below 2**53, so the bits are the
-    formula's; the steps 1.0..n come from a table of the last few n up to
-    ``EXTREMUM_SCAN_POINTS``, and a larger n builds its own."""
+    formula's; the steps 1.0..n come from a table of the last few n."""
     width = hi - lo
     d = float(n + 1)
-    steps = _grid_steps(n) if n <= EXTREMUM_SCAN_POINTS else map(float, range(1, n + 1))
-    return [lo + width * i / d for i in steps]
+    return [lo + width * i / d for i in _grid_steps(n)]
 
 
 @lru_cache(maxsize=8, typed=True)

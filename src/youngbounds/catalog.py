@@ -359,22 +359,34 @@ def _extrema_of_deriv(
 # Lagrange-flavoured estimators (first derivative at the anchor points)
 # ---------------------------------------------------------------------------
 
+def _taylor_lagrange(inst: ProblemInstance, anch: Anchors, n: int, method: str) -> BoundResult:
+    """The order-n gap sandwich T_n + {m_n, M_n} * d^{n+2}/(n+2)! of ``method``,
+    whose ``_GATES`` row is its gate; m_n and M_n are the smaller/larger of
+    h^(n+1) at the two anchor abscissae."""
+    target = _gap_target(inst)
+    ((check, _, _),) = _gates(inst, anch, method, n)
+    if anch.width == 0.0:
+        return _zero_width_result(method, target)
+    d = inst.a - anch.h_inv_b
+    t_sum = _taylor_sum(inst, anch, n)
+    m, M = _sorted_pair(inst.deriv(inst.a, n + 1), inst.deriv(anch.h_inv_b, n + 1))
+    kernel = d ** (n + 2) / math.factorial(n + 2)
+    lower, upper = _sorted_pair(t_sum + kernel * m, t_sum + kernel * M)
+    return _result(
+        method, target, lower, upper, (check,),
+        extras=(("m_n", m), ("M_n", M), ("taylor_sum", t_sum)),
+    )
+
+
 def bound_hoorfar_qi(inst: ProblemInstance, anch: Anchors) -> BoundResult:
-    """Quadratic two-sided gap estimate from h' at the two anchor abscissae.
+    """Quadratic two-sided gap estimate from h' at the two anchor abscissae:
+    the order-0 Taylor-Lagrange sandwich {m, M} * d^2/2, gated on its own
+    hypothesis.
 
     Requires h' strictly monotonic on [0, c]; m and M are the smaller/larger
     of h'(a), h'(h^{-1}(b)).
     """
-    target = _gap_target(inst)
-    ((check, _, _),) = _gates(inst, anch, "hoorfar-qi")
-    if anch.width == 0.0:
-        return _zero_width_result("hoorfar-qi", target)
-    d = inst.a - anch.h_inv_b
-    m, M = _sorted_pair(inst.deriv(inst.a, 1), inst.deriv(anch.h_inv_b, 1))
-    return _result(
-        "hoorfar-qi", target, m / 2.0 * d * d, M / 2.0 * d * d, (check,),
-        extras=(("m", m), ("M", M)),
-    )
+    return _taylor_lagrange(inst, anch, 0, "hoorfar-qi")
 
 
 def bound_hh_cebysev(inst: ProblemInstance, anch: Anchors) -> BoundResult:
@@ -575,21 +587,9 @@ def bound_taylor_holder(
 def bound_taylor_lagrange(inst: ProblemInstance, anch: Anchors, n: int) -> BoundResult:
     """Order-n gap sandwich T_n + {m_n, M_n} * d^{n+2}/(n+2)! with m_n, M_n the
     smaller/larger of h^(n+1) at the two anchor abscissae. At n = 0 this is
-    exactly the hoorfar-qi estimate."""
+    the hoorfar-qi estimate, bit for bit, under its own gate's name."""
     _check_order(n)
-    target = _gap_target(inst)
-    ((check, _, _),) = _gates(inst, anch, "taylor-lagrange", n)
-    if anch.width == 0.0:
-        return _zero_width_result("taylor-lagrange", target)
-    d = inst.a - anch.h_inv_b
-    t_sum = _taylor_sum(inst, anch, n)
-    m, M = _sorted_pair(inst.deriv(inst.a, n + 1), inst.deriv(anch.h_inv_b, n + 1))
-    kernel = d ** (n + 2) / math.factorial(n + 2)
-    lower, upper = _sorted_pair(t_sum + kernel * m, t_sum + kernel * M)
-    return _result(
-        "taylor-lagrange", target, lower, upper, (check,),
-        extras=(("m_n", m), ("M_n", M), ("taylor_sum", t_sum)),
-    )
+    return _taylor_lagrange(inst, anch, n, "taylor-lagrange")
 
 
 # (h(a) > b?, direction of h^(n+1), n parity) -> which side the estimate bounds
@@ -1028,7 +1028,7 @@ METHODS = {
 def check_method_args(name: str, args: tuple[float, ...]) -> None:
     """Raise ParseError unless ``name`` is a registered method, ``args`` are
     no more than the names ``METHODS[name]`` lists, and any order n is a
-    nonnegative integer. Both the spec parser and ``run_method`` call it."""
+    nonnegative integer. Both the spec parser and ``_bind`` call it."""
     if name not in METHODS:
         raise ParseError(f"unknown method {name!r}")
     arg_names = METHODS[name][1]
@@ -1040,31 +1040,33 @@ def check_method_args(name: str, args: tuple[float, ...]) -> None:
         raise ParseError(f"{name}: order n must be a nonnegative integer, got {shown!r}")
 
 
+def _bind(inst: ProblemInstance, name: str, args: tuple[float, ...]) -> dict:
+    """The named arguments of method ``name`` at positional ``args`` on
+    ``inst``, after ``check_method_args``. A missing n is
+    ``options.taylor_order``; the Hölder pairs are the first of each
+    ``*_exponent_pairs`` option, with a positional p or q replacing its side."""
+    check_method_args(name, args)
+    arg_names = METHODS[name][1]
+    kwargs = dict(zip(arg_names, args))
+    if "n" in arg_names:
+        kwargs["n"] = int(kwargs.get("n", inst.options.taylor_order))
+    if name in ("holder-norm", "taylor-holder"):
+        p, q = inst.options.upper_exponent_pairs[0]
+        kwargs["upper_pair"] = (kwargs.pop("p", p), kwargs.pop("q", q))
+        kwargs["lower_pair"] = inst.options.lower_exponent_pairs[0]
+    return kwargs
+
+
 def run_method(
     inst: ProblemInstance,
     anch: Anchors,
     name: str,
     args: tuple[float, ...] = (),
 ) -> BoundResult:
-    """Dispatch a method by registry name with optional positional arguments.
-    A missing n is ``options.taylor_order``; the Hölder pairs are the first of
-    each ``*_exponent_pairs`` option, with a positional p or q replacing its side."""
-    check_method_args(name, args)
-    fn, arg_names = METHODS[name]
-    kwargs = dict(zip(arg_names, args))
-    if "n" in arg_names:
-        kwargs["n"] = _order(inst, kwargs)
-    if name in ("holder-norm", "taylor-holder"):
-        p, q = inst.options.upper_exponent_pairs[0]
-        kwargs["upper_pair"] = (kwargs.pop("p", p), kwargs.pop("q", q))
-        kwargs["lower_pair"] = inst.options.lower_exponent_pairs[0]
-    return fn(inst, anch, **kwargs)
-
-
-def _order(inst: ProblemInstance, kwargs: dict) -> int:
-    """The order n of a method's named arguments, ``options.taylor_order``
-    where none is given."""
-    return int(kwargs.get("n", inst.options.taylor_order))
+    """Dispatch a method by registry name with optional positional arguments,
+    bound by ``_bind``, which raises ParseError on an unknown name."""
+    kwargs = _bind(inst, name, args)
+    return METHODS[name][0](inst, anch, **kwargs)
 
 
 def fill_gate_grids(
@@ -1082,11 +1084,9 @@ def fill_gate_grids(
     orders: dict = {}
     for name, args in runs:
         try:
-            check_method_args(name, args)
+            n = _bind(inst, name, args).get("n", 0)
         except ParseError:
             continue
-        arg_names = METHODS[name][1]
-        n = _order(inst, dict(zip(arg_names, args))) if "n" in arg_names else 0
         for offset, span, *_ in _GATES.get(name, ()):
             if offset + n <= DEFAULT_ORDER_CAP:
                 grid = spans[span]  # (0, c) and [alpha, beta] may be one grid

@@ -232,22 +232,16 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return node
 
-    def _expression(self) -> tuple[Node, int]:
-        node, depth = self._term()
-        while self._peek().kind == "op" and self._peek().text in "+-":
+    def _expression(self, ops: str = "+-") -> tuple[Node, int]:
+        """A left-associative chain, each operator one BinOp whose depth is
+        checked against :data:`MAX_DEPTH`: terms joined by + and -, or, with
+        ``ops`` "*/", a term, unary operands joined by * and /. A term is
+        this loop one level down, so it costs no frame of its own."""
+        term = ops == "*/"
+        node, depth = self._unary() if term else self._expression("*/")
+        while self._peek().kind == "op" and self._peek().text in ops:
             tok = self._next()
-            right, rdepth = self._term()
-            node = BinOp(tok.text, node, right)
-            depth = (depth if depth > rdepth else rdepth) + 1
-            if depth > MAX_DEPTH:
-                raise self._too_deep(tok.pos)
-        return node, depth
-
-    def _term(self) -> tuple[Node, int]:
-        node, depth = self._unary()
-        while self._peek().kind == "op" and self._peek().text in "*/":
-            tok = self._next()
-            right, rdepth = self._unary()
+            right, rdepth = self._unary() if term else self._expression("*/")
             node = BinOp(tok.text, node, right)
             depth = (depth if depth > rdepth else rdepth) + 1
             if depth > MAX_DEPTH:
@@ -992,7 +986,7 @@ class _CodeTable(_LruTable):
             source = _factory_source(shape, order)
             namespace = dict(_KERNEL_GLOBALS, _exact_rows=partial(_exact_rows, shape, order))
             exec(compile(source, "<youngbounds kernel>", "exec"), namespace)
-            make = namespace["make"]
+            make = namespace.pop("make")  # the namespace is make's globals: no cycle
             self.put(key, make, len(source))
         return make
 

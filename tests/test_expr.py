@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import inspect
 import math
 import pickle
@@ -116,6 +117,23 @@ def test_parse_rejects_deep_tree_inside_shallow_nesting():
     with pytest.raises(ExprSyntaxError, match=f"tree deeper than {MAX_DEPTH}") as err:
         parse_expr(text)
     assert text[err.value.offset:].startswith("exp(")
+
+
+_CHAIN = "+".join(["x"] * MAX_DEPTH)  # a left chain MAX_DEPTH deep, 2 * MAX_DEPTH - 1 chars
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("*".join(["x"] * (MAX_DEPTH + 1)), 2 * MAX_DEPTH - 1),  # at the last '*'
+    ("-(" + _CHAIN + ")", 0),  # at the sign
+    ("(" + _CHAIN + ")^2", 2 * MAX_DEPTH + 1),  # at the '^'
+], ids=["product-chain", "sign", "power"])
+def test_parse_rejects_one_level_past_max_depth(text, offset):
+    # each tree is MAX_DEPTH + 1 deep within MAX_NESTING, so the tree depth
+    # check of a product chain, a sign or a power is what rejects it
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text)
+    assert err.value.offset == offset
+    assert str(err.value) == f"expression tree deeper than {MAX_DEPTH} levels (offset {offset})"
 
 
 def test_parse_accepts_the_depth_limits():
@@ -817,6 +835,29 @@ def test_code_table_stays_within_its_character_bound(monkeypatch):
     assert kept
     assert _outcome(jet, big, 0.8, 6) == _outcome(_reference_jet, big, 0.8, 6)
     assert code_table._entries == kept and code_table.chars == chars
+
+
+def test_code_table_frees_factories_without_the_collector(monkeypatch):
+    # 29 shapes through a table that keeps two: each evicted factory is freed
+    # by reference counting, as its exec namespace, which is its globals,
+    # does not keep the factory itself (135 cyclic objects when it did)
+    code_table = expr._CodeTable(2000)
+    monkeypatch.setattr(expr, "_code_table", code_table)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for k in range(2, 31):
+            expr._compile(parse_expr("+".join(["x"] * k)).root, None)
+        assert len(code_table._entries) < 29
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.workcount

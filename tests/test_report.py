@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import math
+import random
 import re
 import shutil
 import subprocess
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from youngbounds import catalog as cat
 from youngbounds import cli, expr, report
-from youngbounds.errors import ParseError, ValidationError
+from youngbounds.errors import DomainError, InvariantViolation, ParseError, ValidationError
 from youngbounds.numerics import interior_grid
 from youngbounds.report import (
     MethodSpec,
@@ -422,7 +423,7 @@ def test_verify_golden_reports_bad_method_arguments(tmp_path, golden_dir, text):
 
 # sha256 of "\n".join(_sweep_reprs(100)), computed with CPython 3.11.7 on
 # glibc 2.36 (Debian 12), x86-64.
-_SWEEP_REPRS_100_SHA256 = "2b25ee506c511877731e9e7cc612034ad019ca4aafad9078cc6a51c8a21a5c54"
+_SWEEP_REPRS_100_SHA256 = "a8a804e62ea36ba858dff92c7fd74c7a5c9461f4f814def02a1d01c387bcce5d"
 
 
 @pytest.mark.workcount
@@ -453,6 +454,111 @@ def test_sweep_strict_mode_passes_clean_runs():
     # any violation; a clean run returns normally
     summary = sweep(seed=11, count=4, strict=True)
     assert summary.ok
+
+
+# sweep(2, 1) is x^1.548 with b < h(a), every method applicable and 15
+# invariant checks; sweep(1, 1) is exp(1.083x)-1 with b = h(a)
+_MISS_SEED, _TIE_SEED = 2, 1
+
+
+def _patched_sweep(monkeypatch, seed, alter, strict=False):
+    """sweep(seed, 1) with each result of the ``run_method`` that ``report``
+    binds passed through ``alter(inst, anch, name, args, result)``; returns
+    the summary and the instance's replay serialization, built here as the
+    sweep documents it."""
+    real = report.run_method
+    insts = []
+
+    def patched(inst, anch, name, args=()):
+        insts.append(inst)
+        return alter(inst, anch, name, args, real(inst, anch, name, args))
+
+    monkeypatch.setattr(report, "run_method", patched)
+    summary = sweep(seed, 1, strict=strict)
+    inst = insts[0]
+    text = report._random_instance(random.Random(seed))["function"]
+    serial = json.dumps({"function": text, "a": inst.a, "b": inst.b, "c": inst.c},
+                        sort_keys=True)
+    return summary, serial
+
+
+def _violated(summary, violations):
+    assert summary.violations == tuple(violations) and not summary.ok
+    assert summary.lines[-1 - len(violations):] == tuple(
+        [f"VIOLATION {v}" for v in violations] + [f"violations: {len(violations)}"]
+    )
+
+
+def test_sweep_reports_bounds_that_miss_the_oracle(monkeypatch):
+    # one side past the oracle on each kind of target: a lower above it, an
+    # upper below it, and an absolute upper below |native|
+    natives = {}
+
+    def alter(inst, anch, name, args, res):
+        native = natives[name] = res.target.native_of_sum(oracle(inst, anch).sum)
+        shifted = {"hh-cebysev": (native - 2.0, native - 1.0),
+                   "jensen-first": (native + 1.0, native + 2.0),
+                   "lp-remainder": (None, native - 1.0)}
+        if name not in shifted:
+            return res
+        lower, upper = shifted[name]
+        return dataclasses.replace(res, lower=lower, upper=upper, applicable=True)
+
+    summary, serial = _patched_sweep(monkeypatch, _MISS_SEED, alter)
+    hh, jf, lp = natives["hh-cebysev"], natives["jensen-first"], natives["lp-remainder"]
+    violations = [
+        f"SANDWICH hh-cebysev on {serial}: native={hh!r} above upper {hh - 1.0!r}",
+        f"SANDWICH jensen-first on {serial}: native={jf!r} below lower {jf + 1.0!r}",
+        f"SANDWICH lp-remainder on {serial}: |native|={lp!r} exceeds upper {lp - 1.0!r}",
+    ]
+    _violated(summary, violations)
+    assert summary.checks == 15
+
+    # strict mode raises with the same lines, each carrying the instance,
+    # which replays to the same oracle bit for bit
+    with pytest.raises(InvariantViolation) as err:
+        _patched_sweep(monkeypatch, _MISS_SEED, alter, strict=True)
+    assert str(err.value) == "\n".join(violations)
+    replay = json.loads(serial)
+    inst = make_problem(replay["function"], replay["a"], replay["b"], replay["c"])
+    anch = anchors(inst)
+    res = cat.run_method(inst, anch, "jensen-first")
+    assert res.target.native_of_sum(oracle(inst, anch).sum) == jf
+
+
+def test_sweep_reports_a_reduction_pair_that_disagrees(monkeypatch):
+    uppers = {}
+
+    def alter(inst, anch, name, args, res):
+        if (name, args) == ("taylor-holder", (0.0,)):
+            res = dataclasses.replace(res, upper=res.upper + 1e-6)
+        uppers[name, args] = res.upper
+        return res
+
+    summary, serial = _patched_sweep(monkeypatch, _MISS_SEED, alter)
+    x, y = uppers["taylor-holder", (0.0,)], uppers["holder-norm", ()]
+    _violated(summary, [f"REDUCTION taylor-holder(0) upper {x!r} != holder-norm {y!r} on {serial}"])
+
+
+def test_sweep_reports_a_nonzero_gap_on_a_tie(monkeypatch):
+    def alter(inst, anch, name, args, res):
+        if name == "jensen-first":  # its GAP bounds are within 1e-32 of 0 unpatched
+            return dataclasses.replace(res, upper=1e-9)
+        return res
+
+    summary, serial = _patched_sweep(monkeypatch, _TIE_SEED, alter)
+    _violated(summary, [f"EQUALITY jensen-first upper |1e-09| > 1e-10 on {serial}"])
+
+
+def test_sweep_skips_a_method_that_raises(monkeypatch):
+    def alter(inst, anch, name, args, res):
+        if name == "polya-first":
+            raise DomainError("no bound here")
+        return res
+
+    summary, _ = _patched_sweep(monkeypatch, _MISS_SEED, alter)
+    assert "  [0] polya-first: skipped (DomainError)" in summary.lines
+    assert summary.ok and summary.checks == 14  # one SANDWICH check fewer
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,42 @@ def test_fractional_power_passes_origin_limit():
     assert inst.h(1e-10) < 1e-8
 
 
+def _sampled_near_zero(text, c):
+    """The abscissae below 1e-5 at which ``make_problem`` reads h while it
+    validates ``text`` on (0, c), where the limit walk cannot decide h(0+)."""
+    with pytest.raises(ValueError):
+        young._limit_at_zero(parse_expr(text).root)
+    real = young.ProblemInstance.h
+    xs = []
+
+    def h(inst, x):
+        xs.append(x)
+        return real(inst, x)
+
+    with mock.patch.object(young.ProblemInstance, "h", h):
+        make_problem(text, 0.5, evaluate(parse_expr(text), 0.3), c)
+    return [x for x in xs if x < 1e-5]
+
+
+@pytest.mark.parametrize("text,c", [
+    ("x - x*ln(x)", 0.9),  # h' = -ln(x) > 0 below 1; inf - inf for the walk
+    ("x*ln(1+1/x)", 2.0),  # 0 * inf for the walk
+])
+def test_an_undecided_limit_validates_by_its_samples(domain_table, text, c):
+    # h(0+) = 0 where the walk meets an indeterminate form: h(1e-10), about
+    # 2.4e-9, is within the absolute 1e-8
+    assert _sampled_near_zero(text, c) == [1e-6, 1e-8, 1e-10]
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError, reason=(
+    "h(0+) = 0, but the walk gives the zero of exp(x)-1 or ln(1+x) no side "
+    "(ROADMAP item 15: expm1 and log1p nodes), and the sampled fallback "
+    "holds h(1e-10), about 1e-5, to an absolute 1e-8 (item 11)"))
+@pytest.mark.parametrize("text", ["sqrt(exp(x)-1)", "ln(1+x)^0.5"])
+def test_a_root_of_a_cancelled_zero_validates(domain_table, text):
+    assert _sampled_near_zero(text, 1.0) == [1e-6, 1e-8, 1e-10]
+
+
 # ---------------------------------------------------------------------------
 # Anchors
 # ---------------------------------------------------------------------------
